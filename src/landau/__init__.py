@@ -12,7 +12,7 @@ from .errors import (
     PrefixGapError,
 )
 from .gfunction import GEngine, GFraction
-from .oracle import g_bruteforce, g_list_merge_prune, g_table_dp
+from .oracle import g_list_merge_prune
 from .primes import PrimeTable
 from .superchampion import build_e2_table, find_context
 
@@ -34,9 +34,7 @@ __all__ = [
     "build_e2_table",
     "compute_g",
     "find_context",
-    "g_bruteforce",
     "g_list_merge_prune",
-    "g_table_dp",
     "parse_factored",
     "render_factored",
     "set_precision",

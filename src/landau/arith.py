@@ -130,10 +130,6 @@ class PrimeFraction:
             fac.append((n, 1))
         return cls(tuple(fac))
 
-    @classmethod
-    def from_prime_power(cls, p, e):
-        return cls(((p, e),)) if e else _ONE
-
     # -- basic properties ----------------------------------------------------
 
     @property

@@ -185,7 +185,6 @@ class LandauResult:
     correction: PrimeFraction
     ell_g: int
     champion: Optional[object] = None       # None when served by the oracle
-    rho: Optional[object] = None
     context: Optional[SuperchampionContext] = None
     log10_g: mpf = None
     from_oracle: bool = False
@@ -255,16 +254,13 @@ class Solver:
     small-n oracle.
     """
 
-    def __init__(self, limit_hint=None, cache_dir=None, sieve_limit=None,
-                 max_sieve=None, digit_budget=10**7):
+    def __init__(self, limit_hint=None, cache_dir=None, sieve_limit=None):
         self.cache_dir = cache_dir
         self.sieve_limit = sieve_limit
-        self.max_sieve = max_sieve
-        self.digit_budget = digit_budget
         self.table = None
         self.engine = None
         self._e2 = None
-        self._e2_limit = 0
+        self._covered = -1  # every n up to this has its sieve and event table
         self._ctx_cache = []
         self._oracle = None
         self._oracle_limit = -1
@@ -274,19 +270,21 @@ class Solver:
     # -- infrastructure -----------------------------------------------------
 
     def _ensure(self, n):
-        limit = self.sieve_limit or auto_limit(n)
+        if n <= self._covered:
+            return
+        # a growth at least doubles the coverage, so ascending n rebuild
+        # O(log n) times; a fixed sieve limit may not hold twice the n
+        cover = n
+        if self.table is not None and not self.sieve_limit:
+            cover = max(n, 2 * self._covered)
+        limit = self.sieve_limit or auto_limit(cover)
         if self.table is None or self.table.limit < limit:
-            kw = {"cache_dir": self.cache_dir}
-            if self.max_sieve:
-                kw["max_limit"] = self.max_sieve
-            self.table = PrimeTable.build(limit, **kw)
+            self.table = PrimeTable.build(limit, cache_dir=self.cache_dir)
             self.engine = GEngine(self.table, cache_dir=self.cache_dir)
             self._ctx_cache = []
-            self._e2 = None
-            self._e2_limit = 0
-        if n >= 7 and self._e2_limit < n:
-            self._e2 = build_e2_table(max(n, 10**4), self.table, cache_dir=self.cache_dir)
-            self._e2_limit = max(n, 10**4)
+        if cover >= 7:
+            self._e2 = build_e2_table(max(cover, 10**4), self.table, cache_dir=self.cache_dir)
+            self._covered = cover
 
     def oracle_value(self, n):
         if self._oracle is None or self._oracle_limit < n:
@@ -371,7 +369,6 @@ class Solver:
             correction=best,
             ell_g=ctx.ellN + best_cand.dell_Pi + best_cost,
             champion=ctx.N,
-            rho=ctx.rho,
             context=ctx,
         )
         res.log10_g = res.log_g() / log_int(10)

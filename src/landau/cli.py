@@ -21,6 +21,7 @@ from .errors import (
     Delta1CeilingError,
     PrefixGapError,
 )
+from .gfunction import GEngine
 from .oracle import g_list_merge_prune
 from .primes import PrimeTable
 
@@ -54,7 +55,6 @@ class Config:
             limit_hint=limit_hint,
             cache_dir=self.cache_dir,
             sieve_limit=self.sieve_limit_override,
-            digit_budget=self.digit_budget,
         )
 
 
@@ -86,7 +86,7 @@ def cmd_compute(args, config):
         num, den = result.correction.rational()
         payload = {
             "n": n,
-            "rho": mp.nstr(result.rho.value, 25) if result.rho is not None else None,
+            "rho": mp.nstr(result.context.rho.value, 25) if result.context is not None else None,
             "ellN": result.context.ellN if result.context is not None else None,
             "N_brackets": result.champion.render() if result.champion is not None else "1",
             "correction_num": str(num),
@@ -159,23 +159,16 @@ def cmd_verify(args, config):
 def cmd_gfun(args, config):
     if args.p < 3 or args.m < 0:
         raise ValueError("need a prime p >= 3 and m >= 0")
-    solver = config.solver()
-    if config.sieve_limit_override is None:
-        solver.sieve_limit = args.p + args.m + 10**6
-    solver._ensure(0)
-    engine = solver.engine
+    table = PrimeTable.build(config.sieve_limit_override or args.p + args.m + 10**6,
+                             cache_dir=config.cache_dir)
+    engine = GEngine(table, cache_dir=config.cache_dir)
     frac = engine.g_fraction(args.p, args.m)
-    t = solver.table
-    pk1 = t.next_prime(args.p)
-    if args.m < pk1 - args.p:
+    if frac.is_one():  # exactly when m is below the first gap p_{k+1} - p_k
         algo = "below the first gap: G = 1"
-    elif args.m >= 3000 and 2 * args.m >= 9 * engine.delta1(pk1):
-        algo = "large-m reduction"
-    else:
-        algo = "windowed min-product recursion"
-    if frac.is_one():
         print("G(%d, %d) = 1" % (args.p, args.m))
     else:
+        algo = ("large-m reduction" if engine.uses_large_m(args.p, args.m)
+                else "windowed min-product recursion")
         print(
             "G(%d, %d) = (%s) / (%s)"
             % (args.p, args.m, "*".join(map(str, frac.Qs)), "*".join(map(str, frac.qs)))

@@ -235,12 +235,11 @@ class GFraction:
 class _UptoEntry:
     """Confirmed-exact G(p_k, m) for all m <= cap, as a step function."""
 
-    __slots__ = ("pk_idx", "cap", "lo_idx", "rhat_idx", "fn", "fracs")
+    __slots__ = ("pk_idx", "cap", "rhat_idx", "fn", "fracs")
 
-    def __init__(self, pk_idx, cap, lo_idx, rhat_idx, fn):
+    def __init__(self, pk_idx, cap, rhat_idx, fn):
         self.pk_idx = pk_idx
         self.cap = cap
-        self.lo_idx = lo_idx
         self.rhat_idx = rhat_idx
         self.fn = fn
         self.fracs = {}
@@ -376,55 +375,25 @@ class GEngine:
             if need == 0:
                 break
             rhat_idx = min(max(t.count_upto(need) + 1, rhat_idx + TRIAL_WIDTH), full_top)
-        entry = _UptoEntry(pk_idx, cap, lo_idx, rhat_idx, fn)
+        entry = _UptoEntry(pk_idx, cap, rhat_idx, fn)
         self._upto[pk_idx] = entry
         return entry
 
     # -- public operations ----------------------------------------------------------
 
     def g_small(self, p_k, M):
-        """G(p_k, m) for every m in [0, M] by the full-window recursion."""
+        """[G(p_k, 0), ..., G(p_k, M)] by the full, uncertified window
+        recursion: the reference the confirmed window is checked against."""
         pk_idx = self.table.rank(p_k)
         if pk_idx < 2:
             raise ValueError("p_k must be at least 3")
         pk1 = self.table.prime(pk_idx + 1)
         if not 0 <= M <= pk1 - 3:
             raise ValueError("M=%d outside [0, %d]" % (M, pk1 - 3))
-        lo_idx = self._low_idx(pk1, M)
-        top_idx = self._full_top_idx(pk_idx, M)
-        fn = self._run_h(pk_idx, lo_idx, max(top_idx, pk_idx + 1), M)
-        entry = _UptoEntry(pk_idx, M, lo_idx, max(top_idx, pk_idx + 1), fn)
-        return GRange(self, entry, M)
-
-    def widen_and_confirm(self, p_k, m, trial_width=TRIAL_WIDTH):
-        """G(p_k, m) on a truncated window, widening until the largest-prime
-        bound certifies the truncation lost nothing."""
-        t = self.table
-        pk_idx = t.rank(p_k)
-        pk1 = t.prime(pk_idx + 1)
-        if not 0 <= m <= pk1 - 3:
-            raise ValueError("m=%d outside [0, %d]" % (m, pk1 - 3))
-        if m < pk1 - p_k:
-            return GFraction.one()
-        lo_idx = self._low_idx(pk1, m)
-        full_top = self._full_top_idx(pk_idx, m)
-        rhat_idx = min(pk_idx + max(trial_width, 1), full_top)
-        while True:
-            fn = self._run_h(pk_idx, lo_idx, rhat_idx, m)
-            entry = _UptoEntry(pk_idx, m, lo_idx, rhat_idx, fn)
-            frac = self._extract(entry, m)
-            if rhat_idx >= full_top:
-                return frac
-            if frac.is_one():
-                # a 1 here carries no widening information; jump to full
-                rhat_idx = full_top
-                continue
-            num, den = frac.numerator(), frac.denominator()
-            p_rhat = t.prime(rhat_idx)
-            if p_rhat > p_k + m or p_rhat * (num - den) > m * num:
-                return frac
-            need = min(p_k + m, m * num // (num - den) + 1)
-            rhat_idx = min(max(t.count_upto(need) + 1, rhat_idx + trial_width), full_top)
+        top_idx = max(self._full_top_idx(pk_idx, M), pk_idx + 1)
+        fn = self._run_h(pk_idx, self._low_idx(pk1, M), top_idx, M)
+        entry = _UptoEntry(pk_idx, M, top_idx, fn)
+        return [self._extract(entry, m) for m in range(M + 1)]
 
     def g_fraction(self, p_k, m):
         """G(p_k, m), dispatching between the two algorithms."""
@@ -435,16 +404,17 @@ class GEngine:
             raise ValueError("m=%d outside [0, %d]" % (m, pk1 - 3))
         if m < pk1 - p_k:
             return GFraction.one()
-        if m >= SMALL_M_CUTOFF:
-            d1 = self.delta1(pk1)
-            if 2 * m >= 9 * d1:
-                frac = self.g_large(p_k, m)
-                self._check_sandwich(p_k, pk1, m, frac)
-                return frac
-        entry = self._g_upto(pk_idx, m)
-        frac = self._extract(entry, m)
+        if self.uses_large_m(p_k, m):
+            frac = self.g_large(p_k, m)
+        else:
+            frac = self._extract(self._g_upto(pk_idx, m), m)
         self._check_sandwich(p_k, pk1, m, frac)
         return frac
+
+    def uses_large_m(self, p_k, m):
+        """Whether g_fraction evaluates G(p_k, m), m past the first gap, by
+        the large-m reduction rather than the window recursion."""
+        return m >= SMALL_M_CUTOFF and 2 * m >= 9 * self.delta1(self.table.next_prime(p_k))
 
     def _check_sandwich(self, p_k, pk1, m, frac):
         num, den = frac.numerator(), frac.denominator()
@@ -588,19 +558,3 @@ class GEngine:
         out = GFraction(Qs, qs)
         out.check(p_k, m)
         return out
-
-
-class GRange:
-    """Mapping view m -> GFraction over [0, M] backed by one recursion run."""
-
-    def __init__(self, engine, entry, M):
-        self._engine = engine
-        self._entry = entry
-        self.M = M
-
-    def __getitem__(self, m):
-        if not 0 <= m <= self.M:
-            raise IndexError("m=%d outside [0, %d]" % (m, self.M))
-        return self._engine._extract(self._entry, m)
-
-    at = __getitem__

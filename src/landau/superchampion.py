@@ -9,14 +9,15 @@ new prime of exponent 1.
 """
 
 import heapq
+import math
 import os
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Optional
 
+import numpy as np
 from mpmath import mp, mpf, sqrt as mp_sqrt
 
-from .arith import log_int, log_product
+from .arith import _tree_product, log_int, log_product
 from .errors import CapacityError, InvariantViolation
 
 E2_CACHE_VERSION = "landau-e2-v1"
@@ -72,8 +73,6 @@ class Threshold:
 
 def _solve_x1(rho):
     """Root >= 5 of x / log x = rho."""
-    import math
-
     r = float(rho.value)
     x = r * math.log(r)
     for _ in range(60):
@@ -203,24 +202,12 @@ class Champion:
             for i in range(lo, hi + 1):
                 yield self.table.prime(i), j
 
-    def num_prime_factors(self):
-        return sum(hi - lo + 1 for _, lo, hi in self.runs)
-
-    def to_fraction(self):
-        from .arith import PrimeFraction
-
-        if self.num_prime_factors() > 200_000:
-            raise CapacityError("champion too large to expand per-prime")
-        return PrimeFraction(tuple((p, j) for p, j in self.iter_factors()))
-
     def to_int(self, digit_budget=10**7):
         digits = self.log / log_int(10)
         if digits > digit_budget:
             raise CapacityError(
                 "champion has ~%d digits, budget %d" % (int(digits) + 1, digit_budget)
             )
-        from .arith import _tree_product
-
         return _tree_product(p**j for p, j in self.iter_factors())
 
     def render(self):
@@ -235,10 +222,6 @@ class Champion:
 
     def __repr__(self):
         return "Champion(%s, ell=%d)" % (self.render(), self.ell)
-
-
-def champion_factorization(xs, table):
-    return Champion(table, xs)
 
 
 def b1(x1, x2):
@@ -410,7 +393,7 @@ def find_context(n, table, e2_entries):
         s0 = int(cs[start_idx - 1])
         # largest m >= start_idx with cur.ell + (S(p_m) - S(p_start)) <= n
         target = n - cur.ell + s0
-        m = int(bisect_right_np(cs, target))
+        m = int(np.searchsorted(cs, target, side="right"))
         if m < start_idx:
             m = start_idx
         ellN = cur.ell + int(cs[m - 1]) - s0
@@ -418,7 +401,7 @@ def find_context(n, table, e2_entries):
         rho = Rho(nxt_p, 1)
         ell_nplus = ellN + nxt_p
     xs = xj_thresholds(rho)
-    N = champion_factorization(xs, table)
+    N = Champion(table, xs)
     if N.ell != ellN:
         raise InvariantViolation(
             "champion cost mismatch: factorization says %d, chain says %d" % (N.ell, ellN)
@@ -438,9 +421,3 @@ def find_context(n, table, e2_entries):
         sqrt_x1=mp_sqrt(x1),
         B1=b1(x1, x2),
     )
-
-
-def bisect_right_np(arr, target):
-    import numpy as np
-
-    return np.searchsorted(arr, target, side="right")

@@ -1,0 +1,95 @@
+"""Test-side reference oracles for g(n): a dynamic program over primes and a
+tiny exhaustive search.  Together with the package's merge-and-prune list
+(`landau.oracle.g_list_merge_prune`) they give three independent ways to
+compute g(n) at small scale.
+"""
+
+import numpy as np
+
+from landau.arith import PrimeFraction
+from landau.errors import CapacityError
+from landau.oracle import _pmax
+from landau.primes import _simple_sieve
+
+DP_MAX_N = 2_000_000
+BRUTE_MAX_N = 64
+
+
+class GTable:
+    """g(n) for all 0 <= n <= limit, with factored access per entry."""
+
+    def __init__(self, limit, values, prime_pool):
+        self.limit = limit
+        self.values = values          # object ndarray of exact ints
+        self._pool = prime_pool       # primes that may divide any entry
+
+    def int_value(self, n):
+        return int(self.values[n])
+
+    def factors(self, n):
+        """Factorization of g(n) as a dict prime -> exponent."""
+        v = int(self.values[n])
+        fac = {}
+        for p in self._pool:
+            if p * p > v:
+                break
+            e = 0
+            while v % p == 0:
+                e += 1
+                v //= p
+            if e:
+                fac[p] = e
+        if v > 1:
+            fac[v] = fac.get(v, 0) + 1
+        return fac
+
+    def value(self, n):
+        return PrimeFraction.from_factors(self.factors(n))
+
+    def __len__(self):
+        return self.limit + 1
+
+
+def g_table_dp(N, max_n=DP_MAX_N):
+    """Prime-by-prime dynamic program g_j(n) = max_k p_j^k g_{j-1}(n - p_j^k).
+
+    Cells hold exact integers in an object ndarray so the per-prime update is
+    one vectorized multiply plus one vectorized max; ~10^6 is minutes of work.
+    """
+    if N < 0:
+        raise ValueError("N must be >= 0")
+    if N > max_n:
+        raise CapacityError("dp table for N=%d exceeds budget %d" % (N, max_n))
+    g = np.ones(N + 1, dtype=object)
+    pool = _simple_sieve(_pmax(N)).tolist() if N >= 2 else []
+    for p in pool:
+        if p > N:
+            break
+        base = g.copy()
+        q = p
+        while q <= N:
+            np.maximum(g[q:], base[: N + 1 - q] * q, out=g[q:])
+            q *= p
+    return GTable(N, g, pool)
+
+
+def g_bruteforce(n):
+    """Direct maximization of prod p_i^a_i subject to sum p_i^a_i <= n
+    over distinct primes; exponential, for tiny n only."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if n > BRUTE_MAX_N:
+        raise CapacityError("brute force beyond n=%d refused" % BRUTE_MAX_N)
+    ps = [p for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61) if p <= n]
+
+    def best(i, budget):
+        if i == len(ps) or ps[i] > budget:
+            return 1
+        top = best(i + 1, budget)
+        q = ps[i]
+        while q <= budget:
+            top = max(top, q * best(i + 1, budget - q))
+            q *= ps[i]
+        return top
+
+    return PrimeFraction.from_int(best(0, n))

@@ -24,11 +24,12 @@ from landau.arith import DEFAULT_PRECISION, PrimeFraction, set_precision
 from landau.assemble import Solver
 from landau.benefit import BenefitTables, bound_loop, build_prefix_sets, estimate_B
 from landau.gfunction import GEngine
-from landau.oracle import g_bruteforce, g_list_merge_prune, g_table_dp
+from landau.oracle import g_list_merge_prune
 from landau.primes import PrimeTable
 from landau.superchampion import build_e2_table, find_context
 
 from conftest import EXTENDED, extended
+from oracles import g_bruteforce, g_table_dp
 
 
 @pytest.fixture(scope="module")

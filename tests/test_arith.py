@@ -13,6 +13,8 @@ from landau.arith import (
 )
 from landau.errors import CapacityError
 
+from oracles import g_table_dp
+
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53]
 
 
@@ -89,8 +91,6 @@ def test_to_decimal():
 
 
 def test_to_decimal_g100(table1m):
-    from landau.oracle import g_table_dp
-
     table = g_table_dp(100)
     assert table.value(100).to_decimal() == 232792560
 

@@ -124,3 +124,29 @@ def test_compute_g_one_shot():
 def test_rejects_negative():
     with pytest.raises(ValueError):
         Solver(limit_hint=100).compute(-1)
+
+
+def test_ascending_n_rebuild_geometrically(tmp_path, monkeypatch):
+    # without limit_hint, each growth at least doubles the covered n, so 50
+    # ascending n over [2e4, 7e4) build the event table 3 times, not 50
+    from landau import assemble
+
+    real = assemble.build_e2_table
+    e2_builds = []
+
+    def counting(ell_limit, table, cache_dir=None):
+        e2_builds.append(ell_limit)
+        return real(ell_limit, table, cache_dir=cache_dir)
+
+    monkeypatch.setattr(assemble, "build_e2_table", counting)
+    solver = Solver(cache_dir=str(tmp_path))
+    tables = []
+    ns = range(20000, 70000, 1000)
+    lst = g_list_merge_prune(ns[-1])
+    for n in ns:
+        assert solver.compute(n).to_int() == lst.query(n)
+        if not tables or solver.table is not tables[-1]:
+            tables.append(solver.table)
+    assert e2_builds == [20000, 40000, 80000]
+    assert len(tables) == 3
+    assert len(list(tmp_path.glob("e2-*.txt"))) == 3

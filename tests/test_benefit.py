@@ -14,8 +14,9 @@ from landau.benefit import (
     initial_budget,
 )
 from landau.errors import BoundFailureError
-from landau.oracle import g_table_dp
 from landau.superchampion import build_e2_table, find_context
+
+from oracles import g_table_dp
 
 
 @pytest.fixture(scope="module")

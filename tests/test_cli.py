@@ -107,6 +107,10 @@ def test_gfun(capsys):
     assert rc == 0
     assert "G(103, 22) = (107*113) / (101*97)" in out
     assert "cost = 22" in out
+    assert "algorithm: windowed min-product recursion" in out
+    rc, out, _ = run_cli(capsys, "gfun", "9973", "3000")
+    assert rc == 0
+    assert "algorithm: large-m reduction" in out
 
 
 def test_superchampion_cmd(capsys):

@@ -87,26 +87,29 @@ def test_bruteforce_equivalence(engine, table1m):
 
 
 def test_widen_matches_full_window(engine, table1m):
+    # g_fraction's confirmed truncated window against the full window
     rng = random.Random(43)
     primes = [table1m.prime(i) for i in range(3, table1m.count_upto(1000) + 1)]
     for pk in rng.sample(primes, 30):
         cap = min(200, table1m.next_prime(pk) - 3)
         full = engine.g_small(pk, cap)
         for m in rng.sample(range(cap + 1), 12):
-            assert engine.widen_and_confirm(pk, m) == full[m]
-            assert engine.widen_and_confirm(pk, m, trial_width=2) == full[m]
+            assert engine.g_fraction(pk, m) == full[m]
 
 
-def test_widen_example_uses_narrow_window(table1m):
+def test_widen_example_uses_narrow_window():
     t = PrimeTable.build(200000)
     eng = GEngine(t)
-    # the sum-window rule alone would demand hundreds of primes above p_k;
-    # the largest-prime bound certifies a few suffice
-    assert t.rank(151027) - t.rank(150989) == 5
-    f = eng.widen_and_confirm(150989, 5000)
-    full = eng.g_small(150989, 5000)[5000]
-    assert f == full
-    assert f.Qs[-1] <= 151027
+    pk_idx = t.rank(150989)
+    entry = eng._g_upto(pk_idx, 1200)
+    # the full window up to p_k + cap holds 115 primes above p_k; the
+    # largest-prime bound certifies the first 35 suffice on all of [0, cap]
+    assert entry.cap == 1280
+    assert t.count_upto(150989 + entry.cap) - pk_idx == 115
+    assert entry.rhat_idx - pk_idx == 35
+    full = eng.g_small(150989, 1200)
+    assert [eng._extract(entry, m) for m in range(1201)] == full
+    assert eng.g_fraction(150989, 1200) == full[1200]
 
 
 def test_sandwich_invariant(engine, table1m):

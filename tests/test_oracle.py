@@ -5,12 +5,9 @@ import pytest
 from mpmath import mp
 
 from landau.errors import CapacityError
-from landau.oracle import (
-    ChampionList,
-    g_bruteforce,
-    g_list_merge_prune,
-    g_table_dp,
-)
+from landau.oracle import ChampionList, g_list_merge_prune
+
+from oracles import g_bruteforce, g_table_dp
 
 
 @pytest.fixture(scope="module")

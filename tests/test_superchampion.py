@@ -5,11 +5,12 @@ from mpmath import mp, mpf
 
 from landau.errors import CapacityError
 from landau.oracle import g_list_merge_prune
+from landau.primes import PrimeTable
 from landau.superchampion import (
     Rho,
+    Champion,
     b1,
     build_e2_table,
-    champion_factorization,
     find_context,
     xj_thresholds,
 )
@@ -84,7 +85,7 @@ def test_xj_thresholds():
     assert xs[1].value > 2
     xs = xj_thresholds(Rho(7, 1))
     assert xs[0].exact == 7
-    N = champion_factorization(xs, __import__("landau.primes", fromlist=["PrimeTable"]).PrimeTable.build(100))
+    N = Champion(PrimeTable.build(100), xs)
     assert N.to_int() == 60  # the champion just below the slope 7/log 7
     with pytest.raises(ValueError):
         xj_thresholds(Rho(3, 1))
@@ -141,8 +142,6 @@ def test_divisibility_chain(table1m, e2_1e5):
 def test_first_ten_thousand_champions_chain():
     # enumerate the first 1e4 champion steps: each multiplies in one prime
     # (a fresh exponent-1 prime between events, the event's q at an event)
-    from landau.primes import PrimeTable
-
     table = PrimeTable.build(3 * 10**5)
     e2 = build_e2_table(5 * 10**8, table)
     steps = []  # (ell_after, q, new_exponent)
