@@ -15,7 +15,7 @@ import numpy as np
 from mpmath import mp, mpf
 
 from .arith import PrimeFraction, log_int
-from .benefit import BenefitTables, BoundResult, bound_loop
+from .benefit import BenefitTables, BoundResult, _walk_fraction, bound_loop
 from .errors import (
     BoundFailureError,
     CapacityError,
@@ -123,11 +123,7 @@ def _try_candidate(ctx, bound, tables, out, cand, w, s_w, hi, denom):
             "candidate at omega=%d has p_{k+w+1}-m = %d below sqrt(x1)=%s"
             % (w, next_p - m_suffix, mp.nstr(ctx.sqrt_x1, 10))
         )
-    if w >= 0:
-        walk = {t.prime(ctx.k + i): 1 for i in range(1, w + 1)}
-    else:
-        walk = {t.prime(ctx.k - i): -1 for i in range(-w)}
-    pi = cand.delta.mul(PrimeFraction.from_factors(walk))
+    pi = _walk_fraction(ctx, cand.delta, w)
     out.append(
         NormalizedCandidate(
             plain=cand,

@@ -7,8 +7,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
-from typing import Optional
 
 from mpmath import mp
 
@@ -35,29 +33,6 @@ EXIT_DELTA1 = 5
 SOFT_N_CEILING = 10**15  # beyond this, delta1 existence is only conjectural
 
 
-@dataclass
-class Config:
-    sieve_limit_override: Optional[int] = None
-    precision_digits: int = 30
-    cache_dir: Optional[str] = None
-    digit_budget: int = 10**7
-
-    def __post_init__(self):
-        if self.precision_digits < 20:
-            raise ValueError("precision below 20 digits cannot separate the critical slopes")
-        if self.digit_budget < 10**3:
-            raise ValueError("digit budget below 1000 is not useful")
-        if self.cache_dir is None:
-            self.cache_dir = os.environ.get("LANDAU_CACHE_DIR")
-
-    def solver(self, limit_hint=None):
-        return Solver(
-            limit_hint=limit_hint,
-            cache_dir=self.cache_dir,
-            sieve_limit=self.sieve_limit_override,
-        )
-
-
 def _fraction_strs(frac, table=None):
     num = {p: e for p, e in frac.factors if e > 0}
     den = {p: -e for p, e in frac.factors if e < 0}
@@ -66,18 +41,18 @@ def _fraction_strs(frac, table=None):
     return num_s, den_s
 
 
-def cmd_compute(args, config):
+def cmd_compute(args):
     n = args.n
     if n > SOFT_N_CEILING:
         print(
             "warning: n > 10^15; the large-budget search is only conjecturally complete",
             file=sys.stderr,
         )
-    solver = config.solver(limit_hint=n)
+    solver = Solver(limit_hint=n, cache_dir=args.cache_dir, sieve_limit=args.sieve_limit)
     result = solver.compute(n)
     table = solver.table
     if args.format == "digits":
-        print(result.to_int(config.digit_budget))
+        print(result.to_int(args.digit_budget))
         return EXIT_OK
     if args.format == "log":
         print(mp.nstr(result.log10_g, 25))
@@ -115,7 +90,7 @@ def cmd_compute(args, config):
     return EXIT_OK
 
 
-def cmd_table(args, config):
+def cmd_table(args):
     a, b = args.a, args.b
     if not 0 <= a <= b:
         raise ValueError("need 0 <= a <= b")
@@ -136,15 +111,15 @@ def cmd_table(args, config):
     return EXIT_OK
 
 
-def cmd_verify(args, config):
+def cmd_verify(args):
     max_n = args.max_n
     if max_n > 5 * 10**5:
         raise CapacityError("verify beyond 5*10^5 is impractical; use the acceptance suite")
-    solver = config.solver(limit_hint=max_n)
+    solver = Solver(limit_hint=max_n, cache_dir=args.cache_dir, sieve_limit=args.sieve_limit)
     lst = g_list_merge_prune(max_n)
     checked = 0
     for n in range(7, max_n + 1):
-        got = solver.compute(n).to_int(config.digit_budget)
+        got = solver.compute(n).to_int(args.digit_budget)
         want = lst.query(n)
         if got != want:
             print("MISMATCH at n=%d" % n)
@@ -156,12 +131,12 @@ def cmd_verify(args, config):
     return EXIT_OK
 
 
-def cmd_gfun(args, config):
+def cmd_gfun(args):
     if args.p < 3 or args.m < 0:
         raise ValueError("need a prime p >= 3 and m >= 0")
-    table = PrimeTable.build(config.sieve_limit_override or args.p + args.m + 10**6,
-                             cache_dir=config.cache_dir)
-    engine = GEngine(table, cache_dir=config.cache_dir)
+    table = PrimeTable.build(args.sieve_limit or args.p + args.m + 10**6,
+                             cache_dir=args.cache_dir)
+    engine = GEngine(table, cache_dir=args.cache_dir)
     frac = engine.g_fraction(args.p, args.m)
     if frac.is_one():  # exactly when m is below the first gap p_{k+1} - p_k
         algo = "below the first gap: G = 1"
@@ -178,8 +153,8 @@ def cmd_gfun(args, config):
     return EXIT_OK
 
 
-def cmd_superchampion(args, config):
-    solver = config.solver(limit_hint=args.n)
+def cmd_superchampion(args):
+    solver = Solver(limit_hint=args.n, cache_dir=args.cache_dir, sieve_limit=args.sieve_limit)
     ctx, _, _ = solver.context(args.n)
     print("n = %d" % args.n)
     print("rho = %s  (%r)" % (mp.nstr(ctx.rho.value, 25), ctx.rho))
@@ -193,10 +168,10 @@ def cmd_superchampion(args, config):
     return EXIT_OK
 
 
-def cmd_prefixes(args, config):
+def cmd_prefixes(args):
     from .benefit import bound_loop
 
-    solver = config.solver(limit_hint=args.n)
+    solver = Solver(limit_hint=args.n, cache_dir=args.cache_dir, sieve_limit=args.sieve_limit)
     ctx, tables, dcache = solver.context(args.n)
     bound, d_set = bound_loop(ctx, args.n, tables, dset_cache=dcache)
     print("# n = %d  B = %s  t1 = %s  count = %d"
@@ -211,9 +186,10 @@ def build_parser():
         prog="landau",
         description="Exact computation of Landau's function g(n) in factored form.",
     )
-    ap.add_argument("--precision", type=int, default=30,
-                    help="working precision in decimal digits (>= 20, default 30)")
-    ap.add_argument("--cache-dir", default=None,
+    ap.add_argument("--precision", type=int, default=arith.DEFAULT_PRECISION,
+                    help="working precision in decimal digits (>= %d, default %d)"
+                    % (arith.MIN_PRECISION, arith.DEFAULT_PRECISION))
+    ap.add_argument("--cache-dir", default=os.environ.get("LANDAU_CACHE_DIR"),
                     help="directory for sieve/event/delta1 caches (or $LANDAU_CACHE_DIR)")
     ap.add_argument("--sieve-limit", type=int, default=None,
                     help="override the automatic sieve limit")
@@ -255,15 +231,11 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        config = Config(
-            sieve_limit_override=args.sieve_limit,
-            precision_digits=args.precision,
-            cache_dir=args.cache_dir,
-            digit_budget=args.digit_budget,
-        )
-        if config.precision_digits != mp.dps:
-            set_precision(config.precision_digits)
-        return args.func(args, config)
+        if args.digit_budget < 10**3:
+            raise ValueError("digit budget below 1000 is not useful")
+        if args.precision != mp.dps:
+            set_precision(args.precision)
+        return args.func(args)
     except BoundFailureError as e:
         print("bound failure: %s" % e, file=sys.stderr)
         return EXIT_BOUND

@@ -18,9 +18,9 @@ guaranteed, and both algorithms agree on an overlap band of m.
 """
 
 import math
-import os
 from bisect import bisect_right
 
+from . import cache
 from .arith import PrimeFraction
 from .errors import CapacityError, Delta1CeilingError, InvariantViolation
 
@@ -28,8 +28,6 @@ SMALL_M_CUTOFF = 3000     # below this the step-function recursion is fast
 TRIAL_WIDTH = 10          # first truncated window: ten primes above p_k
 UPTO_GRANULARITY = 256    # cache capacity rounding for per-prime G tables
 LOG_GUARD = 1e-9          # float-log ties below this are settled exactly
-
-_DELTA1_CACHE_VERSION = "landau-delta1-v2"
 
 
 class _Node:
@@ -77,15 +75,7 @@ class _StepFn:
         self.ms = ms
         self.vs = vs
 
-    def at(self, m):
-        i = bisect_right(self.ms, m) - 1
-        return self.vs[i] if i >= 0 else _INFEASIBLE
 
-    def __len__(self):
-        return len(self.ms)
-
-
-_INFEASIBLE = object()
 _UNIT = _StepFn([0], [None])  # the empty product, available at every m >= 0
 
 
@@ -253,7 +243,11 @@ class GEngine:
         self.table = table
         self.cache_dir = cache_dir
         self._upto = {}
-        self._delta1 = None
+        # delta1 depends on p alone, so a file of any coverage serves any table
+        stored = cache.load(cache_dir, "delta1", 0) if cache_dir else None
+        self._delta1 = {}
+        if stored is not None:
+            self._delta1 = dict(zip(stored["p"].tolist(), stored["d"].tolist()))
 
     # -- shared window machinery ------------------------------------------------
 
@@ -428,36 +422,6 @@ class GEngine:
 
     # -- delta1 ------------------------------------------------------------------------
 
-    def _delta1_path(self):
-        return os.path.join(self.cache_dir, "delta1.txt") if self.cache_dir else None
-
-    def _load_delta1(self):
-        if self._delta1 is not None:
-            return
-        self._delta1 = {}
-        path = self._delta1_path()
-        if path and os.path.exists(path):
-            try:
-                with open(path) as f:
-                    if f.readline().strip() == _DELTA1_CACHE_VERSION:
-                        for line in f:
-                            p, d = map(int, line.split())
-                            self._delta1[p] = d
-            except Exception:
-                self._delta1 = {}
-
-    def _store_delta1(self, p, d):
-        self._delta1[p] = d
-        path = self._delta1_path()
-        if path:
-            os.makedirs(self.cache_dir, exist_ok=True)
-            tmp = path + ".tmp"
-            with open(tmp, "w") as f:
-                f.write(_DELTA1_CACHE_VERSION + "\n")
-                for q in sorted(self._delta1):
-                    f.write("%d %d\n" % (q, self._delta1[q]))
-            os.replace(tmp, path)
-
     def delta1(self, p):
         """Smallest even budget d1 >= Delta(p) such that every even d in
         (d1 - Delta, d1] has G(p, d) >= 1 + d/p.
@@ -466,7 +430,6 @@ class GEngine:
         base p_k consumes delta1(p_{k+1})."""
         if p < 5:
             raise ValueError("delta1 needs p >= 5")
-        self._load_delta1()
         cached = self._delta1.get(p)
         if cached is not None:
             return cached
@@ -486,7 +449,10 @@ class GEngine:
             if frac.numerator() * p < frac.denominator() * (p + d):
                 last_bad = d
             if d >= delta and d - gap + 2 > last_bad:
-                self._store_delta1(p, d)
+                self._delta1[p] = d
+                if self.cache_dir:
+                    cache.save(self.cache_dir, "delta1", 0,
+                               p=list(self._delta1), d=list(self._delta1.values()))
                 return d
             d += 2
             if d > ceiling:

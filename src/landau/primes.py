@@ -6,18 +6,16 @@ shared freely between threads.
 """
 
 import math
-import os
 
 import numpy as np
 
+from . import cache
 from .errors import CapacityError
 
 SEGMENT = 1 << 20
 # S(4e8) < 2^63 comfortably; the cap below keeps cumulative sums in int64
 # with a wide margin and bounds memory to a few GB of int64 arrays.
 DEFAULT_MAX_LIMIT = 2_000_000_000
-
-_CACHE_MAGIC = "landau-sieve-v1"
 
 
 def _simple_sieve(limit):
@@ -104,51 +102,14 @@ class PrimeTable:
                 "sieve limit %d exceeds configured budget %d" % (limit, max_limit)
             )
         if cache_dir is not None:
-            cached = cls._load_cache(cache_dir, limit)
+            cached = cache.load(cache_dir, "sieve", limit)
             if cached is not None:
-                return cached
+                primes = cached["primes"]
+                return cls(limit, primes[: int(np.searchsorted(primes, limit, side="right"))])
         table = cls(limit, _segmented_primes(limit))
         if cache_dir is not None:
-            table._save_cache(cache_dir)
+            cache.save(cache_dir, "sieve", limit, primes=table.primes)
         return table
-
-    @staticmethod
-    def _cache_path(cache_dir):
-        return os.path.join(cache_dir, "sieve.npz")
-
-    @classmethod
-    def _load_cache(cls, cache_dir, limit):
-        path = cls._cache_path(cache_dir)
-        if not os.path.exists(path):
-            return None
-        try:
-            with np.load(path, allow_pickle=False) as z:
-                if str(z["magic"]) != _CACHE_MAGIC:
-                    return None
-                cached_limit = int(z["limit"])
-                if cached_limit < limit:
-                    return None
-                primes = z["primes"]
-                if int(z["count"]) != len(primes):
-                    return None
-        except Exception:
-            return None
-        if cached_limit > limit:
-            primes = primes[: int(np.searchsorted(primes, limit, side="right"))]
-        return cls(limit, np.ascontiguousarray(primes))
-
-    def _save_cache(self, cache_dir):
-        os.makedirs(cache_dir, exist_ok=True)
-        path = self._cache_path(cache_dir)
-        tmp = path + ".tmp.npz"
-        np.savez(
-            tmp,
-            magic=_CACHE_MAGIC,
-            limit=self.limit,
-            count=len(self.primes),
-            primes=self.primes,
-        )
-        os.replace(tmp, path)
 
     # -- indexed access (1-based, p_1 = 2) ---------------------------------
 
@@ -189,13 +150,6 @@ class PrimeTable:
             raise CapacityError("no prime <= %d exceeds %d" % (self.limit, x))
         return int(self.primes[i])
 
-    def prev_prime(self, x):
-        """Largest prime < x."""
-        if x < 3:
-            raise ValueError("prev_prime requires x >= 3")
-        i = int(np.searchsorted(self.primes, x, side="left"))
-        return int(self.primes[i - 1])
-
     # -- sums ---------------------------------------------------------------
 
     def sum_prime_range(self, a_index, b_index):
@@ -206,11 +160,6 @@ class PrimeTable:
         if a_index >= 2:
             s -= int(self.cumulative[a_index - 2])
         return s
-
-    def sum_upto(self, x):
-        """S(x) = sum of all primes <= x."""
-        i = self.count_upto(x)
-        return int(self.cumulative[i - 1]) if i else 0
 
     # -- gaps ----------------------------------------------------------------
 

@@ -10,17 +10,15 @@ new prime of exponent 1.
 
 import heapq
 import math
-import os
 from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 from mpmath import mp, mpf, sqrt as mp_sqrt
 
+from . import cache
 from .arith import _tree_product, log_int, log_product
 from .errors import CapacityError, InvariantViolation
-
-E2_CACHE_VERSION = "landau-e2-v1"
 
 
 class Rho:
@@ -237,20 +235,23 @@ class E2Entry:
     ell: int
 
 
-def _e2_cache_path(cache_dir, ell_limit):
-    return os.path.join(cache_dir, "e2-%d.txt" % ell_limit)
-
-
 def build_e2_table(ell_limit, table, cache_dir=None):
     """All exponent-bump slopes in increasing order, each with the largest
     exponent-1 prime p of the champion just above it and l(N^+); stops at the
-    first entry whose l exceeds ell_limit (kept, as the navigation fence)."""
+    first entry whose l exceeds ell_limit (kept, as the navigation fence).
+
+    A cached table built for a larger limit serves the request cut after
+    that entry, when `table` holds a prime above the entry's p as a fresh
+    build would need."""
     if ell_limit < 7:
         raise ValueError("ell_limit must be >= 7")
     if cache_dir is not None:
-        cached = _load_e2_cache(cache_dir, ell_limit)
+        cached = cache.load(cache_dir, "e2", ell_limit)
         if cached is not None:
-            return cached
+            end = int(np.searchsorted(cached["ell"], ell_limit, side="right")) + 1
+            if int(cached["p"][end - 1]) < int(table.primes[-1]):
+                q, j, p, ell = (cached[key][:end].tolist() for key in ("q", "j", "p", "ell"))
+                return [E2Entry(*row) for row in zip(q, j, p, ell)]
 
     cs = table.cumulative
 
@@ -283,7 +284,11 @@ def build_e2_table(ell_limit, table, cache_dir=None):
         if ell > ell_limit:
             break
     if cache_dir is not None:
-        _save_e2_cache(cache_dir, ell_limit, entries)
+        cache.save(
+            cache_dir, "e2", ell_limit,
+            q=[e.q for e in entries], j=[e.j for e in entries],
+            p=[e.p for e in entries], ell=[e.ell for e in entries],
+        )
     return entries
 
 
@@ -312,38 +317,6 @@ def _largest_prime_ratio_below(table, r, lo_idx):
 
 def _ratio_below(p, r):
     return mpf(p) / log_int(p) < r
-
-
-def _save_e2_cache(cache_dir, ell_limit, entries):
-    os.makedirs(cache_dir, exist_ok=True)
-    path = _e2_cache_path(cache_dir, ell_limit)
-    tmp = path + ".tmp"
-    with open(tmp, "w") as f:
-        f.write("%s ell_limit=%d count=%d\n" % (E2_CACHE_VERSION, ell_limit, len(entries)))
-        for e in entries:
-            f.write("%d %d %d %d\n" % (e.q, e.j, e.p, e.ell))
-    os.replace(tmp, path)
-
-
-def _load_e2_cache(cache_dir, ell_limit):
-    path = _e2_cache_path(cache_dir, ell_limit)
-    if not os.path.exists(path):
-        return None
-    try:
-        with open(path) as f:
-            header = f.readline().split()
-            if header[0] != E2_CACHE_VERSION:
-                return None
-            count = int(header[2].split("=")[1])
-            entries = []
-            for line in f:
-                q, j, p, l = map(int, line.split())
-                entries.append(E2Entry(q, j, p, l))
-        if len(entries) != count:
-            return None
-        return entries
-    except Exception:
-        return None
 
 
 @dataclass

@@ -1,6 +1,5 @@
 import json
 
-import pytest
 from mpmath import mp, workdps
 
 from landau import cli
@@ -132,8 +131,8 @@ def test_precision_guard(capsys):
     assert rc == cli.EXIT_FAIL
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        cli.Config(precision_digits=19)
-    with pytest.raises(ValueError):
-        cli.Config(digit_budget=10)
+def test_config_validation(capsys):
+    rc, _, err = run_cli(capsys, "--precision", "19", "compute", "100")
+    assert rc == cli.EXIT_FAIL and "precision" in err
+    rc, _, err = run_cli(capsys, "--digit-budget", "10", "compute", "100")
+    assert rc == cli.EXIT_FAIL and "digit budget" in err

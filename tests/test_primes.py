@@ -1,8 +1,9 @@
 import math
+import os
 
-import numpy as np
 import pytest
 
+from landau import cache
 from landau.errors import CapacityError
 from landau.primes import PrimeTable, auto_limit
 
@@ -10,12 +11,6 @@ from landau.primes import PrimeTable, auto_limit
 def test_build_small():
     t = PrimeTable.build(10)
     assert t.primes.tolist() == [2, 3, 5, 7]
-
-
-def test_cumulative_sum_at_29():
-    t = PrimeTable.build(30)
-    assert t.sum_upto(29) == 129
-    assert t.sum_upto(30) == 129
 
 
 def test_prime_count_1e6(table1m):
@@ -31,13 +26,6 @@ def test_next_prime():
         t.next_prime(997)
     with pytest.raises(ValueError):
         t.next_prime(0)
-
-
-def test_prev_prime():
-    t = PrimeTable.build(1000)
-    assert t.prev_prime(11) == 7
-    assert t.prev_prime(128) == 127
-    assert t.prev_prime(3) == 2
 
 
 def test_sum_prime_range():
@@ -70,8 +58,6 @@ def test_navigation_roundtrip():
     ps = t.primes.tolist()
     for p in ps[1:]:
         assert t.next_prime(p - 1) == p
-    for p in ps[:-1]:
-        assert t.prev_prime(p + 1) == p
 
 
 def test_cumulative_matches_fold(table1m):
@@ -109,13 +95,27 @@ def test_disk_cache_roundtrip(tmp_path):
     assert t3.count_upto(5000) == t1.count_upto(5000)
     # larger request rebuilds
     t4 = PrimeTable.build(2 * 10**4, cache_dir=d)
-    assert t4.count_upto(10**4) == t1.count_upto(10**4)
+    assert t4.primes.tolist() == PrimeTable.build(2 * 10**4).primes.tolist()
     # corrupted cache falls back to a rebuild
-    path = t1._cache_path(d)
+    path = cache.path(d, "sieve")
     with open(path, "wb") as f:
         f.write(b"garbage")
     t5 = PrimeTable.build(10**4, cache_dir=d)
     assert t5.primes.tolist() == t1.primes.tolist()
+
+
+@pytest.mark.parametrize("damage", ["cut", "version"])
+def test_sieve_cache_damaged_file_rebuilt(tmp_path, monkeypatch, damage):
+    d = str(tmp_path)
+    with monkeypatch.context() as m:
+        if damage == "version":
+            m.setattr(cache, "VERSION", cache.VERSION + 1)
+        fresh = PrimeTable.build(10**4, cache_dir=d)
+    if damage == "cut":
+        os.truncate(cache.path(d, "sieve"), os.path.getsize(cache.path(d, "sieve")) - 1)
+    assert cache.load(d, "sieve", 10**4) is None
+    assert PrimeTable.build(10**4, cache_dir=d).primes.tolist() == fresh.primes.tolist()
+    assert cache.load(d, "sieve", 10**4) is not None  # the rebuild replaced the file
 
 
 def test_auto_limit_covers_grantham():
