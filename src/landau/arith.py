@@ -188,11 +188,6 @@ class PrimeFraction:
         out.extend(b[j:])
         return PrimeFraction(tuple(out))
 
-    def mul_prime_power(self, p, e):
-        if e == 0:
-            return self
-        return self.mul(PrimeFraction(((p, e),)))
-
     def inverse(self):
         return PrimeFraction(tuple((p, -e) for p, e in self.factors), _ell=-self.ell)
 

@@ -6,6 +6,26 @@ candidate's benefit accumulates prime by prime.  The candidate set D(B')
 holds every fraction on primes < sqrt(x1) that could be the small-prime part
 of g(n) while ben g(n) <= B'; dominated candidates (smaller value, no
 cheaper cost) are pruned as in the champion-list oracle.
+
+D(B') is built with a certified float64 filter in front of the exact mpf
+arithmetic.  Every float is a copy float(x) of an mpf value x, never a
+running float sum, so each ben, dell and delta in D(B') is the one the mpf
+loop alone produces.  The filter decides only where a float margin settles
+the answer:
+
+- Budget.  A candidate can extend by p only if ben + c <= B', where c is
+  the cheaper of benp(p, -1) and benp(p, +1).  float(x) is within 2^-53|x|
+  of x (mpmath rounds to nearest), and the float sum and difference in
+  ben + c - B' add at most 2^-53 of their operands each, so the float value
+  of ben + c - B' is within 2^-50 (|ben| + |c| + |B'|) of the true one.  The
+  mpf test itself rounds B' - ben at about 2^-100 relative.  So a candidate
+  whose float excess is above MARGIN (|ben| + |c| + |B'|), with
+  MARGIN = 2^-46, fails the exact test; every other one runs the exact loop.
+- Order.  Rounding to nearest is monotone, so float logs that differ order
+  their mpf logs the same way.  When two adjacent float logs lie within
+  MARGIN (|a| + |b|) of each other, that layer is sorted by the mpf logs.
+- Prune.  Domination compares dell, exact integers held as int64; a value
+  outside int64 raises OverflowError rather than wrap.
 """
 
 from dataclasses import dataclass
@@ -15,6 +35,8 @@ from mpmath import mp, mpf
 
 from .arith import PrimeFraction, ell_pp, log_int
 from .errors import BoundFailureError, InvariantViolation
+
+MARGIN = 2.0**-46  # relative error bound of the float filter, see above
 
 
 class PrefixCandidate:
@@ -104,7 +126,11 @@ def ben(delta, ctx, tables=None):
 
 def build_prefix_sets(ctx, b_prime, tables=None):
     """The candidate set D(B'): all undominated prefix fractions with benefit
-    at most B', built one prime at a time with pruning at each step."""
+    at most B', built one prime at a time with pruning at each step.
+
+    Each layer is held as arrays parallel to the candidate list; only the
+    candidates that pass the float budget test run the mpf loop.
+    """
     if b_prime >= ctx.B1:
         raise BoundFailureError(
             "prefix budget %s is not below B1=%s" % (mp.nstr(b_prime, 10), mp.nstr(ctx.B1, 10))
@@ -112,47 +138,80 @@ def build_prefix_sets(ctx, b_prime, tables=None):
     if b_prime < 0:
         raise ValueError("budget must be non-negative")
     tables = tables or BenefitTables(ctx)
-    d_set = [PrefixCandidate(PrimeFraction.one(), mpf(0), 0)]
+    b_f = float(b_prime)
+    cands = np.array([PrefixCandidate(PrimeFraction.one(), mpf(0), 0)], dtype=object)
+    ben_f = np.zeros(1)
+    log_f = np.zeros(1)
+    dell = np.zeros(1, dtype=np.int64)
     for p in tables.sp_primes:
         alpha = tables.alphas[p]
-        extended = []
-        for cand in d_set:
-            budget = b_prime - cand.ben
-            extended.append(cand)
-            for gamma in range(-1, -alpha - 1, -1):
-                cost = tables.benp(p, gamma)
-                if cost > budget:
-                    break
-                extended.append(_extend(cand, p, alpha, gamma, cost))
-            gamma = 1
-            while True:
-                cost = tables.benp(p, gamma)
-                if cost > budget:
-                    break
-                extended.append(_extend(cand, p, alpha, gamma, cost))
-                gamma += 1
-        extended.sort(key=lambda c: c.delta.log)
-        d_set = _prune(extended)
-    return d_set
+        # the cheapest first step: the exact loop tries gamma = -1 and +1 first
+        cost_f = float(min(tables.benp(p, g) for g in (-1, 1) if g >= -alpha))
+        excess = ben_f + cost_f - b_f
+        maybe = np.flatnonzero(excess <= MARGIN * (np.abs(ben_f) + cost_f + abs(b_f)))
+        at, new = [], []
+        for i in maybe.tolist():
+            ext = _extensions(cands[i], p, alpha, b_prime, tables)
+            at += [i + 1] * len(ext)
+            new += ext
+        if not new:
+            continue  # the layer is already sorted and pruned
+        # insert each extension after its parent: the order the exact loop
+        # appends in, which breaks ties in the stable sort below
+        cands = np.insert(cands, at, np.array(new, dtype=object))
+        ben_f = np.insert(ben_f, at, [float(c.ben) for c in new])
+        log_f = np.insert(log_f, at, [float(c.delta.log) for c in new])
+        dell = np.insert(dell, at, np.array([c.dell for c in new], dtype=np.int64))
+        order = np.argsort(log_f, kind="stable")
+        s = log_f[order]
+        if np.any(np.diff(s) <= MARGIN * (np.abs(s[1:]) + np.abs(s[:-1]))):
+            order = np.array(sorted(range(len(cands)), key=lambda i: cands[i].delta.log))
+        order = order[_undominated(dell[order])]
+        cands, ben_f, log_f, dell = cands[order], ben_f[order], log_f[order], dell[order]
+    return cands.tolist()
+
+
+def _extensions(cand, p, alpha, b_prime, tables):
+    """cand times p^gamma for every gamma the budget admits, in the order
+    -1, -2, ..., -alpha, then 1, 2, ...; each direction stops at the first
+    gamma over budget."""
+    budget = b_prime - cand.ben
+    out = []
+    for gamma in range(-1, -alpha - 1, -1):
+        cost = tables.benp(p, gamma)
+        if cost > budget:
+            break
+        out.append(_extend(cand, p, alpha, gamma, cost))
+    gamma = 1
+    while True:
+        cost = tables.benp(p, gamma)
+        if cost > budget:
+            break
+        out.append(_extend(cand, p, alpha, gamma, cost))
+        gamma += 1
+    return out
 
 
 def _extend(cand, p, alpha, gamma, cost):
+    # primes are added in ascending order, so p^gamma is the last factor
+    delta = cand.delta
     return PrefixCandidate(
-        cand.delta.mul_prime_power(p, gamma),
+        PrimeFraction(delta.factors + ((p, gamma),), _ell=delta.ell + ell_pp(p, gamma)),
         cand.ben + cost,
         cand.dell + dell_pp(p, alpha, gamma),
     )
 
 
-def _prune(cands):
-    # by the domination lemma, delta1 cannot be the prefix of g(n) when some
-    # delta2 > delta1 has l(N delta2) <= l(N delta1)
-    out = []
-    for c in cands:
-        while out and out[-1].dell >= c.dell:
-            out.pop()
-        out.append(c)
-    return out
+def _undominated(dell):
+    """Mask of the entries, in ascending value, that no larger entry beats.
+
+    By the domination lemma delta1 cannot be the prefix of g(n) when some
+    delta2 > delta1 has l(N delta2) <= l(N delta1): entry i stays iff its
+    dell is below every later one.
+    """
+    keep = np.ones(len(dell), dtype=bool)
+    keep[:-1] = dell[:-1] < np.minimum.accumulate(dell[::-1])[::-1][1:]
+    return keep
 
 
 @dataclass
@@ -163,25 +222,24 @@ class BoundResult:
 
 
 def _solve_t1(ctx, B):
-    """Root of rho*log t - t = B in (rho, x1]; the map is decreasing there."""
-    rho, x1 = ctx.rho.value, ctx.x1
-    lo, hi = rho, x1
-    t = (lo + hi) / 2
-    for _ in range(200):
+    """Root of f(t) = rho*log t - t - B in (rho, x1].
+
+    x1 solves x = rho*log x, so f(x1) = -B <= 0.  f is decreasing and concave
+    on (rho, x1], so every tangent lies above f: Newton's method started at
+    x1 decreases monotonically to the root and needs no bracket.
+    """
+    rho, t = ctx.rho.value, ctx.x1
+    eps = mpf(10) ** (-mp.dps + 3)
+    for _ in range(100):
         f = rho * mp.log(t) - t - B
-        if f > 0:
-            lo = t
-        else:
-            hi = t
-        step = f / (rho / t - 1)
-        nt = t - step
-        if not (lo < nt < hi):
-            nt = (lo + hi) / 2
-        if abs(nt - t) < mpf(10) ** (-mp.dps + 3) * t:
-            t = nt
-            break
-        t = nt
-    return t
+        if f > eps * t:
+            raise InvariantViolation(
+                "rho*log t - t = B has no root at or below x1 (B=%s)" % mp.nstr(B, 10))
+        step = min(f, 0) / (rho / t - 1)  # f > 0 only by rounding at the root
+        t -= step
+        if step < eps * t:
+            return t
+    raise InvariantViolation("Newton's method for t1 did not converge")
 
 
 def estimate_B(ctx, d_set, n, tables=None):

@@ -243,11 +243,18 @@ class GEngine:
         self.table = table
         self.cache_dir = cache_dir
         self._upto = {}
-        # delta1 depends on p alone, so a file of any coverage serves any table
-        stored = cache.load(cache_dir, "delta1", 0) if cache_dir else None
         self._delta1 = {}
+        if cache_dir:
+            self._merge_delta1_file()
+
+    def _merge_delta1_file(self):
+        """Add the delta1 values on disk to the in-memory table.  delta1
+        depends on p alone, so a file of any coverage serves any table, and
+        another process sharing the directory may have added values."""
+        stored = cache.load(self.cache_dir, "delta1", 0)
         if stored is not None:
-            self._delta1 = dict(zip(stored["p"].tolist(), stored["d"].tolist()))
+            for p, d in zip(stored["p"].tolist(), stored["d"].tolist()):
+                self._delta1.setdefault(p, d)
 
     # -- shared window machinery ------------------------------------------------
 
@@ -451,6 +458,7 @@ class GEngine:
             if d >= delta and d - gap + 2 > last_bad:
                 self._delta1[p] = d
                 if self.cache_dir:
+                    self._merge_delta1_file()  # keep what others saved meanwhile
                     cache.save(self.cache_dir, "delta1", 0,
                                p=list(self._delta1), d=list(self._delta1.values()))
                 return d

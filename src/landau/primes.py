@@ -105,7 +105,8 @@ class PrimeTable:
             cached = cache.load(cache_dir, "sieve", limit)
             if cached is not None:
                 primes = cached["primes"]
-                return cls(limit, primes[: int(np.searchsorted(primes, limit, side="right"))])
+                # a copy, so a small table does not keep a large file's array alive
+                return cls(limit, primes[: int(np.searchsorted(primes, limit, side="right"))].copy())
         table = cls(limit, _segmented_primes(limit))
         if cache_dir is not None:
             cache.save(cache_dir, "sieve", limit, primes=table.primes)

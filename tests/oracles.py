@@ -2,11 +2,16 @@
 tiny exhaustive search.  Together with the package's merge-and-prune list
 (`landau.oracle.g_list_merge_prune`) they give three independent ways to
 compute g(n) at small scale.
+
+`prefix_sets_mpf` is the reference for `landau.benefit.build_prefix_sets`:
+the candidate set D(B') built in mpf alone, with no float filter.
 """
 
 import numpy as np
+from mpmath import mpf
 
 from landau.arith import PrimeFraction
+from landau.benefit import PrefixCandidate, dell_pp
 from landau.errors import CapacityError
 from landau.oracle import _pmax
 from landau.primes import _simple_sieve
@@ -93,3 +98,48 @@ def g_bruteforce(n):
         return top
 
     return PrimeFraction.from_int(best(0, n))
+
+
+def prefix_sets_mpf(ctx, b_prime, tables):
+    """D(B') prime by prime in mpf: extend every candidate by each p^gamma
+    the budget admits, sort by the mpf log, prune the dominated."""
+    d_set = [PrefixCandidate(PrimeFraction.one(), mpf(0), 0)]
+    for p in tables.sp_primes:
+        alpha = tables.alphas[p]
+        extended = []
+        for cand in d_set:
+            budget = b_prime - cand.ben
+            extended.append(cand)
+            for gamma in range(-1, -alpha - 1, -1):
+                cost = tables.benp(p, gamma)
+                if cost > budget:
+                    break
+                extended.append(_extend_mpf(cand, p, alpha, gamma, cost))
+            gamma = 1
+            while True:
+                cost = tables.benp(p, gamma)
+                if cost > budget:
+                    break
+                extended.append(_extend_mpf(cand, p, alpha, gamma, cost))
+                gamma += 1
+        extended.sort(key=lambda c: c.delta.log)
+        d_set = _prune_mpf(extended)
+    return d_set
+
+
+def _extend_mpf(cand, p, alpha, gamma, cost):
+    return PrefixCandidate(
+        cand.delta.mul(PrimeFraction(((p, gamma),))),
+        cand.ben + cost,
+        cand.dell + dell_pp(p, alpha, gamma),
+    )
+
+
+def _prune_mpf(cands):
+    # drop each candidate that a larger one at no greater dell dominates
+    out = []
+    for c in cands:
+        while out and out[-1].dell >= c.dell:
+            out.pop()
+        out.append(c)
+    return out

@@ -1,11 +1,15 @@
 import random
 
+import numpy as np
 import pytest
 from mpmath import mp, mpf
 
+from landau import benefit
 from landau.arith import PrimeFraction
 from landau.benefit import (
     BenefitTables,
+    PrefixCandidate,
+    _solve_t1,
     ben,
     bound_loop,
     build_prefix_sets,
@@ -13,10 +17,11 @@ from landau.benefit import (
     estimate_B,
     initial_budget,
 )
-from landau.errors import BoundFailureError
+from landau.errors import BoundFailureError, InvariantViolation
+from landau.primes import PrimeTable, auto_limit
 from landau.superchampion import build_e2_table, find_context
 
-from oracles import g_table_dp
+from oracles import _prune_mpf, g_table_dp, prefix_sets_mpf
 
 
 @pytest.fixture(scope="module")
@@ -197,3 +202,101 @@ def test_prefix_chain_monotone(ctx1e6, tables1e6):
             run += tables.benp(p, e)
             assert run >= prev - mpf(10) ** (-mp.dps + 6)
             prev = run
+
+
+def _context(n):
+    t = PrimeTable.build(auto_limit(n))
+    ctx = find_context(n, t, build_e2_table(n + 10, t))
+    return ctx, BenefitTables(ctx)
+
+
+def _same_as_mpf_reference(ctx, b_prime, tables):
+    """build_prefix_sets equals the mpf-only reference entry by entry, in
+    order, with bit-identical benefits; returns the reference set."""
+    got = build_prefix_sets(ctx, b_prime, tables)
+    want = prefix_sets_mpf(ctx, b_prime, tables)
+    assert [(c.delta.factors, c.dell, c.ben) for c in got] == [
+        (c.delta.factors, c.dell, c.ben) for c in want], "D(B') differs from the mpf reference"
+    return want
+
+
+@pytest.fixture(scope="module")
+def ctx1e9():
+    return _context(1000064448)
+
+
+def test_prefix_sets_match_mpf_at_criterion_points(ctx1e9, ctx1e6, tables1e6):
+    ctx, tables = ctx1e9
+    rho = ctx.rho.value
+    assert len(_same_as_mpf_reference(ctx, mpf("0.6") * rho, tables)) == 76
+    assert len(_same_as_mpf_reference(ctx, rho, tables)) == 194
+    _same_as_mpf_reference(ctx1e6, initial_budget(ctx1e6, 10**6), tables1e6)
+
+
+def test_prefix_sets_match_mpf_at_1e12():
+    ctx, tables = _context(10**12)
+    assert len(_same_as_mpf_reference(ctx, initial_budget(ctx, 10**12), tables)) == 910
+
+
+def test_prefix_sets_match_mpf_at_random_n():
+    rng = random.Random(53)
+    for _ in range(8):
+        n = int(10 ** rng.uniform(4, 12))
+        ctx, tables = _context(n)
+        b = initial_budget(ctx, n)
+        _same_as_mpf_reference(ctx, b, tables)
+        _same_as_mpf_reference(ctx, b * mpf("1.5"), tables)
+
+
+def test_prefix_sets_match_mpf_at_boundary_budgets(ctx1e6, tables1e6):
+    # B' equal to a member's benefit: that member's last step costs exactly
+    # its remaining budget, inside the float margin, so the exact loop
+    # decides.  With a zero margin, float rounding drops some of these.
+    d = prefix_sets_mpf(ctx1e6, ctx1e6.rho.value, tables1e6)
+    for c in d:
+        if len(c.delta.factors) >= 2:
+            got = _same_as_mpf_reference(ctx1e6, c.ben, tables1e6)
+            assert any(g.delta == c.delta for g in got)
+
+
+def test_undominated_matches_stack_prune():
+    # entry i survives iff its dell is below every later one, ties included
+    rng = random.Random(61)
+    for size in range(1, 40):
+        dell = [rng.randrange(-6, 6) for _ in range(size)]
+        cands = [PrefixCandidate(PrimeFraction.one(), mpf(0), v) for v in dell]
+        keep = benefit._undominated(np.array(dell, dtype=np.int64))
+        assert [c for c, k in zip(cands, keep) if k] == _prune_mpf(cands)
+
+
+def test_prefix_sets_exact_fallbacks_match_mpf(ctx1e9, monkeypatch):
+    # a margin this wide sends every candidate through the exact loop and
+    # every layer through the mpf sort
+    monkeypatch.setattr(benefit, "MARGIN", 1.0)
+    ctx, tables = ctx1e9
+    assert len(_same_as_mpf_reference(ctx, ctx.rho.value, tables)) == 194
+
+
+def test_t1_newton_from_x1(ctx1e6, monkeypatch):
+    from landau.assemble import Solver
+
+    n = 150000
+    ctx, tables, _ = Solver(limit_hint=n).context(n)
+    res, _ = bound_loop(ctx, n, tables)
+    log = type(mp).log
+    calls = []
+
+    def counting_log(mpctx, *args, **kwargs):
+        calls.append(args)
+        return log(mpctx, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(type(mp), "log", counting_log)
+        t1 = _solve_t1(ctx, res.B)
+    assert len(calls) <= 8
+    rho = ctx.rho.value
+    assert rho < t1 <= ctx.x1
+    assert abs(rho * mp.log(t1) - t1 - res.B) <= mpf(10) ** (-mp.dps + 5) * t1
+    # at x1 the equation reads rho*log x1 - x1 = 0, so a negative B has no root
+    with pytest.raises(InvariantViolation):
+        _solve_t1(ctx1e6, -ctx1e6.rho.value)

@@ -3,7 +3,7 @@ import json
 from mpmath import mp, workdps
 
 from landau import cli
-from landau.arith import parse_factored
+from landau.arith import PrimeFraction, parse_factored
 from landau.primes import PrimeTable
 
 
@@ -92,7 +92,7 @@ def test_verify_detects_injected_fault(capsys, monkeypatch):
     def faulty(self, n, details=False):
         res = real(self, n, details=details)
         if n == 1234:
-            res.correction = res.correction.mul_prime_power(2, 1)
+            res.correction = res.correction.mul(PrimeFraction(((2, 1),)))
         return res
 
     monkeypatch.setattr(assemble.Solver, "compute", faulty)

@@ -204,6 +204,23 @@ def test_delta1_cache_shared_by_two_processes(tmp_path):
         assert engine.delta1(p) == d
 
 
+def test_delta1_cache_keeps_values_of_another_engine(tmp_path):
+    # two engines on one dir, as two processes would be: each saves its own
+    # values, and neither may drop what the other saved
+    d = str(tmp_path)
+    table = PrimeTable.build(10**4)
+    first, second = GEngine(table, cache_dir=d), GEngine(table, cache_dir=d)
+    ps = table.primes[2:42].tolist()
+    for p in ps[::2]:
+        first.delta1(p)
+    for p in ps[1::2]:
+        second.delta1(p)
+    stored = cache.load(d, "delta1", 0)
+    assert sorted(stored["p"].tolist()) == ps
+    fresh = GEngine(table)
+    assert stored["d"].tolist() == [fresh.delta1(p) for p in stored["p"].tolist()]
+
+
 def test_g_large_exact_prime_case(engine, table1m):
     # when p_{k+1} - m is prime and budget 0 works, the value is pinned
     pk = 99991

@@ -93,6 +93,7 @@ def test_disk_cache_roundtrip(tmp_path):
     t3 = PrimeTable.build(5000, cache_dir=d)
     assert t3.limit == 5000 and t3.primes[-1] <= 5000
     assert t3.count_upto(5000) == t1.count_upto(5000)
+    assert t3.primes.base is None  # a copy: the file's whole array is not kept alive
     # larger request rebuilds
     t4 = PrimeTable.build(2 * 10**4, cache_dir=d)
     assert t4.primes.tolist() == PrimeTable.build(2 * 10**4).primes.tolist()
