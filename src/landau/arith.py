@@ -5,13 +5,32 @@ A PrimeFraction is a product prod p^e with signed exponents, always kept in
 canonical form (sorted primes, no zero exponents).  l(p^e) = p^e for e > 0
 and the cost of a fraction is l(num) - l(den), so l is additive over
 coprime parts.  Values are compared through cached high-precision logs; when
-two logs agree to within a small guard band the comparison is redone with
+two logs agree to within their rounding error the comparison is redone with
 exact integer cross-multiplication, which makes the order total and immune
 to rounding.
+
+Rounding error.  Each fast comparison (PrimeFraction.cmp, assemble.fight,
+the G window's float logs, the float filter of D(B')) trusts a computed
+difference only beyond rounding_error and settles the rest exactly.  With
+`bits` significant bits and rounding to nearest, one rounding multiplies by
+1 + d, |d| <= u = 2^-bits.  If each term t_i of v = sum t_i reaches the
+computed value through at most s roundings (a library log, good to one ulp,
+counts as two; each sum, difference, product or copy as one), then
+|computed - v| <= s u / (1 - s u) * sum |t_i| <= 2 s u * size for s u <= 1/2
+and size >= sum |t_i| (Higham, Accuracy and Stability of Numerical
+Algorithms, lemma 3.1).  A comparison counts the difference of its sides as
+one more step; beyond the bound that difference has its exact sign.  Steps
+per caller: cmp 5 at mp.prec (log, product, mp.fsum, which rounds once, and
+the difference); fight 7 (one log added to and one subtracted from a
+prefix's log); the G window J + 2 at 53 bits for products of at most J
+primes (log, J - 1 sums, difference); the D(B') budget 4 at 53 bits (float
+copies of ben, c and B', two float operations, and the mpf test's own
+rounding of B' - ben, finer than a 53-bit step); the D(B') order 1 (float
+copies of mpf logs, whose rounding is monotone).
 """
 
-import math
 import re
+from functools import lru_cache
 
 from mpmath import mp, mpf
 
@@ -19,32 +38,34 @@ from .errors import CapacityError
 
 DEFAULT_PRECISION = 30
 MIN_PRECISION = 20
-# widths, in ulps at working precision, below which cmp distrusts the logs
-CMP_GUARD_ULPS = 10
 
 mp.dps = DEFAULT_PRECISION
-
-_log_cache = {}
 
 
 def set_precision(digits):
     """Fix the global working precision (significant decimal digits).
 
-    Must be called before any computation whose cached logs should use it;
-    raising it mid-run would silently mix precisions, so caches are cleared.
+    Clears the log cache; a Solver rebuilds its contexts at its next call,
+    so no mpf value of the old precision is reused.
     """
     if digits < MIN_PRECISION:
         raise ValueError("working precision below %d digits is unsafe" % MIN_PRECISION)
     mp.dps = digits
-    _log_cache.clear()
+    log_int.cache_clear()
 
 
+@lru_cache(maxsize=1 << 14)
 def log_int(n):
     """log n as an mpf, cached (used for primes and small constants)."""
-    v = _log_cache.get(n)
-    if v is None:
-        v = _log_cache[n] = mp.log(n)
-    return v
+    return mp.log(n)
+
+
+def rounding_error(size, steps, bits):
+    """Bound on |computed - exact| for a value whose terms have absolute
+    values summing to at most `size`, each passing through at most `steps`
+    roundings at `bits` significant bits; derived in the module docstring.
+    `size` is a float or float array for bits = 53, an mpf for mp.prec."""
+    return size * (2 * steps) / 2**bits
 
 
 def log_product(ints):
@@ -188,17 +209,6 @@ class PrimeFraction:
         out.extend(b[j:])
         return PrimeFraction(tuple(out))
 
-    def inverse(self):
-        return PrimeFraction(tuple((p, -e) for p, e in self.factors), _ell=-self.ell)
-
-    def div(self, other):
-        return self.mul(other.inverse())
-
-    __mul__ = mul
-
-    def __truediv__(self, other):
-        return self.div(other)
-
     # -- comparison --------------------------------------------------------------
 
     def cmp(self, other):
@@ -206,33 +216,18 @@ class PrimeFraction:
         if self.factors == other.factors:
             return 0
         d = self.log - other.log
-        guard = mpf(CMP_GUARD_ULPS) * mpf(10) ** (-mp.dps + 1)
-        scale = max(abs(self.log), abs(other.log), mpf(1))
-        if abs(d) > guard * scale:
+        exps = sum(abs(e) for _, e in self.factors + other.factors)
+        size = exps * log_int(max(self.max_prime(), other.max_prime()))
+        if abs(d) > rounding_error(size, 5, mp.prec):
             return 1 if d > 0 else -1
-        q = self.div(other)
-        num, den = q.numerator(), q.denominator()
-        if num == den:
-            return 0
-        return 1 if num > den else -1
+        a, b = self.numerator() * other.denominator(), other.numerator() * self.denominator()
+        return (a > b) - (a < b)
 
     def __eq__(self, other):
         return isinstance(other, PrimeFraction) and self.factors == other.factors
 
     def __hash__(self):
         return hash(self.factors)
-
-    def __lt__(self, other):
-        return self.cmp(other) < 0
-
-    def __le__(self, other):
-        return self.cmp(other) <= 0
-
-    def __gt__(self, other):
-        return self.cmp(other) > 0
-
-    def __ge__(self, other):
-        return self.cmp(other) >= 0
 
     # -- rendering -------------------------------------------------------------------
 

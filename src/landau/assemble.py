@@ -14,6 +14,7 @@ from typing import Optional
 import numpy as np
 from mpmath import mp, mpf
 
+from . import arith
 from .arith import PrimeFraction, log_int
 from .benefit import BenefitTables, BoundResult, _walk_fraction, bound_loop
 from .errors import (
@@ -44,11 +45,18 @@ class NormalizedCandidate:
     base_prime: int
     next_prime: int               # p_{k+omega+1}
 
-    def lower_log(self, table):
+    def _floor_swap(self, table):
+        """(p_{k+w+1}, q) for the single swap G's floor guarantees, else (1, 1)."""
         q = table.next_prime(self.next_prime - self.m_suffix - 1)
-        if q <= self.base_prime:
-            return self.Pi.log + log_int(self.next_prime) - log_int(q)
-        return self.Pi.log
+        return (self.next_prime, q) if q <= self.base_prime else (1, 1)
+
+    def lower_log(self, table):
+        up, down = self._floor_swap(table)
+        return self.Pi.log + log_int(up) - log_int(down)
+
+    def lower_rational(self, table):
+        up, down = self._floor_swap(table)
+        return self.Pi.numerator() * up, self.Pi.denominator() * down
 
     def upper_log(self):
         return self.Pi.log + log_int(self.next_prime) - mp.log(self.next_prime - self.m_suffix)
@@ -149,19 +157,20 @@ def fight(cands, ctx):
     best_i = max(range(len(cands)), key=lambda i: lowers[i])
     best_low = lowers[best_i]
     bc = cands[best_i]
-    q_best = t.next_prime(bc.next_prime - bc.m_suffix - 1)
-    if q_best <= bc.base_prime:
-        best_low_num = bc.Pi.numerator() * bc.next_prime
-        best_low_den = bc.Pi.denominator() * q_best
-    else:
-        best_low_num, best_low_den = bc.Pi.numerator(), bc.Pi.denominator()
-    guard = mpf(10) ** (-mp.dps + 4)
+    best_low_num, best_low_den = bc.lower_rational(t)
+
+    def size(c):  # bounds sum |e| log p over both sandwich bounds' primes
+        top = max(c.next_prime, c.Pi.max_prime())
+        return (sum(abs(e) for _, e in c.Pi.factors) + 2) * log_int(top)
+
+    best_size = size(bc)
     out = []
-    for c, low in zip(cands, lowers):
+    for c in cands:
         if c is bc:
             out.append(c)
             continue
         up = c.upper_log()
+        guard = arith.rounding_error(size(c) + best_size, 7, mp.prec)
         if up - best_low > guard:
             out.append(c)
         elif best_low - up > guard:
@@ -258,6 +267,7 @@ class Solver:
         self._e2 = None
         self._covered = -1  # every n up to this has its sieve and event table
         self._ctx_cache = []
+        self._ctx_prec = None
         self._oracle = None
         self._oracle_limit = -1
         if limit_hint is not None:
@@ -269,17 +279,21 @@ class Solver:
         if n <= self._covered:
             return
         # a growth at least doubles the coverage, so ascending n rebuild
-        # O(log n) times; a fixed sieve limit may not hold twice the n
-        cover = n
-        if self.table is not None and not self.sieve_limit:
-            cover = max(n, 2 * self._covered)
+        # O(log n) times
+        cover = n if self.table is None else max(n, 2 * self._covered)
         limit = self.sieve_limit or auto_limit(cover)
         if self.table is None or self.table.limit < limit:
             self.table = PrimeTable.build(limit, cache_dir=self.cache_dir)
             self.engine = GEngine(self.table, cache_dir=self.cache_dir)
             self._ctx_cache = []
         if cover >= 7:
-            self._e2 = build_e2_table(max(cover, 10**4), self.table, cache_dir=self.cache_dir)
+            try:
+                self._e2 = build_e2_table(max(cover, 10**4), self.table, cache_dir=self.cache_dir)
+            except CapacityError:  # a fixed sieve limit may not hold twice the n
+                if cover == n:
+                    raise
+                cover = n
+                self._e2 = build_e2_table(max(n, 10**4), self.table, cache_dir=self.cache_dir)
             self._covered = cover
 
     def oracle_value(self, n):
@@ -291,6 +305,8 @@ class Solver:
 
     def context(self, n):
         self._ensure(n)
+        if self._ctx_prec != mp.prec:  # contexts hold mpf values of one precision
+            self._ctx_cache, self._ctx_prec = [], mp.prec
         for ctx, tables, dcache in self._ctx_cache:
             if ctx.covers(n):
                 return ctx, tables, dcache

@@ -7,25 +7,13 @@ holds every fraction on primes < sqrt(x1) that could be the small-prime part
 of g(n) while ben g(n) <= B'; dominated candidates (smaller value, no
 cheaper cost) are pruned as in the champion-list oracle.
 
-D(B') is built with a certified float64 filter in front of the exact mpf
-arithmetic.  Every float is a copy float(x) of an mpf value x, never a
-running float sum, so each ben, dell and delta in D(B') is the one the mpf
-loop alone produces.  The filter decides only where a float margin settles
-the answer:
-
-- Budget.  A candidate can extend by p only if ben + c <= B', where c is
-  the cheaper of benp(p, -1) and benp(p, +1).  float(x) is within 2^-53|x|
-  of x (mpmath rounds to nearest), and the float sum and difference in
-  ben + c - B' add at most 2^-53 of their operands each, so the float value
-  of ben + c - B' is within 2^-50 (|ben| + |c| + |B'|) of the true one.  The
-  mpf test itself rounds B' - ben at about 2^-100 relative.  So a candidate
-  whose float excess is above MARGIN (|ben| + |c| + |B'|), with
-  MARGIN = 2^-46, fails the exact test; every other one runs the exact loop.
-- Order.  Rounding to nearest is monotone, so float logs that differ order
-  their mpf logs the same way.  When two adjacent float logs lie within
-  MARGIN (|a| + |b|) of each other, that layer is sorted by the mpf logs.
-- Prune.  Domination compares dell, exact integers held as int64; a value
-  outside int64 raises OverflowError rather than wrap.
+D(B') is built with a float64 filter in front of the exact mpf arithmetic.
+Every float is a copy of an mpf value, never a running float sum, so each
+ben, dell and delta in D(B') is the one the mpf loop alone produces.  A
+candidate runs the exact loop unless its float excess ben + c - B' (c the
+cheaper of benp(p, -1) and benp(p, +1)) exceeds arith.rounding_error; a
+layer whose adjacent float logs lie within that bound is sorted by the mpf
+logs.  Domination compares dell as int64, which raises rather than wrap.
 """
 
 from dataclasses import dataclass
@@ -33,10 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 from mpmath import mp, mpf
 
+from . import arith
 from .arith import PrimeFraction, ell_pp, log_int
 from .errors import BoundFailureError, InvariantViolation
-
-MARGIN = 2.0**-46  # relative error bound of the float filter, see above
 
 
 class PrefixCandidate:
@@ -148,7 +135,8 @@ def build_prefix_sets(ctx, b_prime, tables=None):
         # the cheapest first step: the exact loop tries gamma = -1 and +1 first
         cost_f = float(min(tables.benp(p, g) for g in (-1, 1) if g >= -alpha))
         excess = ben_f + cost_f - b_f
-        maybe = np.flatnonzero(excess <= MARGIN * (np.abs(ben_f) + cost_f + abs(b_f)))
+        size = np.abs(ben_f) + abs(cost_f) + abs(b_f)
+        maybe = np.flatnonzero(excess <= arith.rounding_error(size, 4, 53))
         at, new = [], []
         for i in maybe.tolist():
             ext = _extensions(cands[i], p, alpha, b_prime, tables)
@@ -164,7 +152,7 @@ def build_prefix_sets(ctx, b_prime, tables=None):
         dell = np.insert(dell, at, np.array([c.dell for c in new], dtype=np.int64))
         order = np.argsort(log_f, kind="stable")
         s = log_f[order]
-        if np.any(np.diff(s) <= MARGIN * (np.abs(s[1:]) + np.abs(s[:-1]))):
+        if np.any(np.diff(s) <= arith.rounding_error(np.abs(s[1:]) + np.abs(s[:-1]), 1, 53)):
             order = np.array(sorted(range(len(cands)), key=lambda i: cands[i].delta.log))
         order = order[_undominated(dell[order])]
         cands, ben_f, log_f, dell = cands[order], ben_f[order], log_f[order], dell[order]

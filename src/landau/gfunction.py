@@ -20,14 +20,13 @@ guaranteed, and both algorithms agree on an overlap band of m.
 import math
 from bisect import bisect_right
 
-from . import cache
+from . import arith, cache
 from .arith import PrimeFraction
 from .errors import CapacityError, Delta1CeilingError, InvariantViolation
 
 SMALL_M_CUTOFF = 3000     # below this the step-function recursion is fast
 TRIAL_WIDTH = 10          # first truncated window: ten primes above p_k
 UPTO_GRANULARITY = 256    # cache capacity rounding for per-prime G tables
-LOG_GUARD = 1e-9          # float-log ties below this are settled exactly
 
 
 class _Node:
@@ -57,11 +56,11 @@ def _node_int(node):
     return v
 
 
-def _node_less(a, b):
-    """a < b as exact products; fast path through the cached float logs."""
+def _node_less(a, b, guard):
+    """a < b as exact products; the float logs decide beyond `guard`."""
     la = a.logf if a is not None else 0.0
     lb = b.logf if b is not None else 0.0
-    if abs(la - lb) > LOG_GUARD:
+    if abs(la - lb) > guard:
         return la < lb
     return _node_int(a) < _node_int(b)
 
@@ -103,7 +102,7 @@ def _scale_shift(fn, p, d, M):
     return _StepFn(out_ms, out_vs)
 
 
-def _merge_min(a, b):
+def _merge_min(a, b, guard):
     """Pointwise minimum of two step functions (None = infeasible)."""
     if a is None:
         return b
@@ -137,14 +136,14 @@ def _merge_min(a, b):
         elif not have_b:
             best = cur_a
             b_best = False
-        elif _node_less(cur_b, cur_a):
+        elif _node_less(cur_b, cur_a, guard):
             best = cur_b
             b_best = True
         else:
             best = cur_a
             b_best = False
         if not out_vs or best is not out_vs[-1]:
-            if out_vs and not _node_less(best, out_vs[-1]):
+            if out_vs and not _node_less(best, out_vs[-1], guard):
                 continue  # not an improvement over the value already active
             out_ms.append(m)
             out_vs.append(best)
@@ -277,6 +276,8 @@ class GEngine:
         R = rhat_idx - lo_idx + 1
         P = [0] + [t.prime(lo_idx + i) for i in range(R)]  # local 1-based
         J = R - K
+        # every product holds at most J primes, none above P_R
+        guard = arith.rounding_error(2 * J * math.log(P[R]), J + 2, 53)
         prev = None  # row j-1, indexed by local r; j=0 row is the unit everywhere
         for j in range(1, J + 1):
             top = t.prime(pk_idx + j)
@@ -292,7 +293,7 @@ class GEngine:
                 if below is not None:
                     cand = _scale_shift(below, P[r], top - P[r], M)
                 left = row[r - 1]
-                row[r] = _merge_min(left, cand)
+                row[r] = _merge_min(left, cand, guard)
             prev = row
         fn = prev[R]
         if fn is None or fn.ms[0] != 0:

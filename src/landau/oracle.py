@@ -58,13 +58,13 @@ def _prune(pairs):
     return out
 
 
-def g_list_merge_prune(N, max_prime=None, max_n=LIST_MAX_N):
+def g_list_merge_prune(N, max_prime=None):
     """Champion-list construction: merge in one prime at a time, prune
     dominated entries (smaller value at equal-or-higher cost)."""
     if N < 0:
         raise ValueError("N must be >= 0")
-    if N > max_n:
-        raise CapacityError("champion list for N=%d exceeds budget %d" % (N, max_n))
+    if N > LIST_MAX_N:
+        raise CapacityError("champion list for N=%d exceeds budget %d" % (N, LIST_MAX_N))
     if max_prime is None:
         max_prime = _pmax(N)
     pairs = [(1, 0)]

@@ -93,13 +93,13 @@ class PrimeTable:
     # -- construction -----------------------------------------------------
 
     @classmethod
-    def build(cls, limit, cache_dir=None, max_limit=DEFAULT_MAX_LIMIT):
+    def build(cls, limit, cache_dir=None):
         """Sieve all primes <= limit, reusing/refreshing the disk cache if given."""
         if limit < 3:
             raise ValueError("limit must be >= 3")
-        if limit > max_limit:
+        if limit > DEFAULT_MAX_LIMIT:
             raise CapacityError(
-                "sieve limit %d exceeds configured budget %d" % (limit, max_limit)
+                "sieve limit %d exceeds configured budget %d" % (limit, DEFAULT_MAX_LIMIT)
             )
         if cache_dir is not None:
             cached = cache.load(cache_dir, "sieve", limit)

@@ -1,7 +1,9 @@
+import math
 import os
 
 import pytest
 
+from landau import arith
 from landau.primes import PrimeTable
 
 EXTENDED = os.environ.get("LANDAU_EXTENDED") == "1"
@@ -20,3 +22,9 @@ def cache_dir(tmp_path_factory):
 def table1m():
     return PrimeTable.build(10**6)
 
+
+@pytest.fixture
+def forced_exact(monkeypatch):
+    """Every fast comparison undecided: with an infinite rounding bound each
+    caller of arith.rounding_error takes its exact fallback."""
+    monkeypatch.setattr(arith, "rounding_error", lambda size, steps, bits: math.inf)

@@ -59,16 +59,23 @@ def test_cmp_examples():
     assert c.cmp(d) > 0  # 11*41 = 451 > 430 = 10*43
 
 
-def test_cmp_exact_fallback_near_tie():
-    # 2048/2047 vs 2049/2048: log gap ~ 2.4e-7, far below any float drift at
-    # the default precision; the exact route must still order them
+def test_cmp_exact_fallback_near_tie(forced_exact):
+    # 2048/2047 vs 2049/2048: a log gap of ~2.4e-7 that the logs alone
+    # would settle, so the switch sends it down the exact route
     a = PrimeFraction.from_factors({2: 11, 23: -1, 89: -1})
     b = PrimeFraction.from_factors({3: 1, 683: 1, 2: -11})
     assert a.cmp(b) == (1 if Fraction(2048, 2047) > Fraction(2049, 2048) else -1)
 
 
 def test_cmp_total_order_random():
-    rng = random.Random(7)
+    _check_cmp_against_fractions(random.Random(7))
+
+
+def test_cmp_total_order_forced_exact(forced_exact):
+    _check_cmp_against_fractions(random.Random(7))
+
+
+def _check_cmp_against_fractions(rng):
     fs = [rand_fraction(rng) for _ in range(200)]
     for _ in range(10**4):
         a, b = rng.choice(fs), rng.choice(fs)

@@ -3,6 +3,7 @@ import random
 import pytest
 from mpmath import mp, mpf
 
+from landau.arith import DEFAULT_PRECISION, set_precision
 from landau.assemble import Solver, compute_g, fight
 from landau.oracle import g_list_merge_prune
 
@@ -92,15 +93,27 @@ def test_fight_single_candidate_passthrough(solver):
 
 
 def test_fight_eliminates_strictly_dominated(solver):
-    # across a window of n, every surviving candidate's upper bound reaches
+    # across windows of n, every surviving candidate's upper bound reaches
     # the best lower bound, and the evaluated maximum is among survivors
-    for n in range(999990, 10**6 + 10):
+    for n in list(range(999990, 10**6 + 10)) + list(range(998500, 998600)):
         res, det = solver.compute(n, details=True)
         assert 1 <= len(det.survivors) <= len(det.candidates)
         t = det.ctx.table
         best_low = max(c.lower_log(t) for c in det.survivors)
         for c in det.survivors:
             assert c.upper_log() >= best_low - mpf(10) ** (-mp.dps + 6)
+        _check_survivors_exactly(det)
+
+
+def _check_survivors_exactly(det):
+    # a candidate survives iff its upper bound reaches the best lower bound,
+    # both as exact rationals
+    t = det.ctx.table
+    best = max(det.candidates, key=lambda c: c.lower_log(t))
+    bn, bd = best.lower_rational(t)
+    want = [c for c in det.candidates
+            if c is best or c.upper_rational()[0] * bd >= bn * c.upper_rational()[1]]
+    assert det.survivors == want
 
 
 def test_normalized_candidates_examples(solver):
@@ -127,8 +140,9 @@ def test_rejects_negative():
 
 
 def test_ascending_n_rebuild_geometrically(tmp_path, monkeypatch):
-    # without limit_hint, each growth at least doubles the covered n, so 50
-    # ascending n over [2e4, 7e4) build the event table 3 times, not 50
+    # each growth at least doubles the covered n, so 50 ascending n over
+    # [2e4, 7e4) build the event table 3 times, not 50; under a fixed sieve
+    # limit too, where 20 n over [2e4, 4e4) build it twice
     from landau import assemble, cache
 
     real = assemble.build_e2_table
@@ -150,3 +164,43 @@ def test_ascending_n_rebuild_geometrically(tmp_path, monkeypatch):
     assert e2_builds == [20000, 40000, 80000]
     assert len(tables) == 3
     assert [str(f) for f in tmp_path.glob("e2*")] == [cache.path(str(tmp_path), "e2")]
+
+    e2_builds.clear()
+    solver = Solver(sieve_limit=2 * 10**6)
+    for n in range(20000, 40000, 1000):
+        assert solver.compute(n).to_int() == lst.query(n)
+    assert e2_builds == [20000, 40000]
+
+
+def test_fixed_sieve_limit_too_small_to_double():
+    # the event table for twice the covered n needs primes past this sieve
+    # once n passes ~291000: it is then built for n itself
+    solver = Solver(sieve_limit=3000)
+    for n, covered in ((200000, 200000), (300000, 400000), (450000, 450000), (500000, 500000)):
+        assert solver.compute(n).correction == Solver().compute(n).correction
+        assert solver._covered == covered
+
+
+def test_precision_change_rebuilds_contexts():
+    # a Solver reused across set_precision gives what a fresh one gives
+    reused = Solver(limit_hint=2 * 10**6)
+    ns = (10**6, 998555)
+    try:
+        for digits in (30, 60, DEFAULT_PRECISION):
+            set_precision(digits)
+            fresh = Solver(limit_hint=2 * 10**6)
+            for n in ns:
+                assert reused.compute(n).log10_g == fresh.compute(n).log10_g
+    finally:
+        set_precision(DEFAULT_PRECISION)
+
+
+def test_forced_exact_matches_oracle(forced_exact):
+    # every fast comparison decided by its exact fallback
+    solver = Solver(limit_hint=2 * 10**6)
+    lst = g_list_merge_prune(10**5)
+    for n in range(99800, 10**5 + 1):
+        assert solver.compute(n).to_int() == lst.query(n)
+    assert solver.compute(10**6).correction.factors == ((43, 1), (3847, -1), (3947, 1))
+    for n in range(998500, 998600):  # 61 of these n have 2 or 3 candidates
+        _check_survivors_exactly(solver.compute(n, details=True)[1])

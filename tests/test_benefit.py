@@ -269,10 +269,8 @@ def test_undominated_matches_stack_prune():
         assert [c for c, k in zip(cands, keep) if k] == _prune_mpf(cands)
 
 
-def test_prefix_sets_exact_fallbacks_match_mpf(ctx1e9, monkeypatch):
-    # a margin this wide sends every candidate through the exact loop and
-    # every layer through the mpf sort
-    monkeypatch.setattr(benefit, "MARGIN", 1.0)
+def test_prefix_sets_exact_fallbacks_match_mpf(ctx1e9, forced_exact):
+    # every candidate runs the exact loop and every layer the mpf sort
     ctx, tables = ctx1e9
     assert len(_same_as_mpf_reference(ctx, ctx.rho.value, tables)) == 194
 

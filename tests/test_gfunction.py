@@ -83,12 +83,23 @@ def brute_G(table, pk, m):
 
 
 def test_bruteforce_equivalence(engine, table1m):
+    _check_against_bruteforce(engine, table1m)
+
+
+def test_forced_exact_matches_bruteforce(table1m, forced_exact):
+    # every float-log comparison of the window recursion decided exactly
+    _check_against_bruteforce(GEngine(table1m), table1m)
+
+
+def _check_against_bruteforce(engine, table):
     for pk in (13, 31, 103):
-        cap = min(60, table1m.next_prime(pk) - 3)
+        cap = min(60, table.next_prime(pk) - 3)
         r = engine.g_small(pk, cap)
         for m in range(0, cap + 1):
-            f = r[m]
-            assert (f.numerator(), f.denominator()) == brute_G(table1m, pk, m)
+            want = brute_G(table, pk, m)
+            assert (r[m].numerator(), r[m].denominator()) == want
+            f = engine.g_fraction(pk, m)
+            assert (f.numerator(), f.denominator()) == want
 
 
 def test_widen_matches_full_window(engine, table1m):

@@ -5,7 +5,7 @@ import pytest
 
 from landau import cache
 from landau.errors import CapacityError
-from landau.primes import PrimeTable, auto_limit
+from landau.primes import DEFAULT_MAX_LIMIT, PrimeTable, auto_limit
 
 
 def test_build_small():
@@ -72,7 +72,7 @@ def test_cumulative_matches_fold(table1m):
 
 def test_capacity_budget():
     with pytest.raises(CapacityError):
-        PrimeTable.build(10**7, max_limit=10**6)
+        PrimeTable.build(DEFAULT_MAX_LIMIT + 1)  # refused before any sieving
 
 
 def test_rank_and_is_prime():
