@@ -10,10 +10,11 @@ exact integer cross-multiplication, which makes the order total and immune
 to rounding.
 
 Rounding error.  Each fast comparison (PrimeFraction.cmp, assemble.fight,
-the G window's float logs, the float filter of D(B')) trusts a computed
-difference only beyond rounding_error and settles the rest exactly.  With
-`bits` significant bits and rounding to nearest, one rounding multiplies by
-1 + d, |d| <= u = 2^-bits.  If each term t_i of v = sum t_i reaches the
+the G window's float logs, the float filter of D(B'), the event table's
+prime probes) trusts a computed difference only beyond rounding_error and
+settles the rest exactly.  With `bits` significant bits and rounding to
+nearest, one rounding multiplies by 1 + d, |d| <= u = 2^-bits.  If each
+term t_i of v = sum t_i reaches the
 computed value through at most s roundings (a library log, good to one ulp,
 counts as two; each sum, difference, product or copy as one), then
 |computed - v| <= s u / (1 - s u) * sum |t_i| <= 2 s u * size for s u <= 1/2
@@ -22,11 +23,17 @@ Algorithms, lemma 3.1).  A comparison counts the difference of its sides as
 one more step; beyond the bound that difference has its exact sign.  Steps
 per caller: cmp 5 at mp.prec (log, product, mp.fsum, which rounds once, and
 the difference); fight 7 (one log added to and one subtracted from a
-prefix's log); the G window J + 2 at 53 bits for products of at most J
-primes (log, J - 1 sums, difference); the D(B') budget 4 at 53 bits (float
-copies of ben, c and B', two float operations, and the mpf test's own
-rounding of B' - ben, finer than a 53-bit step); the D(B') order 1 (float
-copies of mpf logs, whose rounding is monotone).
+prefix's log); the G window j + 3 at 53 bits for two products of j window
+primes P less their common p_k^j, each term log1p((P - p_k)/p_k) (the
+quotient, log1p, j - 1 sums, difference), with size 2 j T where T bounds
+|log1p((P - p_k)/p_k)| and |P - p_k|/P over the window: log1p passes the
+quotient's rounding on scaled by |P - p_k|/P, up to p_k/P_1 at the smallest
+window prime P_1, which can exceed the term itself; the D(B') budget 4 at
+53 bits (float copies of ben, c and B', two float operations, and the mpf
+test's own rounding of B' - ben, finer than a 53-bit step); the D(B') order
+1 (float copies of mpf logs, whose rounding is monotone); the event table's
+p/log p < rho 6 at 53 bits (log, quotient, float copy of rho, difference,
+and the mpf test's own rounding).
 """
 
 import re

@@ -11,12 +11,11 @@ on G then eliminate most candidates before the expensive exact evaluation.
 from dataclasses import dataclass, field
 from typing import Optional
 
-import numpy as np
 from mpmath import mp, mpf
 
 from . import arith
 from .arith import PrimeFraction, log_int
-from .benefit import BenefitTables, BoundResult, _walk_fraction, bound_loop
+from .benefit import BenefitTables, BoundResult, _walk_fraction, bound_loop, walk_up
 from .errors import (
     BoundFailureError,
     CapacityError,
@@ -87,10 +86,7 @@ def normalized_candidates(ctx, bound, d_set, n, tables=None):
         weak_lo = hi - width
         # omega >= 0: S_w = p_{k+1} + ... + p_{k+w}
         if hi >= 0:
-            w_max = int(np.searchsorted(cs, hi + s_k, side="right")) - k
-            if k + w_max > len(t):
-                raise CapacityError("champion walk beyond prime table")
-            w = w_max
+            w = walk_up(cs, k, hi)
             while w >= 0:
                 s_w = int(cs[k + w - 1]) - s_k if w > 0 else 0
                 if mpf(s_w) < weak_lo:

@@ -23,7 +23,8 @@ from mpmath import mp, mpf
 
 from . import arith
 from .arith import PrimeFraction, ell_pp, log_int
-from .errors import BoundFailureError, InvariantViolation
+from .errors import BoundFailureError, CapacityError, InvariantViolation
+from .superchampion import newton_from_above
 
 
 class PrefixCandidate:
@@ -210,24 +211,12 @@ class BoundResult:
 
 
 def _solve_t1(ctx, B):
-    """Root of f(t) = rho*log t - t - B in (rho, x1].
+    """Root of t - rho*log t + B in (rho, x1].
 
-    x1 solves x = rho*log x, so f(x1) = -B <= 0.  f is decreasing and concave
-    on (rho, x1], so every tangent lies above f: Newton's method started at
-    x1 decreases monotonically to the root and needs no bracket.
-    """
-    rho, t = ctx.rho.value, ctx.x1
-    eps = mpf(10) ** (-mp.dps + 3)
-    for _ in range(100):
-        f = rho * mp.log(t) - t - B
-        if f > eps * t:
-            raise InvariantViolation(
-                "rho*log t - t = B has no root at or below x1 (B=%s)" % mp.nstr(B, 10))
-        step = min(f, 0) / (rho / t - 1)  # f > 0 only by rounding at the root
-        t -= step
-        if step < eps * t:
-            return t
-    raise InvariantViolation("Newton's method for t1 did not converge")
+    x1 solves x = rho*log x, so the function is B >= 0 at x1, and it is
+    convex and increasing on (rho, x1]: Newton's method from x1."""
+    rho = ctx.rho.value
+    return newton_from_above(lambda t: (t - rho * mp.log(t) + B, 1 - rho / t), ctx.x1)
 
 
 def estimate_B(ctx, d_set, n, tables=None):
@@ -247,9 +236,7 @@ def estimate_B(ctx, d_set, n, tables=None):
     for cand in d_set:
         c = n - ctx.ellN - cand.dell
         if c >= 0:
-            omega = int(np.searchsorted(cs, c + s_k, side="right")) - k
-            if k + omega > len(t):
-                raise InvariantViolation("champion walk ran past the prime table")
+            omega = walk_up(cs, k, c)
             s_omega = int(cs[k + omega - 1]) - s_k
             ben_walk = tables.up_ben(omega)
         else:
@@ -275,6 +262,16 @@ def estimate_B(ctx, d_set, n, tables=None):
     cand, omega = best_parts
     witness = _walk_fraction(ctx, cand.delta, omega)
     return BoundResult(B=best, t1=_solve_t1(ctx, best), witness=witness)
+
+
+def walk_up(cs, k, c):
+    """Largest omega with p_{k+1} + ... + p_{k+omega} <= c, for c >= 0 and
+    the table's cumulative sums cs.  A walk that reaches the last prime
+    raises CapacityError: the table cannot tell how much further it goes."""
+    idx = int(np.searchsorted(cs, c + int(cs[k - 1]), side="right"))
+    if idx == len(cs):
+        raise CapacityError("champion walk reaches the end of the prime table")
+    return idx - k
 
 
 def _walk_fraction(ctx, delta, omega):

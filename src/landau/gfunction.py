@@ -5,10 +5,12 @@ G(p_k, m) is the largest fraction Q_1...Q_s/(q_1...q_s) over primes
 sum(Q_i - q_i) stays within m.  Writing the window primes P_1 < ... < P_R
 around p_k = P_K, the complement trick turns the maximum into a minimum
 H(j, P_r; m) over j-tuples of window primes with a sum constraint, which
-satisfies a two-term recursion in (j, r).  H(j, P_r; .) is a non-increasing
-step function of m, so each state is a breakpoint list and the recursion is
-a shift-scale plus a pointwise min; states below their feasibility onset
-stay empty, which keeps the total work near quadratic in m.
+satisfies a two-term recursion in (j, r).  Every swap cost is even, so each
+row j is a dense float array over r and even m holding the logs of its
+products less the common j log p_k; a shift in m is a slice, the minimum
+over r a running minimum, and one packed bit per (j, r, m) records whether
+P_r was taken.  A backward walk over those bits rebuilds the prime sets,
+and settles exactly the comparisons the floats cannot.
 
 For large m the recursion over windows is replaced by a reduction to
 G(p_{k+1}, m') for small m', valid as soon as an even budget delta with
@@ -20,137 +22,15 @@ guaranteed, and both algorithms agree on an overlap band of m.
 import math
 from bisect import bisect_right
 
+import numpy as np
+
 from . import arith, cache
 from .arith import PrimeFraction
 from .errors import CapacityError, Delta1CeilingError, InvariantViolation
 
-SMALL_M_CUTOFF = 3000     # below this the step-function recursion is fast
+SMALL_M_CUTOFF = 3000     # below this the window recursion, never the large-m reduction
 TRIAL_WIDTH = 10          # first truncated window: ten primes above p_k
 UPTO_GRANULARITY = 256    # cache capacity rounding for per-prime G tables
-
-
-class _Node:
-    """One H value: a product of distinct window primes, shared as a chain."""
-
-    __slots__ = ("p", "up", "logf")
-
-    def __init__(self, p, up):
-        self.p = p
-        self.up = up
-        self.logf = math.log(p) + (up.logf if up is not None else 0.0)
-
-
-def _node_primes(node):
-    out = []
-    while node is not None:
-        out.append(node.p)
-        node = node.up
-    return out
-
-
-def _node_int(node):
-    v = 1
-    while node is not None:
-        v *= node.p
-        node = node.up
-    return v
-
-
-def _node_less(a, b, guard):
-    """a < b as exact products; the float logs decide beyond `guard`."""
-    la = a.logf if a is not None else 0.0
-    lb = b.logf if b is not None else 0.0
-    if abs(la - lb) > guard:
-        return la < lb
-    return _node_int(a) < _node_int(b)
-
-
-class _StepFn:
-    """Non-increasing step function of m: value vs[i] on [ms[i], ms[i+1])."""
-
-    __slots__ = ("ms", "vs")
-
-    def __init__(self, ms, vs):
-        self.ms = ms
-        self.vs = vs
-
-
-_UNIT = _StepFn([0], [None])  # the empty product, available at every m >= 0
-
-
-def _scale_shift(fn, p, d, M):
-    """p * fn(m - d), clipped to [0, M]; None when nothing survives."""
-    ms, vs = fn.ms, fn.vs
-    out_ms = []
-    out_vs = []
-    for i in range(len(ms)):
-        m = ms[i] + d
-        if m > M:
-            break
-        node = _Node(p, vs[i])
-        if m <= 0:
-            if out_ms:
-                out_vs[0] = node
-            else:
-                out_ms.append(0)
-                out_vs.append(node)
-        else:
-            out_ms.append(m)
-            out_vs.append(node)
-    if not out_ms:
-        return None
-    return _StepFn(out_ms, out_vs)
-
-
-def _merge_min(a, b, guard):
-    """Pointwise minimum of two step functions (None = infeasible)."""
-    if a is None:
-        return b
-    if b is None:
-        return a
-    ams, avs = a.ms, a.vs
-    bms, bvs = b.ms, b.vs
-    out_ms, out_vs = [], []
-    i = j = 0
-    cur_a = cur_b = None
-    have_a = have_b = False
-    b_won = False
-    while i < len(ams) or j < len(bms):
-        if j >= len(bms) or (i < len(ams) and ams[i] <= bms[j]):
-            m = ams[i]
-            if j < len(bms) and bms[j] == m:
-                cur_b = bvs[j]
-                have_b = True
-                j += 1
-            cur_a = avs[i]
-            have_a = True
-            i += 1
-        else:
-            m = bms[j]
-            cur_b = bvs[j]
-            have_b = True
-            j += 1
-        if not have_a:
-            best = cur_b
-            b_best = True
-        elif not have_b:
-            best = cur_a
-            b_best = False
-        elif _node_less(cur_b, cur_a, guard):
-            best = cur_b
-            b_best = True
-        else:
-            best = cur_a
-            b_best = False
-        if not out_vs or best is not out_vs[-1]:
-            if out_vs and not _node_less(best, out_vs[-1], guard):
-                continue  # not an improvement over the value already active
-            out_ms.append(m)
-            out_vs.append(best)
-            b_won = b_won or b_best
-    if not b_won:
-        return a
-    return _StepFn(out_ms, out_vs)
 
 
 class GFraction:
@@ -222,15 +102,16 @@ class GFraction:
 
 
 class _UptoEntry:
-    """Confirmed-exact G(p_k, m) for all m <= cap, as a step function."""
+    """Confirmed-exact G(p_k, m) for all m <= cap, as a step function: the
+    H prime set sets[i] on [ms[i], ms[i+1])."""
 
-    __slots__ = ("pk_idx", "cap", "rhat_idx", "fn", "fracs")
+    __slots__ = ("pk_idx", "cap", "rhat_idx", "ms", "sets", "fracs")
 
-    def __init__(self, pk_idx, cap, rhat_idx, fn):
+    def __init__(self, pk_idx, cap, rhat_idx, steps):
         self.pk_idx = pk_idx
         self.cap = cap
         self.rhat_idx = rhat_idx
-        self.fn = fn
+        self.ms, self.sets = steps
         self.fracs = {}
 
 
@@ -270,44 +151,98 @@ class GEngine:
         return self.table.count_upto(p_k + M)
 
     def _run_h(self, pk_idx, lo_idx, rhat_idx, M):
-        """Step function of m -> min product H(R-K, P_Rhat; m) on [0, M]."""
-        t = self.table
+        """m -> min product H(R-K, P_Rhat; m) on [0, M] as a step function:
+        the breakpoints and each segment's ascending prime tuple.
+
+        Row j holds H(j, P_{j+o}; 2i) at [o, i] for o = 0..K, the log of the
+        product less j log p_k, so rows compare through log1p((P - p_k)/p_k).
+        """
         K = pk_idx - lo_idx + 1
-        R = rhat_idx - lo_idx + 1
-        P = [0] + [t.prime(lo_idx + i) for i in range(R)]  # local 1-based
-        J = R - K
-        # every product holds at most J primes, none above P_R
-        guard = arith.rounding_error(2 * J * math.log(P[R]), J + 2, 53)
-        prev = None  # row j-1, indexed by local r; j=0 row is the unit everywhere
+        J = rhat_idx - pk_idx
+        P = self.table.primes[lo_idx - 1 : rhat_idx].astype(np.int64)  # P_1..P_R
+        p_k = int(P[K - 1])
+        L = np.log1p((P - p_k) / p_k)
+        # bounds |L| and the quotient's rounding as log1p passes it on
+        T = max(np.abs(L).max(), (np.abs(P - p_k) / P).max())
+        Pl = P.tolist()
+        H = M // 2 + 1
+        row = np.zeros((K + 1, H))  # j = 0: the empty product, at every m
+        bits = np.zeros((J + 1, K + 1, (H + 7) // 8), np.uint8)
+        memo = {}
+
+        def shift(j, o):  # half the cost of P_{j+o} as the j-th prime
+            return (Pl[K + j - 1] - Pl[j + o - 1]) // 2
+
+        def exact(j, o, i):
+            """The product at [o, i] of a finished row j, walked from the bits."""
+            path = []
+            while j and (j, o, i) not in memo:
+                took = bits[j, o, i >> 3] >> (7 - (i & 7)) & 1
+                path.append(((j, o, i), Pl[j + o - 1] if took else 1))
+                j, o, i = (j - 1, o, i - shift(j, o)) if took else (j, o - 1, i)
+            v = memo.get((j, o, i), 1)
+            for cell, p in reversed(path):
+                v *= p
+                memo[cell] = v
+            return v
+
+        def settle(i):
+            """Redo column i of row j's running minimum over o on exact
+            products, as two of its floats lie within the guard."""
+            best, best_v = -1, None
+            for o in range(K + 1):
+                take = False
+                if cand[o, i] < np.inf:
+                    v = Pl[j + o - 1] * exact(j - 1, o, i - shift(j, o))
+                    take = best < 0 or v < best_v
+                taken[o, i] = take
+                if take:
+                    best, best_v = o, v
+                row[o, i] = cand[best, i] if best >= 0 else np.inf
+
+        cand = np.empty((K + 1, H))
+        runs = np.full((2, K + 2, H), np.inf)  # run[o + 1]: minimum of cand[:o + 1]
         for j in range(1, J + 1):
-            top = t.prime(pk_idx + j)
-            row = [None] * (R + 1)
-            r_lo = max(j, 1)
-            r_hi = min(K + j, R)
-            for r in range(r_lo, r_hi + 1):
-                if j == 1:
-                    below = _UNIT
-                else:
-                    below = prev[r - 1] if r - 1 >= 1 else None
-                cand = None
-                if below is not None:
-                    cand = _scale_shift(below, P[r], top - P[r], M)
-                left = row[r - 1]
-                row[r] = _merge_min(left, cand, guard)
-            prev = row
-        fn = prev[R]
-        if fn is None or fn.ms[0] != 0:
+            prev, run = row, runs[j & 1]
+            cand.fill(np.inf)
+            for o in range(K + 1):
+                d = shift(j, o)
+                if d < H:
+                    np.add(prev[o, : H - d], L[j + o - 1], out=cand[o, d:])
+                np.minimum(run[o], cand[o], out=run[o + 1])
+            row, left = run[1:], run[:-1]
+            taken = cand < left
+            guard = arith.rounding_error(2 * j * T, j + 3, 53)
+            with np.errstate(invalid="ignore"):  # inf - inf: both infeasible
+                near = np.abs(cand - left) <= guard
+            if near.any():
+                near &= np.isfinite(cand) & np.isfinite(left)
+                for i in np.flatnonzero(near.any(axis=0)).tolist():
+                    settle(i)
+            bits[j] = np.packbits(taken, axis=1)
+        if not row[K, 0] < np.inf:
             raise InvariantViolation("H has no feasible value at m=0")
-        return fn
+
+        # one backward walk over r rebuilds every column's prime set
+        jc = np.full(H, J)
+        ic = np.arange(H)
+        chosen = np.zeros((H, K + J), bool)
+        for r in range(K + J, 0, -1):
+            o = np.minimum(r - jc, K)  # columns done (jc = 0) read row 0's zeros
+            took = (bits[jc, o, ic >> 3] >> (7 - (ic & 7))) & 1
+            chosen[:, r - 1] = took
+            ic -= took * ((P[K + jc - 1] - P[r - 1]) // 2)
+            jc -= took
+        starts = np.flatnonzero(np.r_[True, (chosen[1:] != chosen[:-1]).any(axis=1)])
+        return (2 * starts).tolist(), [tuple(P[chosen[i]].tolist()) for i in starts.tolist()]
 
     def _extract(self, entry, m):
         """GFraction at m from a confirmed step-function entry."""
-        i = bisect_right(entry.fn.ms, m) - 1
+        i = bisect_right(entry.ms, m) - 1
         frac = entry.fracs.get(i)
         if frac is None:
-            node = entry.fn.vs[i]
+            chain = entry.sets[i]
             pk = self.table.prime(entry.pk_idx)
-            chain = _node_primes(node)
             tops_used = {p for p in chain if p > pk}
             qs = sorted((p for p in chain if p <= pk), reverse=True)
             Qs = [
@@ -316,11 +251,11 @@ class GEngine:
                 if self.table.prime(idx) not in tops_used
             ]
             frac = GFraction(Qs, qs)
-            frac.check(pk, entry.fn.ms[i + 1] - 1 if i + 1 < len(entry.fn.ms) else entry.cap)
+            frac.check(pk, entry.ms[i + 1] - 1 if i + 1 < len(entry.ms) else entry.cap)
             entry.fracs[i] = frac
         return frac
 
-    def _confirm_segments(self, pk_idx, fn, rhat_idx, cap):
+    def _confirm_segments(self, pk_idx, steps, rhat_idx, cap):
         """Largest prime needed so that the truncated window is provably
         exact on all of [0, cap]; 0 when already confirmed."""
         t = self.table
@@ -328,20 +263,13 @@ class GEngine:
         pk1 = t.prime(pk_idx + 1)
         p_rhat = t.prime(rhat_idx)
         need = 0
-        ms, vs = fn.ms, fn.vs
+        ms, sets = steps
+        num = math.prod(t.primes[pk_idx:rhat_idx].tolist())
         for i in range(len(ms)):
-            m_hi = ms[i + 1] - 1 if i + 1 < len(ms) else cap
-            if m_hi > cap:
-                m_hi = cap
+            m_hi = min(ms[i + 1] - 1 if i + 1 < len(ms) else cap, cap)
             if ms[i] > cap:
                 break
-            chain = _node_primes(vs[i])
-            den = 1
-            num = 1
-            for p in chain:
-                den *= p
-            for idx in range(pk_idx + 1, rhat_idx + 1):
-                num *= t.prime(idx)
+            den = math.prod(sets[i])
             if num == den:
                 # no beneficial swap seen: genuine only while m < first gap
                 if m_hi >= pk1 - p_k:
@@ -370,14 +298,14 @@ class GEngine:
         full_top = self._full_top_idx(pk_idx, cap)
         rhat_idx = min(pk_idx + TRIAL_WIDTH, full_top)
         while True:
-            fn = self._run_h(pk_idx, lo_idx, rhat_idx, cap)
+            steps = self._run_h(pk_idx, lo_idx, rhat_idx, cap)
             if rhat_idx >= full_top:
                 break
-            need = self._confirm_segments(pk_idx, fn, rhat_idx, cap)
+            need = self._confirm_segments(pk_idx, steps, rhat_idx, cap)
             if need == 0:
                 break
             rhat_idx = min(max(t.count_upto(need) + 1, rhat_idx + TRIAL_WIDTH), full_top)
-        entry = _UptoEntry(pk_idx, cap, rhat_idx, fn)
+        entry = _UptoEntry(pk_idx, cap, rhat_idx, steps)
         self._upto[pk_idx] = entry
         return entry
 
@@ -393,8 +321,8 @@ class GEngine:
         if not 0 <= M <= pk1 - 3:
             raise ValueError("M=%d outside [0, %d]" % (M, pk1 - 3))
         top_idx = max(self._full_top_idx(pk_idx, M), pk_idx + 1)
-        fn = self._run_h(pk_idx, self._low_idx(pk1, M), top_idx, M)
-        entry = _UptoEntry(pk_idx, M, top_idx, fn)
+        steps = self._run_h(pk_idx, self._low_idx(pk1, M), top_idx, M)
+        entry = _UptoEntry(pk_idx, M, top_idx, steps)
         return [self._extract(entry, m) for m in range(M + 1)]
 
     def g_fraction(self, p_k, m):

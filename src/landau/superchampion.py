@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from mpmath import mp, mpf, sqrt as mp_sqrt
 
-from . import cache
+from . import arith, cache
 from .arith import _tree_product, log_int, log_product
 from .errors import CapacityError, InvariantViolation
 
@@ -69,47 +69,46 @@ class Threshold:
         return self.value > p
 
 
+def newton_from_above(f, x):
+    """Root of f below x, for f convex and increasing near its root with
+    f(x) >= 0; f(x) returns the value and the derivative.  Every tangent
+    lies below a convex f, so Newton's method from x falls monotonically to
+    the root and needs no bracket."""
+    eps = mpf(10) ** (-mp.dps + 3)
+    for _ in range(100):
+        fx, dfx = f(x)
+        step = fx / dfx
+        if step < -eps * x:
+            raise InvariantViolation("Newton's method started below its root")
+        step = max(step, 0)  # below 0 only by rounding at the root
+        x -= step
+        if step < eps * x:
+            return x
+    raise InvariantViolation("Newton's method did not converge")
+
+
 def _solve_x1(rho):
-    """Root >= 5 of x / log x = rho."""
-    r = float(rho.value)
-    x = r * math.log(r)
-    for _ in range(60):
-        nx = x - (x - r * math.log(x)) / (1.0 - r / x)
-        if abs(nx - x) < 1e-12 * x:
-            x = nx
-            break
-        x = nx
-    xv = mpf(x)
+    """Root > rho of x - rho*log x, convex.  Newton starts at 2*rho*log rho,
+    beyond the minimum at rho, where the function is
+    rho*(log rho - log(2 log rho)) > 0 as rho > 2 log rho."""
     rv = rho.value
-    for _ in range(8):
-        xv = xv - (xv - rv * mp.log(xv)) / (1 - rv / xv)
-    return xv
+    return newton_from_above(lambda x: (x - rv * mp.log(x), 1 - rv / x), 2 * rv * mp.log(rv))
 
 
 def _solve_xj(rho, j, hi):
-    """Root > 1 of (x^j - x^{j-1}) / log x = rho; the map is increasing."""
+    """Root x_j > 1 of x^j - x^{j-1} - rho*log x, convex on x > 1.
+
+    Newton starts at the lower of hi = x_{j-1} and y = (rho*log hi)^(1/j) + 1.
+    Both lie at or above x_j with the function >= 0 there: x^{j-1}(x - 1)
+    increases on x > 1, and y^{j-1}(y - 1) >= (y - 1)^j = rho*log hi, which
+    is at least rho*log x_j, and at least rho*log y when y <= hi."""
     rv = rho.value
-    lo = mpf(1) + mpf(10) ** (-mp.dps)
-    hi = mpf(hi)
-    for _ in range(80):
-        mid = (lo + hi) / 2
-        if (mid**j - mid ** (j - 1)) / mp.log(mid) < rv:
-            lo = mid
-        else:
-            hi = mid
-    x = (lo + hi) / 2
-    for _ in range(10):
-        lx = mp.log(x)
-        f = x**j - x ** (j - 1) - rv * lx
-        df = j * x ** (j - 1) - (j - 1) * x ** (j - 2) - rv / x
-        step = f / df
-        nx = x - step
-        if not (lo <= nx <= hi):
-            break
-        x = nx
-        if abs(step) < mpf(10) ** (-mp.dps + 2) * x:
-            break
-    return x
+
+    def f(x):
+        return (x**j - x ** (j - 1) - rv * mp.log(x),
+                j * x ** (j - 1) - (j - 1) * x ** (j - 2) - rv / x)
+
+    return newton_from_above(f, min(mpf(hi), mp.root(rv * mp.log(hi), j) + 1))
 
 
 def xj_thresholds(rho):
@@ -316,7 +315,12 @@ def _largest_prime_ratio_below(table, r, lo_idx):
 
 
 def _ratio_below(p, r):
-    return mpf(p) / log_int(p) < r
+    """p / log p < r: floats decide beyond their rounding error, mp.log the
+    rest, uncached, as most probed primes are probed once."""
+    q, rf = p / math.log(p), float(r)
+    if abs(q - rf) > arith.rounding_error(q + rf, 6, 53):
+        return q < rf
+    return mpf(p) / mp.log(p) < r
 
 
 @dataclass

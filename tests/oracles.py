@@ -5,7 +5,13 @@ compute g(n) at small scale.
 
 `prefix_sets_mpf` is the reference for `landau.benefit.build_prefix_sets`:
 the candidate set D(B') built in mpf alone, with no float filter.
+
+`h_window_steps` is the reference for `landau.gfunction.GEngine._run_h`: the
+window recursion H(j, P_r; m) over breakpoint lists of linked prime chains,
+compared as exact integers.
 """
+
+import math
 
 import numpy as np
 from mpmath import mpf
@@ -143,3 +149,75 @@ def _prune_mpf(cands):
             out.pop()
         out.append(c)
     return out
+
+
+class _Node:
+    """One H value: a product of distinct window primes, shared as a chain."""
+
+    __slots__ = ("p", "up", "value")
+
+    def __init__(self, p, up):
+        self.p = p
+        self.up = up
+        self.value = p * (up.value if up is not None else 1)
+
+
+def _node_primes(node):
+    out = []
+    while node is not None:
+        out.append(node.p)
+        node = node.up
+    return tuple(sorted(out))
+
+
+def _scale_shift(steps, p, d, M):
+    """p * H(m - d) on [0, M] for a step list [(m, node), ...]; d >= 0."""
+    return [(m + d, _Node(p, node)) for m, node in steps if m + d <= M]
+
+
+def _merge_min(a, b):
+    """Pointwise minimum of two non-increasing step lists, with a
+    breakpoint only where the value falls."""
+    if not a or not b:
+        return a or b
+    out = []
+    i = j = 0
+    cur_a = cur_b = None
+    while i < len(a) or j < len(b):
+        ma = a[i][0] if i < len(a) else math.inf
+        mb = b[j][0] if j < len(b) else math.inf
+        m = min(ma, mb)
+        if ma == m:
+            cur_a = a[i][1]
+            i += 1
+        if mb == m:
+            cur_b = b[j][1]
+            j += 1
+        if cur_a is None or (cur_b is not None and cur_b.value < cur_a.value):
+            best = cur_b
+        else:
+            best = cur_a
+        if not out or best.value < out[-1][1].value:
+            out.append((m, best))
+    return out
+
+
+def h_window_steps(table, pk_idx, lo_idx, rhat_idx, M):
+    """H(R-K, P_R; m) on [0, M] for the window primes P_1 < ... < P_R,
+    table indices lo_idx..rhat_idx, around p_k = P_K: the breakpoints and
+    each segment's ascending prime tuple, as GEngine._run_h returns them."""
+    K = pk_idx - lo_idx + 1
+    R = rhat_idx - lo_idx + 1
+    P = [0] + [table.prime(lo_idx + i) for i in range(R)]
+    unit = [(0, None)]
+    prev = None
+    for j in range(1, R - K + 1):
+        top = table.prime(pk_idx + j)
+        row = [[] for _ in range(R + 1)]
+        for r in range(j, min(K + j, R) + 1):
+            below = unit if j == 1 else prev[r - 1]
+            row[r] = _merge_min(row[r - 1], _scale_shift(below, P[r], top - P[r], M))
+        prev = row
+    steps = prev[R]
+    assert steps and steps[0][0] == 0, "H has no feasible value at m=0"
+    return [m for m, _ in steps], [_node_primes(node) for _, node in steps]

@@ -17,7 +17,7 @@ from landau.benefit import (
     estimate_B,
     initial_budget,
 )
-from landau.errors import BoundFailureError, InvariantViolation
+from landau.errors import BoundFailureError, CapacityError, InvariantViolation
 from landau.primes import PrimeTable, auto_limit
 from landau.superchampion import build_e2_table, find_context
 
@@ -298,3 +298,32 @@ def test_t1_newton_from_x1(ctx1e6, monkeypatch):
     # at x1 the equation reads rho*log x1 - x1 = 0, so a negative B has no root
     with pytest.raises(InvariantViolation):
         _solve_t1(ctx1e6, -ctx1e6.rho.value)
+
+
+def test_walk_to_the_last_prime_raises_capacity_error(ctx1e6, tables1e6):
+    # a table ending at the longest champion walk of n = 10^6 cannot tell
+    # whether one more prime would fit; both walks must refuse it
+    from dataclasses import replace
+
+    from landau.assemble import normalized_candidates
+    from landau.superchampion import Champion
+
+    n = 10**6
+    ctx = ctx1e6
+    res, d_set = bound_loop(ctx, n, tables1e6)
+    cs = ctx.table.cumulative
+    s_k = int(cs[ctx.k - 1])
+    end = max(int(np.searchsorted(cs, n - ctx.ellN - c.dell + s_k, side="right"))
+              for c in d_set if n - ctx.ellN - c.dell >= 0)
+    short = PrimeTable.build(ctx.table.prime(end))
+    assert len(short) == end
+    cut = replace(ctx, N=Champion(short, ctx.xs))
+    with pytest.raises(CapacityError):
+        estimate_B(cut, d_set, n)
+    with pytest.raises(CapacityError):
+        normalized_candidates(cut, res, d_set, n)
+    # one prime more and both walks fit
+    longer = replace(ctx, N=Champion(PrimeTable.build(ctx.table.prime(end + 1)), ctx.xs))
+    assert estimate_B(longer, d_set, n).B == estimate_B(ctx, d_set, n).B
+    assert len(normalized_candidates(longer, res, d_set, n)) == len(
+        normalized_candidates(ctx, res, d_set, n))

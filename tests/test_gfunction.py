@@ -1,3 +1,4 @@
+import bisect
 import itertools
 import math
 import os
@@ -5,6 +6,7 @@ import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from mpmath import mp
 
@@ -12,7 +14,9 @@ import landau
 from landau import cache
 from landau.errors import InvariantViolation
 from landau.gfunction import GEngine, GFraction
-from landau.primes import PrimeTable
+from landau.primes import PrimeTable, _simple_sieve
+
+from oracles import h_window_steps
 
 
 @pytest.fixture(scope="module")
@@ -126,6 +130,43 @@ def test_widen_example_uses_narrow_window():
     full = eng.g_small(150989, 1200)
     assert [eng._extract(entry, m) for m in range(1201)] == full
     assert eng.g_fraction(150989, 1200) == full[1200]
+
+
+def _same_on_every_even_m(got, want, M):
+    # breakpoints, then the prime set at each even m
+    assert got[0] == want[0]
+    for m in range(0, M + 1, 2):
+        i = bisect.bisect_right(got[0], m) - 1
+        assert got[1][i] == want[1][bisect.bisect_right(want[0], m) - 1], m
+
+
+@pytest.mark.parametrize("width", [10, 35])
+def test_window_matches_reference_150989(width):
+    # the G(150989, 2593) window of n = 10^9 at cap 2816: 1401 steps
+    t = PrimeTable.build(200000)
+    eng = GEngine(t)
+    pk_idx = t.rank(150989)
+    lo_idx = eng._low_idx(t.next_prime(150989), 2816)
+    got = eng._run_h(pk_idx, lo_idx, pk_idx + width, 2816)
+    _same_on_every_even_m(got, h_window_steps(t, pk_idx, lo_idx, pk_idx + width, 2816), 2816)
+
+
+def test_window_matches_reference_at_1e14():
+    # the widened window at n = 103613071095758 (p_k = 60041573, cap 768,
+    # 40 primes at or below p_k, 45 above): logs of whole products, with a
+    # guard sized by log P, tie within it here about 7,000 times, where the
+    # offset logs tie nowhere
+    lo, hi = 60041573 - 2000, 60041573 + 2000
+    sieve = np.ones(hi - lo, dtype=bool)
+    for p in _simple_sieve(math.isqrt(hi)).tolist():
+        sieve[(-lo) % p :: p] = False
+    t = PrimeTable(hi - 1, np.flatnonzero(sieve) + lo)  # local prime indices
+    eng = GEngine(t)
+    pk_idx = t.rank(60041573)
+    lo_idx = eng._low_idx(t.next_prime(60041573), 768)
+    assert pk_idx - lo_idx + 1 == 40
+    got = eng._run_h(pk_idx, lo_idx, pk_idx + 45, 768)
+    _same_on_every_even_m(got, h_window_steps(t, pk_idx, lo_idx, pk_idx + 45, 768), 768)
 
 
 def test_sandwich_invariant(engine, table1m):

@@ -1,13 +1,15 @@
+import math
 import os
 import random
 
 import pytest
 from mpmath import mp, mpf
 
-from landau import cache
+from landau import arith, cache
+from landau.arith import log_int
 from landau.errors import CapacityError
 from landau.oracle import g_list_merge_prune
-from landau.primes import PrimeTable
+from landau.primes import PrimeTable, auto_limit
 from landau.superchampion import (
     Rho,
     Champion,
@@ -209,3 +211,51 @@ def test_first_ten_thousand_champions_chain():
         for p in (2, 3, 5, 101, 1009):
             if p != q:
                 assert a.N.alpha(p) == b.N.alpha(p)
+
+
+def test_event_table_leaves_probe_logs_out_of_the_cache(table1m, monkeypatch):
+    # the searches for each event's last exponent-1 prime probe primes once;
+    # only the slopes' own primes q belong in the log cache, also when every
+    # probe is decided by mp.log
+    e2 = build_e2_table(10**9, table1m)
+    seeded = table1m.count_upto(max(e.q for e in e2)) + 1  # one seeded beyond
+    monkeypatch.setattr(arith, "rounding_error", lambda size, steps, bits: math.inf)
+    log_int.cache_clear()
+    assert build_e2_table(10**9, table1m) == e2
+    assert log_int.cache_info().currsize <= seeded < 100
+
+
+CRITERION_CHAMPIONS = {
+    10**6: "2^9 * 3^6 * 5^4 * 7^3 * [11-41]^2 * [43-3923]",
+    10**9: "2^14 * 3^9 * 5^6 * 7^5 * [11-13]^4 * [17-31]^3 * [37-263]^2 * [269-150989]",
+    10**12: "2^18 * 3^12 * 5^8 * 7^6 * [11-13]^5 * [17-31]^4 * [37-113]^3 * [127-1613]^2"
+            " * [1619-5476469]",
+}
+
+
+def test_thresholds_newton_from_above(monkeypatch):
+    # x_1 starts at 2 rho log rho and each x_j at or below x_{j-1}; every
+    # root takes at most 10 logs (the bisection it replaced took over 80),
+    # and the champions at the criterion points stay
+    from landau import superchampion
+
+    log, solve = type(mp).log, superchampion.newton_from_above
+    calls, per_root = [], []
+
+    def counting_log(mpctx, *args, **kwargs):
+        calls.append(args)
+        return log(mpctx, *args, **kwargs)
+
+    def counted(f, x):
+        before = len(calls)
+        root = solve(f, x)
+        per_root.append(len(calls) - before)
+        return root
+
+    table = PrimeTable.build(auto_limit(10**12))
+    e2 = build_e2_table(10**12, table)
+    monkeypatch.setattr(type(mp), "log", counting_log)
+    monkeypatch.setattr(superchampion, "newton_from_above", counted)
+    for n, render in CRITERION_CHAMPIONS.items():
+        assert find_context(n, table, e2).N.render() == render
+    assert len(per_root) >= 3 * 9 and max(per_root) <= 10
