@@ -2,7 +2,7 @@
 permutation on n letters, in factored form for n up to 10^15."""
 
 from .arith import PrimeFraction, parse_factored, render_factored, set_precision
-from .assemble import LandauResult, Solver, compute_g
+from .assemble import LandauResult, Solver
 from .errors import (
     BoundFailureError,
     CapacityError,
@@ -32,7 +32,6 @@ __all__ = [
     "PrimeTable",
     "Solver",
     "build_e2_table",
-    "compute_g",
     "find_context",
     "g_list_merge_prune",
     "parse_factored",

@@ -41,8 +41,6 @@ from functools import lru_cache
 
 from mpmath import mp, mpf
 
-from .errors import CapacityError
-
 DEFAULT_PRECISION = 30
 MIN_PRECISION = 20
 
@@ -177,9 +175,6 @@ class PrimeFraction:
     def is_one(self):
         return not self.factors
 
-    def is_integer(self):
-        return all(e > 0 for _, e in self.factors)
-
     def numerator(self):
         return _tree_product(p**e for p, e in self.factors if e > 0)
 
@@ -237,18 +232,6 @@ class PrimeFraction:
         return hash(self.factors)
 
     # -- rendering -------------------------------------------------------------------
-
-    def to_decimal(self, digit_budget=10**7):
-        """The exact integer value; refuses non-integers and huge expansions."""
-        if not self.is_integer():
-            raise ValueError("fraction is not an integer; use rational()")
-        digits = self.log / log_int(10)
-        if digits > digit_budget:
-            raise CapacityError(
-                "decimal expansion needs ~%d digits, budget is %d"
-                % (int(digits) + 1, digit_budget)
-            )
-        return self.numerator()
 
     def rational(self):
         """(numerator, denominator) as exact coprime integers."""

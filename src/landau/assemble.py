@@ -8,7 +8,7 @@ sums pin w to at most a couple of values per delta; cheap two-sided bounds
 on G then eliminate most candidates before the expensive exact evaluation.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from mpmath import mp, mpf
@@ -22,7 +22,7 @@ from .errors import (
     InvariantViolation,
     PrefixGapError,
 )
-from .gfunction import GEngine
+from .gfunction import GEngine, g_ceiling, g_floor
 from .oracle import g_list_merge_prune
 from .primes import PrimeTable, auto_limit
 from .superchampion import SuperchampionContext, build_e2_table, find_context
@@ -44,33 +44,26 @@ class NormalizedCandidate:
     base_prime: int
     next_prime: int               # p_{k+omega+1}
 
-    def _floor_swap(self, table):
-        """(p_{k+w+1}, q) for the single swap G's floor guarantees, else (1, 1)."""
-        q = table.next_prime(self.next_prime - self.m_suffix - 1)
-        return (self.next_prime, q) if q <= self.base_prime else (1, 1)
-
     def lower_log(self, table):
-        up, down = self._floor_swap(table)
+        up, down = g_floor(table, self.base_prime, self.next_prime, self.m_suffix)
         return self.Pi.log + log_int(up) - log_int(down)
 
     def lower_rational(self, table):
-        up, down = self._floor_swap(table)
+        up, down = g_floor(table, self.base_prime, self.next_prime, self.m_suffix)
         return self.Pi.numerator() * up, self.Pi.denominator() * down
 
     def upper_log(self):
-        return self.Pi.log + log_int(self.next_prime) - mp.log(self.next_prime - self.m_suffix)
+        up, down = g_ceiling(self.next_prime, self.m_suffix)
+        return self.Pi.log + log_int(up) - mp.log(down)
 
     def upper_rational(self):
-        return (
-            self.Pi.numerator() * self.next_prime,
-            self.Pi.denominator() * (self.next_prime - self.m_suffix),
-        )
+        up, down = g_ceiling(self.next_prime, self.m_suffix)
+        return self.Pi.numerator() * up, self.Pi.denominator() * down
 
 
-def normalized_candidates(ctx, bound, d_set, n, tables=None):
+def normalized_candidates(ctx, bound, d_set, n, tables):
     """All (delta, omega) pairs whose walk sum lands in the admissible window
     and whose continuation prime stays at or above t1."""
-    tables = tables or BenefitTables(ctx)
     t = ctx.table
     cs = t.cumulative
     k = ctx.k
@@ -280,16 +273,16 @@ class Solver:
         limit = self.sieve_limit or auto_limit(cover)
         if self.table is None or self.table.limit < limit:
             self.table = PrimeTable.build(limit, cache_dir=self.cache_dir)
-            self.engine = GEngine(self.table, cache_dir=self.cache_dir)
+            self.engine = GEngine(self.table)
             self._ctx_cache = []
         if cover >= 7:
             try:
-                self._e2 = build_e2_table(max(cover, 10**4), self.table, cache_dir=self.cache_dir)
+                self._e2 = build_e2_table(max(cover, 10**4), self.table)
             except CapacityError:  # a fixed sieve limit may not hold twice the n
                 if cover == n:
                     raise
                 cover = n
-                self._e2 = build_e2_table(max(n, 10**4), self.table, cache_dir=self.cache_dir)
+                self._e2 = build_e2_table(max(n, 10**4), self.table)
             self._covered = cover
 
     def oracle_value(self, n):
@@ -300,19 +293,18 @@ class Solver:
         return self._oracle.query(n)
 
     def context(self, n):
+        """The bracket of n and its BenefitTables."""
         self._ensure(n)
         if self._ctx_prec != mp.prec:  # contexts hold mpf values of one precision
             self._ctx_cache, self._ctx_prec = [], mp.prec
-        for ctx, tables, dcache in self._ctx_cache:
-            if ctx.covers(n):
-                return ctx, tables, dcache
-        ctx = find_context(n, self.table, self._e2)
-        tables = BenefitTables(ctx)
-        dcache = {}
-        self._ctx_cache.append((ctx, tables, dcache))
+        for tables in self._ctx_cache:
+            if tables.ctx.covers(n):
+                return tables.ctx, tables
+        tables = BenefitTables(find_context(n, self.table, self._e2))
+        self._ctx_cache.append(tables)
         if len(self._ctx_cache) > 8:
             self._ctx_cache.pop(0)
-        return ctx, tables, dcache
+        return tables.ctx, tables
 
     # -- the pipeline --------------------------------------------------------
 
@@ -344,8 +336,8 @@ class Solver:
         return res
 
     def _compute_fast(self, n, details=False):
-        ctx, tables, dcache = self.context(n)
-        bound, d_set = bound_loop(ctx, n, tables, dset_cache=dcache)
+        ctx, tables = self.context(n)
+        bound, d_set = bound_loop(ctx, n, tables)
         cands = normalized_candidates(ctx, bound, d_set, n, tables)
         survivors = fight(cands, ctx)
         order = sorted(survivors, key=lambda c: c.lower_log(ctx.table), reverse=True)
@@ -385,8 +377,3 @@ class Solver:
             return res, ComputeDetails(ctx, bound, d_set, cands, survivors, evaluated)
         return res
 
-
-def compute_g(n, solver=None, **kwargs):
-    """One-shot g(n); build a Solver yourself to amortize tables over calls."""
-    solver = solver or Solver(limit_hint=n, **kwargs)
-    return solver.compute(n)

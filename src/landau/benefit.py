@@ -46,8 +46,9 @@ def dell_pp(p, alpha, gamma):
 
 
 class BenefitTables:
-    """Per-context cache: small-prime benefits ben(N p^gamma) and the prefix
-    sums of single-prime benefits along the walk above/below p_k."""
+    """Per-context cache: small-prime benefits ben(N p^gamma), the prefix
+    sums of single-prime benefits along the walk above/below p_k, and the
+    candidate sets D(B') built so far, by budget."""
 
     def __init__(self, ctx):
         self.ctx = ctx
@@ -58,6 +59,7 @@ class BenefitTables:
         self._benp = {}
         self._up = [mpf(0)]    # partial sums of ben(N p_{k+i}), i = 1..
         self._down = [mpf(0)]  # partial sums of ben(N / p_{k-i}), i = 0..
+        self.dsets = {}
 
     def benp(self, p, gamma):
         """ben restricted to one prime p < sqrt(x1): change its exponent in N
@@ -101,18 +103,7 @@ class BenefitTables:
         return self._down[count]
 
 
-def ben(delta, ctx, tables=None):
-    """ben(N*delta) for a prefix fraction delta supported below sqrt(x1)."""
-    tables = tables or BenefitTables(ctx)
-    total = mpf(0)
-    for p, e in delta.factors:
-        if p not in tables.alphas:
-            raise ValueError("%d is not a prefix prime (>= sqrt(x1))" % p)
-        total += tables.benp(p, e)
-    return total
-
-
-def build_prefix_sets(ctx, b_prime, tables=None):
+def build_prefix_sets(ctx, b_prime, tables):
     """The candidate set D(B'): all undominated prefix fractions with benefit
     at most B', built one prime at a time with pruning at each step.
 
@@ -125,7 +116,6 @@ def build_prefix_sets(ctx, b_prime, tables=None):
         )
     if b_prime < 0:
         raise ValueError("budget must be non-negative")
-    tables = tables or BenefitTables(ctx)
     b_f = float(b_prime)
     cands = np.array([PrefixCandidate(PrimeFraction.one(), mpf(0), 0)], dtype=object)
     ben_f = np.zeros(1)
@@ -219,12 +209,11 @@ def _solve_t1(ctx, B):
     return newton_from_above(lambda t: (t - rho * mp.log(t) + B, 1 - rho / t), ctx.x1)
 
 
-def estimate_B(ctx, d_set, n, tables=None):
+def estimate_B(ctx, d_set, n, tables):
     """Upper bound B >= ben g(n) + n - l(g(n)) from the best witness
     N*delta_omega with the candidates' primes extended along the champion walk."""
     if not d_set:
         raise InvariantViolation("empty candidate set")
-    tables = tables or BenefitTables(ctx)
     t = ctx.table
     cs = t.cumulative
     k = ctx.k
@@ -292,25 +281,22 @@ def initial_budget(ctx, n):
     return ctx.rho.value / 2
 
 
-def bound_loop(ctx, n, tables=None, initial=None, dset_cache=None):
+def bound_loop(ctx, n, tables, initial=None):
     """Iterate D(B') -> B until B <= B', then trim D to benefit <= B.
 
     B is always a valid bound; a second round only enlarges the candidate
-    pool, so the loop settles after at most one restart in practice.
+    pool, so the loop settles after at most one restart in practice.  Each
+    D(B') is kept in tables.dsets for the next n of the bracket.
     """
-    tables = tables or BenefitTables(ctx)
     b_prime = initial if initial is not None else initial_budget(ctx, n)
     for _ in range(8):
         if b_prime >= ctx.B1:
             raise BoundFailureError(
                 "budget %s reached B1=%s" % (mp.nstr(b_prime, 10), mp.nstr(ctx.B1, 10))
             )
-        if dset_cache is not None and b_prime in dset_cache:
-            d_set = dset_cache[b_prime]
-        else:
-            d_set = build_prefix_sets(ctx, b_prime, tables)
-            if dset_cache is not None:
-                dset_cache[b_prime] = d_set
+        d_set = tables.dsets.get(b_prime)
+        if d_set is None:
+            d_set = tables.dsets[b_prime] = build_prefix_sets(ctx, b_prime, tables)
         res = estimate_B(ctx, d_set, n, tables)
         if res.B <= b_prime:
             if res.B < b_prime:

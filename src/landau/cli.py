@@ -136,7 +136,7 @@ def cmd_gfun(args):
         raise ValueError("need a prime p >= 3 and m >= 0")
     table = PrimeTable.build(args.sieve_limit or args.p + args.m + 10**6,
                              cache_dir=args.cache_dir)
-    engine = GEngine(table, cache_dir=args.cache_dir)
+    engine = GEngine(table)
     frac = engine.g_fraction(args.p, args.m)
     if frac.is_one():  # exactly when m is below the first gap p_{k+1} - p_k
         algo = "below the first gap: G = 1"
@@ -155,7 +155,7 @@ def cmd_gfun(args):
 
 def cmd_superchampion(args):
     solver = Solver(limit_hint=args.n, cache_dir=args.cache_dir, sieve_limit=args.sieve_limit)
-    ctx, _, _ = solver.context(args.n)
+    ctx, _ = solver.context(args.n)
     print("n = %d" % args.n)
     print("rho = %s  (%r)" % (mp.nstr(ctx.rho.value, 25), ctx.rho))
     print("N = %s" % ctx.N.render())
@@ -172,8 +172,8 @@ def cmd_prefixes(args):
     from .benefit import bound_loop
 
     solver = Solver(limit_hint=args.n, cache_dir=args.cache_dir, sieve_limit=args.sieve_limit)
-    ctx, tables, dcache = solver.context(args.n)
-    bound, d_set = bound_loop(ctx, args.n, tables, dset_cache=dcache)
+    ctx, tables = solver.context(args.n)
+    bound, d_set = bound_loop(ctx, args.n, tables)
     print("# n = %d  B = %s  t1 = %s  count = %d"
           % (args.n, mp.nstr(bound.B, 15), mp.nstr(bound.t1, 15), len(d_set)))
     for cand in d_set:
@@ -190,7 +190,7 @@ def build_parser():
                     help="working precision in decimal digits (>= %d, default %d)"
                     % (arith.MIN_PRECISION, arith.DEFAULT_PRECISION))
     ap.add_argument("--cache-dir", default=os.environ.get("LANDAU_CACHE_DIR"),
-                    help="directory for sieve/event/delta1 caches (or $LANDAU_CACHE_DIR)")
+                    help="directory for the sieve cache (or $LANDAU_CACHE_DIR)")
     ap.add_argument("--sieve-limit", type=int, default=None,
                     help="override the automatic sieve limit")
     ap.add_argument("--digit-budget", type=int, default=10**7,

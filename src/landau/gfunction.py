@@ -24,7 +24,7 @@ from bisect import bisect_right
 
 import numpy as np
 
-from . import arith, cache
+from . import arith
 from .arith import PrimeFraction
 from .errors import CapacityError, Delta1CeilingError, InvariantViolation
 
@@ -47,10 +47,6 @@ class GFraction:
     @classmethod
     def one(cls):
         return cls((), (), 0)
-
-    @property
-    def s(self):
-        return len(self.Qs)
 
     def is_one(self):
         return not self.Qs
@@ -101,6 +97,19 @@ class GFraction:
             "*".join(map(str, self.Qs)), "*".join(map(str, self.qs)), self.cost)
 
 
+def g_floor(table, p_k, pk1, m):
+    """G(p_k, m) >= p_{k+1}/q, as (p_{k+1}, q): the single swap of q, the
+    least prime >= p_{k+1} - m, for p_{k+1} when q <= p_k; else (1, 1)."""
+    q = table.next_prime(pk1 - m - 1)
+    return (pk1, q) if q <= p_k else (1, 1)
+
+
+def g_ceiling(pk1, m):
+    """G(p_k, m) <= p_{k+1}/(p_{k+1} - m), as (p_{k+1}, p_{k+1} - m), for
+    m < p_{k+1}."""
+    return pk1, pk1 - m
+
+
 class _UptoEntry:
     """Confirmed-exact G(p_k, m) for all m <= cap, as a step function: the
     H prime set sets[i] on [ms[i], ms[i+1])."""
@@ -117,24 +126,12 @@ class _UptoEntry:
 
 class GEngine:
     """Computes G(p_k, m) exactly, caching per-prime step functions and the
-    delta1 table (in memory and optionally on disk)."""
+    delta1 table in memory."""
 
-    def __init__(self, table, cache_dir=None):
+    def __init__(self, table):
         self.table = table
-        self.cache_dir = cache_dir
         self._upto = {}
         self._delta1 = {}
-        if cache_dir:
-            self._merge_delta1_file()
-
-    def _merge_delta1_file(self):
-        """Add the delta1 values on disk to the in-memory table.  delta1
-        depends on p alone, so a file of any coverage serves any table, and
-        another process sharing the directory may have added values."""
-        stored = cache.load(self.cache_dir, "delta1", 0)
-        if stored is not None:
-            for p, d in zip(stored["p"].tolist(), stored["d"].tolist()):
-                self._delta1.setdefault(p, d)
 
     # -- shared window machinery ------------------------------------------------
 
@@ -348,10 +345,11 @@ class GEngine:
 
     def _check_sandwich(self, p_k, pk1, m, frac):
         num, den = frac.numerator(), frac.denominator()
-        q = self.table.next_prime(pk1 - m - 1)
-        if q <= p_k and num * q < den * pk1:
+        up, down = g_floor(self.table, p_k, pk1, m)
+        if num * down < den * up:
             raise InvariantViolation("G below its single-swap floor")
-        if m < pk1 and num * (pk1 - m) > den * pk1:
+        up, down = g_ceiling(pk1, m)
+        if num * down > den * up:
             raise InvariantViolation("G above p_{k+1}/(p_{k+1}-m)")
         if frac.cost > m:
             raise InvariantViolation("G cost exceeds budget")
@@ -386,10 +384,6 @@ class GEngine:
                 last_bad = d
             if d >= delta and d - gap + 2 > last_bad:
                 self._delta1[p] = d
-                if self.cache_dir:
-                    self._merge_delta1_file()  # keep what others saved meanwhile
-                    cache.save(self.cache_dir, "delta1", 0,
-                               p=list(self._delta1), d=list(self._delta1.values()))
                 return d
             d += 2
             if d > ceiling:

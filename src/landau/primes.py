@@ -102,14 +102,13 @@ class PrimeTable:
                 "sieve limit %d exceeds configured budget %d" % (limit, DEFAULT_MAX_LIMIT)
             )
         if cache_dir is not None:
-            cached = cache.load(cache_dir, "sieve", limit)
-            if cached is not None:
-                primes = cached["primes"]
+            primes = cache.load(cache_dir, limit)
+            if primes is not None:
                 # a copy, so a small table does not keep a large file's array alive
                 return cls(limit, primes[: int(np.searchsorted(primes, limit, side="right"))].copy())
         table = cls(limit, _segmented_primes(limit))
         if cache_dir is not None:
-            cache.save(cache_dir, "sieve", limit, primes=table.primes)
+            cache.save(cache_dir, limit, table.primes)
         return table
 
     # -- indexed access (1-based, p_1 = 2) ---------------------------------

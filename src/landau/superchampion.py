@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from mpmath import mp, mpf, sqrt as mp_sqrt
 
-from . import arith, cache
+from . import arith
 from .arith import _tree_product, log_int, log_product
 from .errors import CapacityError, InvariantViolation
 
@@ -234,24 +234,12 @@ class E2Entry:
     ell: int
 
 
-def build_e2_table(ell_limit, table, cache_dir=None):
+def build_e2_table(ell_limit, table):
     """All exponent-bump slopes in increasing order, each with the largest
     exponent-1 prime p of the champion just above it and l(N^+); stops at the
-    first entry whose l exceeds ell_limit (kept, as the navigation fence).
-
-    A cached table built for a larger limit serves the request cut after
-    that entry, when `table` holds a prime above the entry's p as a fresh
-    build would need."""
+    first entry whose l exceeds ell_limit (kept, as the navigation fence)."""
     if ell_limit < 7:
         raise ValueError("ell_limit must be >= 7")
-    if cache_dir is not None:
-        cached = cache.load(cache_dir, "e2", ell_limit)
-        if cached is not None:
-            end = int(np.searchsorted(cached["ell"], ell_limit, side="right")) + 1
-            if int(cached["p"][end - 1]) < int(table.primes[-1]):
-                q, j, p, ell = (cached[key][:end].tolist() for key in ("q", "j", "p", "ell"))
-                return [E2Entry(*row) for row in zip(q, j, p, ell)]
-
     cs = table.cumulative
 
     def sum_through(idx):  # primes p_1..p_idx
@@ -282,12 +270,6 @@ def build_e2_table(ell_limit, table, cache_dir=None):
         entries.append(E2Entry(q, j, table.prime(p_idx), ell))
         if ell > ell_limit:
             break
-    if cache_dir is not None:
-        cache.save(
-            cache_dir, "e2", ell_limit,
-            q=[e.q for e in entries], j=[e.j for e in entries],
-            p=[e.p for e in entries], ell=[e.ell for e in entries],
-        )
     return entries
 
 

@@ -4,7 +4,8 @@ tiny exhaustive search.  Together with the package's merge-and-prune list
 compute g(n) at small scale.
 
 `prefix_sets_mpf` is the reference for `landau.benefit.build_prefix_sets`:
-the candidate set D(B') built in mpf alone, with no float filter.
+the candidate set D(B') built in mpf alone, with no float filter, and `ben`
+is ben(N*delta) for a prefix fraction delta, summed prime by prime.
 
 `h_window_steps` is the reference for `landau.gfunction.GEngine._run_h`: the
 window recursion H(j, P_r; m) over breakpoint lists of linked prime chains,
@@ -104,6 +105,16 @@ def g_bruteforce(n):
         return top
 
     return PrimeFraction.from_int(best(0, n))
+
+
+def ben(delta, tables):
+    """ben(N*delta) for a prefix fraction delta supported below sqrt(x1)."""
+    total = mpf(0)
+    for p, e in delta.factors:
+        if p not in tables.alphas:
+            raise ValueError("%d is not a prefix prime (>= sqrt(x1))" % p)
+        total += tables.benp(p, e)
+    return total
 
 
 def prefix_sets_mpf(ctx, b_prime, tables):

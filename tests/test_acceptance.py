@@ -43,7 +43,7 @@ def oracle1e5():
 
 
 def test_criterion_1_oracle_equivalence(solver1e5, oracle1e5):
-    """compute_g(n) == list-oracle g(n) for every n in [7, 1e5], exactly."""
+    """Solver.compute(n) == list-oracle g(n) for every n in [7, 1e5], exactly."""
     for n in range(7, 10**5 + 1):
         got = solver1e5.compute(n)
         want = oracle1e5.query(n)

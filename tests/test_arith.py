@@ -11,6 +11,7 @@ from landau.arith import (
     parse_factored,
     render_factored,
 )
+from landau.assemble import Solver
 from landau.errors import CapacityError
 
 from oracles import g_table_dp
@@ -88,18 +89,20 @@ def _check_cmp_against_fractions(rng):
 
 
 def test_to_decimal():
-    assert PrimeFraction.from_int(12).to_decimal() == 12
-    assert PrimeFraction.from_int(210).to_decimal() == 210
-    with pytest.raises(ValueError):
-        PrimeFraction.from_factors({3: -1}).to_decimal()
-    big = PrimeFraction.from_factors({2: 10**5})
+    # an integer's value is its numerator; a result's expansion keeps to its budget
+    assert PrimeFraction.from_int(12).rational() == (12, 1)
+    assert PrimeFraction.from_int(210).numerator() == 210
+    assert PrimeFraction.from_factors({3: -1}).rational() == (1, 3)
+    res = Solver(limit_hint=10**6).compute(10**6)  # g(10^6) has 1700 digits
+    assert len(str(res.to_int())) == 1700
     with pytest.raises(CapacityError):
-        big.to_decimal(digit_budget=10**3)
+        res.to_int(digit_budget=10**3)
 
 
 def test_to_decimal_g100(table1m):
     table = g_table_dp(100)
-    assert table.value(100).to_decimal() == 232792560
+    assert table.value(100).numerator() == 232792560
+    assert Solver(limit_hint=100).compute(100).to_int() == 232792560
 
 
 def test_ell_additive_on_coprime():

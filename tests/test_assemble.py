@@ -4,7 +4,7 @@ import pytest
 from mpmath import mp, mpf
 
 from landau.arith import DEFAULT_PRECISION, set_precision
-from landau.assemble import Solver, compute_g, fight
+from landau.assemble import Solver, fight
 from landau.oracle import g_list_merge_prune
 
 
@@ -130,7 +130,7 @@ def test_candidate_count_fig4_row_1e6(solver):
 
 
 def test_compute_g_one_shot():
-    res = compute_g(420)
+    res = Solver(limit_hint=420).compute(420)
     assert res.to_int() == g_list_merge_prune(420).query(420)
 
 
@@ -143,14 +143,14 @@ def test_ascending_n_rebuild_geometrically(tmp_path, monkeypatch):
     # each growth at least doubles the covered n, so 50 ascending n over
     # [2e4, 7e4) build the event table 3 times, not 50; under a fixed sieve
     # limit too, where 20 n over [2e4, 4e4) build it twice
-    from landau import assemble, cache
+    from landau import assemble
 
     real = assemble.build_e2_table
     e2_builds = []
 
-    def counting(ell_limit, table, cache_dir=None):
+    def counting(ell_limit, table):
         e2_builds.append(ell_limit)
-        return real(ell_limit, table, cache_dir=cache_dir)
+        return real(ell_limit, table)
 
     monkeypatch.setattr(assemble, "build_e2_table", counting)
     solver = Solver(cache_dir=str(tmp_path))
@@ -163,7 +163,7 @@ def test_ascending_n_rebuild_geometrically(tmp_path, monkeypatch):
             tables.append(solver.table)
     assert e2_builds == [20000, 40000, 80000]
     assert len(tables) == 3
-    assert [str(f) for f in tmp_path.glob("e2*")] == [cache.path(str(tmp_path), "e2")]
+    assert [f.name for f in tmp_path.iterdir()] == ["sieve.npz"]
 
     e2_builds.clear()
     solver = Solver(sieve_limit=2 * 10**6)

@@ -10,7 +10,6 @@ from landau.benefit import (
     BenefitTables,
     PrefixCandidate,
     _solve_t1,
-    ben,
     bound_loop,
     build_prefix_sets,
     dell_pp,
@@ -21,7 +20,7 @@ from landau.errors import BoundFailureError, CapacityError, InvariantViolation
 from landau.primes import PrimeTable, auto_limit
 from landau.superchampion import build_e2_table, find_context
 
-from oracles import _prune_mpf, g_table_dp, prefix_sets_mpf
+from oracles import _prune_mpf, ben, g_table_dp, prefix_sets_mpf
 
 
 @pytest.fixture(scope="module")
@@ -36,7 +35,7 @@ def tables1e6(ctx1e6):
 
 
 def test_ben_trivial(ctx1e6, tables1e6):
-    assert ben(PrimeFraction.one(), ctx1e6, tables1e6) == 0
+    assert ben(PrimeFraction.one(), tables1e6) == 0
 
 
 def test_ben_additive_coprime(ctx1e6, tables1e6):
@@ -46,8 +45,8 @@ def test_ben_additive_coprime(ctx1e6, tables1e6):
         ps = rng.sample(sp, 4)
         d1 = PrimeFraction.from_factors({ps[0]: 1, ps[1]: -1})
         d2 = PrimeFraction.from_factors({ps[2]: 2, ps[3]: -1})
-        lhs = ben(d1.mul(d2), ctx1e6, tables1e6)
-        rhs = ben(d1, ctx1e6, tables1e6) + ben(d2, ctx1e6, tables1e6)
+        lhs = ben(d1.mul(d2), tables1e6)
+        rhs = ben(d1, tables1e6) + ben(d2, tables1e6)
         assert abs(lhs - rhs) <= mpf(10) ** (-mp.dps + 5) * max(1, abs(rhs))
 
 
@@ -72,7 +71,7 @@ def test_ben_rejects_deep_division(ctx1e6, tables1e6):
     with pytest.raises(ValueError):
         tables1e6.benp(43, -alpha - 1)
     with pytest.raises(ValueError):
-        ben(PrimeFraction.from_factors({4001: 1}), ctx1e6, tables1e6)
+        ben(PrimeFraction.from_factors({4001: 1}), tables1e6)
 
 
 def test_zero_budget_keeps_only_identity(ctx1e6, tables1e6):
@@ -279,7 +278,7 @@ def test_t1_newton_from_x1(ctx1e6, monkeypatch):
     from landau.assemble import Solver
 
     n = 150000
-    ctx, tables, _ = Solver(limit_hint=n).context(n)
+    ctx, tables = Solver(limit_hint=n).context(n)
     res, _ = bound_loop(ctx, n, tables)
     log = type(mp).log
     calls = []
@@ -319,11 +318,12 @@ def test_walk_to_the_last_prime_raises_capacity_error(ctx1e6, tables1e6):
     assert len(short) == end
     cut = replace(ctx, N=Champion(short, ctx.xs))
     with pytest.raises(CapacityError):
-        estimate_B(cut, d_set, n)
+        estimate_B(cut, d_set, n, BenefitTables(cut))
     with pytest.raises(CapacityError):
-        normalized_candidates(cut, res, d_set, n)
+        normalized_candidates(cut, res, d_set, n, BenefitTables(cut))
     # one prime more and both walks fit
     longer = replace(ctx, N=Champion(PrimeTable.build(ctx.table.prime(end + 1)), ctx.xs))
-    assert estimate_B(longer, d_set, n).B == estimate_B(ctx, d_set, n).B
-    assert len(normalized_candidates(longer, res, d_set, n)) == len(
-        normalized_candidates(ctx, res, d_set, n))
+    longer_tables = BenefitTables(longer)
+    assert estimate_B(longer, d_set, n, longer_tables).B == estimate_B(ctx, d_set, n, tables1e6).B
+    assert len(normalized_candidates(longer, res, d_set, n, longer_tables)) == len(
+        normalized_candidates(ctx, res, d_set, n, tables1e6))

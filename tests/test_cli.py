@@ -28,6 +28,13 @@ def test_compute_factored_1e6(capsys):
     assert "g(n) = (43 * 3947) / (3847) * N" in out
 
 
+def test_compute_cache_dir_holds_only_the_sieve(capsys, tmp_path):
+    for _ in range(2):  # a cold run, then one served by the file
+        rc, out, _ = run_cli(capsys, "--cache-dir", str(tmp_path), "compute", "1000000")
+        assert rc == 0 and "g(n) = (43 * 3947) / (3847) * N" in out
+        assert [f.name for f in tmp_path.iterdir()] == ["sieve.npz"]
+
+
 def test_compute_json_schema_and_log(capsys):
     rc, out, _ = run_cli(capsys, "compute", "1000000", "--format", "json")
     assert rc == 0

@@ -1,17 +1,12 @@
 import bisect
 import itertools
 import math
-import os
 import random
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 from mpmath import mp
 
-import landau
-from landau import cache
 from landau.errors import InvariantViolation
 from landau.gfunction import GEngine, GFraction
 from landau.primes import PrimeTable, _simple_sieve
@@ -183,7 +178,7 @@ def test_sandwich_invariant(engine, table1m):
         assert num * (pk1 - m) <= den * pk1
         assert f.cost <= m
         # the two bounds from ratios of extreme terms
-        if f.s:
+        if f.Qs:
             S = f.cost
             assert num * (f.Qs[-1] - S) <= den * f.Qs[-1]  # F <= Qs/(Qs - S)
             assert mp.log(num) - mp.log(den) <= mp.mpf(S) / f.qs[-1]
@@ -196,81 +191,6 @@ def test_delta1_basics(engine, table1m):
         d = engine.delta1(p)
         assert d % 2 == 0
         assert d <= 2.55 * math.log(p) ** 2
-
-
-def test_delta1_cache(table1m, tmp_path):
-    eng = GEngine(table1m, cache_dir=str(tmp_path))
-    d = eng.delta1(9973)
-    eng2 = GEngine(table1m, cache_dir=str(tmp_path))
-    assert eng2.delta1(9973) == d
-
-
-@pytest.mark.parametrize("damage", ["cut 1", "cut 2", "flip", "version"])
-def test_delta1_cache_damaged_file_rebuilt(table1m, tmp_path, monkeypatch, damage):
-    d = str(tmp_path)
-    path = cache.path(d, "delta1")
-    with monkeypatch.context() as m:
-        if damage == "version":
-            m.setattr(cache, "VERSION", cache.VERSION + 1)
-        assert GEngine(table1m, cache_dir=d).delta1(99991) == 148
-    if damage.startswith("cut"):
-        os.truncate(path, os.path.getsize(path) - int(damage.split()[1]))
-    if damage == "flip":  # one bit of the stored key 99991; only the CRC can tell
-        with open(path, "rb") as f:
-            data = bytearray(f.read())
-        data[data.index((99991).to_bytes(8, "little"))] ^= 1
-        with open(path, "wb") as f:
-            f.write(data)
-    assert cache.load(d, "delta1", 0) is None
-    assert GEngine(table1m, cache_dir=d).delta1(99991) == 148
-    assert cache.load(d, "delta1", 0)["d"].tolist() == [148]  # the rebuild replaced the file
-
-
-SAVE_200_DELTA1 = """
-import sys
-from landau.gfunction import GEngine
-from landau.primes import PrimeTable
-
-table = PrimeTable.build(10**4)
-engine = GEngine(table, cache_dir=sys.argv[1])
-for p in table.primes[2:202].tolist():
-    engine.delta1(p)
-"""
-
-
-def test_delta1_cache_shared_by_two_processes(tmp_path):
-    # both compute the same values at the same pace, so their saves overlap
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(landau.__file__)))
-    procs = [
-        subprocess.Popen([sys.executable, "-c", SAVE_200_DELTA1, str(tmp_path)],
-                         env=env, stderr=subprocess.PIPE, text=True)
-        for _ in range(2)
-    ]
-    errors = [proc.communicate(timeout=300)[1] for proc in procs]
-    assert [proc.returncode for proc in procs] == [0, 0], errors
-    table = PrimeTable.build(10**4)
-    stored = cache.load(str(tmp_path), "delta1", 0)
-    assert sorted(stored["p"].tolist()) == table.primes[2:202].tolist()
-    engine = GEngine(table)
-    for p, d in list(zip(stored["p"].tolist(), stored["d"].tolist()))[::40]:
-        assert engine.delta1(p) == d
-
-
-def test_delta1_cache_keeps_values_of_another_engine(tmp_path):
-    # two engines on one dir, as two processes would be: each saves its own
-    # values, and neither may drop what the other saved
-    d = str(tmp_path)
-    table = PrimeTable.build(10**4)
-    first, second = GEngine(table, cache_dir=d), GEngine(table, cache_dir=d)
-    ps = table.primes[2:42].tolist()
-    for p in ps[::2]:
-        first.delta1(p)
-    for p in ps[1::2]:
-        second.delta1(p)
-    stored = cache.load(d, "delta1", 0)
-    assert sorted(stored["p"].tolist()) == ps
-    fresh = GEngine(table)
-    assert stored["d"].tolist() == [fresh.delta1(p) for p in stored["p"].tolist()]
 
 
 def test_g_large_exact_prime_case(engine, table1m):

@@ -1,8 +1,11 @@
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
+import landau
 from landau import cache
 from landau.errors import CapacityError
 from landau.primes import DEFAULT_MAX_LIMIT, PrimeTable, auto_limit
@@ -98,25 +101,57 @@ def test_disk_cache_roundtrip(tmp_path):
     t4 = PrimeTable.build(2 * 10**4, cache_dir=d)
     assert t4.primes.tolist() == PrimeTable.build(2 * 10**4).primes.tolist()
     # corrupted cache falls back to a rebuild
-    path = cache.path(d, "sieve")
+    path = cache.path(d)
     with open(path, "wb") as f:
         f.write(b"garbage")
     t5 = PrimeTable.build(10**4, cache_dir=d)
     assert t5.primes.tolist() == t1.primes.tolist()
 
 
-@pytest.mark.parametrize("damage", ["cut", "version"])
+@pytest.mark.parametrize("damage", ["cut", "flip", "version"])
 def test_sieve_cache_damaged_file_rebuilt(tmp_path, monkeypatch, damage):
     d = str(tmp_path)
+    path = cache.path(d)
     with monkeypatch.context() as m:
         if damage == "version":
             m.setattr(cache, "VERSION", cache.VERSION + 1)
         fresh = PrimeTable.build(10**4, cache_dir=d)
     if damage == "cut":
-        os.truncate(cache.path(d, "sieve"), os.path.getsize(cache.path(d, "sieve")) - 1)
-    assert cache.load(d, "sieve", 10**4) is None
+        os.truncate(path, os.path.getsize(path) - 1)
+    if damage == "flip":  # 9973 becomes 9972, still ascending; only the CRC can tell
+        with open(path, "rb") as f:
+            data = bytearray(f.read())
+        data[data.index((9973).to_bytes(8, "little"))] ^= 1
+        with open(path, "wb") as f:
+            f.write(data)
+    assert cache.load(d, 10**4) is None
     assert PrimeTable.build(10**4, cache_dir=d).primes.tolist() == fresh.primes.tolist()
-    assert cache.load(d, "sieve", 10**4) is not None  # the rebuild replaced the file
+    assert cache.load(d, 10**4) is not None  # the rebuild replaced the file
+
+
+BUILD_200_SIEVES = """
+import sys
+from landau.primes import PrimeTable
+
+for limit in range(10**4, 2 * 10**5, 950):
+    PrimeTable.build(limit, cache_dir=sys.argv[1])
+"""
+
+
+def test_sieve_cache_shared_by_two_processes(tmp_path):
+    # both sieve the same ascending limits at the same pace, so their saves
+    # overlap; each must write through a temp file of its own
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(landau.__file__)))
+    procs = [
+        subprocess.Popen([sys.executable, "-c", BUILD_200_SIEVES, str(tmp_path)],
+                         env=env, stderr=subprocess.PIPE, text=True)
+        for _ in range(2)
+    ]
+    errors = [proc.communicate(timeout=300)[1] for proc in procs]
+    assert [proc.returncode for proc in procs] == [0, 0], errors
+    assert os.listdir(tmp_path) == ["sieve.npz"]
+    last = range(10**4, 2 * 10**5, 950)[-1]
+    assert cache.load(str(tmp_path), last).tolist() == PrimeTable.build(last).primes.tolist()
 
 
 def test_auto_limit_covers_grantham():

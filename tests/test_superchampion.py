@@ -1,11 +1,10 @@
 import math
-import os
 import random
 
 import pytest
 from mpmath import mp, mpf
 
-from landau import arith, cache
+from landau import arith
 from landau.arith import log_int
 from landau.errors import CapacityError
 from landau.oracle import g_list_merge_prune
@@ -34,41 +33,14 @@ def test_e2_first_rows(e2_1e5):
     assert rows[10] == (3, 4, 271, 7453)
 
 
-def test_e2_cache_roundtrip(table1m, tmp_path):
-    d = str(tmp_path)
-    a = build_e2_table(10**4, table1m, cache_dir=d)
-    b = build_e2_table(10**4, table1m, cache_dir=d)
-    assert a == b
-
-
-def test_e2_cache_serves_smaller_request(table1m, tmp_path):
-    d = str(tmp_path)
-    build_e2_table(80000, table1m, cache_dir=d)
-    files = sorted(tmp_path.iterdir())
+def test_e2_table_needs_a_prime_past_its_fence(table1m):
+    # the fence entry's p is 587: a sieve holding a prime above it builds
+    # the table, and a sieve ending at 587 raises
     fresh = build_e2_table(20000, table1m)
-    assert build_e2_table(20000, table1m, cache_dir=d) == fresh
-    assert sorted(tmp_path.iterdir()) == files
-    assert cache.load(d, "e2", 80000) is not None
-    # fresh[-1].p = 587: the cache serves a sieve holding a prime above it,
-    # and a sieve ending at 587 raises with or without the cache
-    assert build_e2_table(20000, PrimeTable.build(600), cache_dir=d) == fresh
-    for cache_dir in (None, d):
-        with pytest.raises(CapacityError):
-            build_e2_table(20000, PrimeTable.build(588), cache_dir=cache_dir)
-
-
-@pytest.mark.parametrize("damage", ["cut", "version"])
-def test_e2_cache_damaged_file_rebuilt(table1m, tmp_path, monkeypatch, damage):
-    d = str(tmp_path)
-    with monkeypatch.context() as m:
-        if damage == "version":
-            m.setattr(cache, "VERSION", cache.VERSION + 1)
-        fresh = build_e2_table(10**4, table1m, cache_dir=d)
-    if damage == "cut":
-        os.truncate(cache.path(d, "e2"), os.path.getsize(cache.path(d, "e2")) - 1)
-    assert cache.load(d, "e2", 10**4) is None
-    assert build_e2_table(10**4, table1m, cache_dir=d) == fresh
-    assert cache.load(d, "e2", 10**4) is not None  # the rebuild replaced the file
+    assert fresh[-1].p == 587
+    assert build_e2_table(20000, PrimeTable.build(600)) == fresh
+    with pytest.raises(CapacityError):
+        build_e2_table(20000, PrimeTable.build(588))
 
 
 def test_find_context_small(table1m, e2_1e5):
