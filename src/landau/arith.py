@@ -33,12 +33,20 @@ window prime P_1, which can exceed the term itself; the D(B') budget 4 at
 test's own rounding of B' - ben, finer than a 53-bit step); the D(B') order
 1 (float copies of mpf logs, whose rounding is monotone); the event table's
 p/log p < rho 6 at 53 bits (log, quotient, float copy of rho, difference,
-and the mpf test's own rounding).
+and the mpf test's own rounding); a champion's log, which check_bounds and
+the digit budgets compare with an mpf bound, k + R + 5 at 53 bits for k
+primes in R exponent runs (np.log, the product by the run's exponent, at
+most k + R additions in any order, counting each run's and the total's
+start at 0.0, the difference, and one more as the size is the computed
+log itself), and log g(n) adds two for the float copy of the correction's
+mpf log and its sum with the champion's.  guarded_sign is that comparison.
 """
 
+import math
 import re
 from functools import lru_cache
 
+import numpy as np
 from mpmath import mp, mpf
 
 DEFAULT_PRECISION = 30
@@ -73,18 +81,37 @@ def rounding_error(size, steps, bits):
     return size * (2 * steps) / 2**bits
 
 
-def log_product(ints):
-    """Sum of log over an iterable of ints, chunking into exact products
-    so the mpf rounding error stays at a few ulps regardless of length."""
+def guarded_sign(value, err, bound, exact):
+    """Sign of x - bound for an mpf bound, given a float value with
+    |value - x| <= err (err counting the difference as a step): the float
+    decides beyond err, and exact(), x at the working precision, inside it."""
+    d = mpf(value) - bound
+    if abs(d) <= err:
+        d = exact() - bound
+    return (d > 0) - (d < 0)
+
+
+def log_product(values):
+    """Sum of log over an int64 array (or a list of ints below 2^53):
+    exact products of consecutive values, each closed once its factors' bit
+    lengths reach 4096, so the mpf rounding error stays at a few ulps
+    regardless of length.  The bit lengths are read a slice at a time."""
     total = mpf(0)
-    chunk = 1
-    bits = 0
-    for v in ints:
-        chunk *= v
-        bits += v.bit_length()
-        if bits >= 4096:
-            total += mp.log(chunk)
-            chunk, bits = 1, 0
+    chunk, used = 1, 0  # the open product and its factors' bit lengths
+    step = 1 << 16
+    for lo in range(0, len(values), step):
+        a = np.asarray(values[lo : lo + step], dtype=np.int64)
+        # frexp's exponent is the bit length of a value below 2^53
+        cum = np.cumsum(np.frexp(a.astype(np.float64))[1], dtype=np.int64)
+        start, base = 0, -used  # the open product holds cum[i] - base bits at i
+        while True:
+            end = int(np.searchsorted(cum, base + 4096, side="left"))
+            if end == len(a):
+                chunk *= math.prod(a[start:].tolist())
+                used = int(cum[-1]) - base
+                break
+            total += mp.log(chunk * math.prod(a[start : end + 1].tolist()))
+            chunk, start, base = 1, end + 1, int(cum[end])
     if chunk != 1:
         total += mp.log(chunk)
     return total

@@ -9,6 +9,7 @@ on G then eliminate most candidates before the expensive exact evaluation.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from mpmath import mp, mpf
@@ -24,7 +25,7 @@ from .errors import (
 )
 from .gfunction import GEngine, g_ceiling, g_floor
 from .oracle import g_list_merge_prune
-from .primes import PrimeTable, auto_limit
+from .primes import DEFAULT_MAX_LIMIT, PrimeTable, auto_limit
 from .superchampion import SuperchampionContext, build_e2_table, find_context
 
 # the benefit method is known to fail for a handful of n below this; the
@@ -173,19 +174,32 @@ def fight(cands, ctx):
 
 @dataclass
 class LandauResult:
-    """g(n) as champion times correction, with exact cost and 30-digit log."""
+    """g(n) as champion times correction, with its exact cost; log10_g, to
+    30 digits, is computed on first access."""
 
     n: int
     correction: PrimeFraction
     ell_g: int
     champion: Optional[object] = None       # None when served by the oracle
     context: Optional[SuperchampionContext] = None
-    log10_g: mpf = None
     from_oracle: bool = False
 
+    @cached_property
+    def log10_g(self):
+        return self.log_g() / log_int(10)
+
     def log_g(self):
-        base = self.champion.log if self.champion is not None else mpf(0)
-        return base + self.correction.log
+        if self.champion is None:
+            return self.correction.log
+        return self.champion.log + self.correction.log
+
+    def _log_g_sign(self, bound):
+        """Sign of log g(n) - bound, an mpf: the float log decides beyond its
+        error bound, log_g() inside it."""
+        c = float(self.correction.log)
+        v, err = self.champion.approx_log() if self.champion is not None else (0.0, 0.0)
+        err += arith.rounding_error(abs(v) + abs(c), 2, 53)
+        return arith.guarded_sign(v + c, err, bound, self.log_g)
 
     def max_prime_factor(self):
         best = self.correction.max_prime() if self.correction.factors else 1
@@ -201,11 +215,8 @@ class LandauResult:
         return best
 
     def to_int(self, digit_budget=10**7):
-        digits = self.log_g() / log_int(10)
-        if digits > digit_budget:
-            raise CapacityError(
-                "g(n) has ~%d digits, budget %d" % (int(digits) + 1, digit_budget)
-            )
+        if self._log_g_sign(digit_budget * log_int(10)) > 0:
+            raise CapacityError("g(n) has more than %d digits" % digit_budget)
         num = self.correction.numerator()
         den = self.correction.denominator()
         if self.champion is not None:
@@ -217,13 +228,12 @@ class LandauResult:
     def check_bounds(self):
         """The effective two-sided bounds on log g(n) and its largest prime."""
         n = self.n
-        logg = self.log_g()
         if n >= 4:
             root = mp.sqrt(n * mp.log(n))
-            if n >= 906 and not logg >= root:
+            if n >= 906 and self._log_g_sign(root) < 0:
                 raise InvariantViolation("log g(n) below sqrt(n log n) at n=%d" % n)
             maj = root * (1 + (mp.log(mp.log(n)) - mpf("0.975")) / (2 * mp.log(n)))
-            if not logg <= maj:
+            if self._log_g_sign(maj) > 0:
                 raise InvariantViolation("log g(n) above its effective majorant at n=%d" % n)
         if n >= 5:
             if not self.max_prime_factor() <= mpf("1.328") * mp.sqrt(n * mp.log(n)):
@@ -245,7 +255,8 @@ class Solver:
 
     One Solver instance amortizes everything reusable across calls: contexts,
     their benefit tables and candidate sets, per-prime G tables, and the
-    small-n oracle.
+    small-n oracle.  The sieve is sized by auto_limit and doubled whenever a
+    read runs past it, unless sieve_limit fixes it.
     """
 
     def __init__(self, limit_hint=None, cache_dir=None, sieve_limit=None):
@@ -272,18 +283,34 @@ class Solver:
         cover = n if self.table is None else max(n, 2 * self._covered)
         limit = self.sieve_limit or auto_limit(cover)
         if self.table is None or self.table.limit < limit:
-            self.table = PrimeTable.build(limit, cache_dir=self.cache_dir)
-            self.engine = GEngine(self.table)
-            self._ctx_cache = []
+            self._sieve(limit)
         if cover >= 7:
-            try:
-                self._e2 = build_e2_table(max(cover, 10**4), self.table)
-            except CapacityError:  # a fixed sieve limit may not hold twice the n
-                if cover == n:
-                    raise
-                cover = n
-                self._e2 = build_e2_table(max(n, 10**4), self.table)
+            while True:
+                try:
+                    self._e2 = build_e2_table(max(cover, 10**4), self.table)
+                    break
+                except CapacityError:
+                    if self.sieve_limit is None:
+                        if not self._grow():
+                            raise
+                    elif cover > n:  # a fixed sieve limit may not hold twice the n
+                        cover = n
+                    else:
+                        raise
             self._covered = cover
+
+    def _sieve(self, limit):
+        self.table = PrimeTable.build(limit, cache_dir=self.cache_dir)
+        self.engine = GEngine(self.table)
+        self._ctx_cache = []
+
+    def _grow(self):
+        """Sieve to at least twice the limit after a read past the table;
+        False when a fixed sieve_limit or the sieve's budget forbids it."""
+        if self.sieve_limit is not None or self.table.limit >= DEFAULT_MAX_LIMIT:
+            return False
+        self._sieve(min(2 * self.table.limit, DEFAULT_MAX_LIMIT))
+        return True
 
     def oracle_value(self, n):
         if self._oracle is None or self._oracle_limit < n:
@@ -314,13 +341,17 @@ class Solver:
         if n < 7:
             res = self._from_oracle(n)
             return (res, None) if details else res
-        try:
-            return self._compute_fast(n, details)
-        except (BoundFailureError, PrefixGapError):
-            if n < ORACLE_FALLBACK_MAX_N:
-                res = self._from_oracle(n)
-                return (res, None) if details else res
-            raise
+        while True:
+            try:
+                return self._compute_fast(n, details)
+            except (BoundFailureError, PrefixGapError):
+                if n < ORACLE_FALLBACK_MAX_N:
+                    res = self._from_oracle(n)
+                    return (res, None) if details else res
+                raise
+            except CapacityError:  # a read past the sieve: grow it and start over
+                if not self._grow():
+                    raise
 
     def _from_oracle(self, n):
         value = self.oracle_value(n)
@@ -329,7 +360,6 @@ class Solver:
             n=n,
             correction=frac,
             ell_g=frac.ell,
-            log10_g=frac.log / log_int(10),
             from_oracle=True,
         )
         res.check_bounds()
@@ -371,7 +401,6 @@ class Solver:
             champion=ctx.N,
             context=ctx,
         )
-        res.log10_g = res.log_g() / log_int(10)
         res.check_bounds()
         if details:
             return res, ComputeDetails(ctx, bound, d_set, cands, survivors, evaluated)

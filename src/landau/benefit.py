@@ -48,7 +48,7 @@ def dell_pp(p, alpha, gamma):
 class BenefitTables:
     """Per-context cache: small-prime benefits ben(N p^gamma), the prefix
     sums of single-prime benefits along the walk above/below p_k, and the
-    candidate sets D(B') built so far, by budget."""
+    candidate sets D(B') built for a first-round budget, by budget."""
 
     def __init__(self, ctx):
         self.ctx = ctx
@@ -285,18 +285,22 @@ def bound_loop(ctx, n, tables, initial=None):
     """Iterate D(B') -> B until B <= B', then trim D to benefit <= B.
 
     B is always a valid bound; a second round only enlarges the candidate
-    pool, so the loop settles after at most one restart in practice.  Each
-    D(B') is kept in tables.dsets for the next n of the bracket.
+    pool, so the loop settles after at most one restart in practice.  The
+    first round's D(B') is kept in tables.dsets for the next n of the
+    bracket; a restart's budget is B itself, which differs for each n, so
+    its set serves this n alone.
     """
     b_prime = initial if initial is not None else initial_budget(ctx, n)
-    for _ in range(8):
+    for i in range(8):
         if b_prime >= ctx.B1:
             raise BoundFailureError(
                 "budget %s reached B1=%s" % (mp.nstr(b_prime, 10), mp.nstr(ctx.B1, 10))
             )
         d_set = tables.dsets.get(b_prime)
         if d_set is None:
-            d_set = tables.dsets[b_prime] = build_prefix_sets(ctx, b_prime, tables)
+            d_set = build_prefix_sets(ctx, b_prime, tables)
+            if i == 0:
+                tables.dsets[b_prime] = d_set
         res = estimate_B(ctx, d_set, n, tables)
         if res.B <= b_prime:
             if res.B < b_prime:

@@ -192,7 +192,8 @@ def build_parser():
     ap.add_argument("--cache-dir", default=os.environ.get("LANDAU_CACHE_DIR"),
                     help="directory for the sieve cache (or $LANDAU_CACHE_DIR)")
     ap.add_argument("--sieve-limit", type=int, default=None,
-                    help="override the automatic sieve limit")
+                    help="fix the sieve limit: a hard cap, where the default is "
+                    "sized to n and grown as needed")
     ap.add_argument("--digit-budget", type=int, default=10**7,
                     help="refuse decimal expansions beyond this many digits")
     sub = ap.add_subparsers(dest="command", required=True)

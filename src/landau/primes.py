@@ -13,6 +13,7 @@ from . import cache
 from .errors import CapacityError
 
 SEGMENT = 1 << 20
+GAP_CHUNK = 1 << 16
 # S(4e8) < 2^63 comfortably; the cap below keeps cumulative sums in int64
 # with a wide margin and bounds memory to a few GB of int64 arrays.
 DEFAULT_MAX_LIMIT = 2_000_000_000
@@ -28,8 +29,11 @@ def _simple_sieve(limit):
 
 
 def _segmented_primes(limit):
+    """All primes <= limit, sieved segment by segment into one array sized by
+    pi(x) < 1.25506 x / log x (Rosser and Schoenfeld, x > 1), trimmed once."""
     base = _simple_sieve(math.isqrt(limit) + 1)
-    parts = []
+    out = np.empty(int(1.25506 * limit / math.log(limit)) + 1, dtype=np.int64)
+    count = 0
     lo = 0
     while lo <= limit:
         hi = min(lo + SEGMENT, limit + 1)
@@ -42,9 +46,30 @@ def _segmented_primes(limit):
                 break
             start = max(p * p, ((lo + p - 1) // p) * p)
             mask[start - lo :: p] = False
-        parts.append((np.flatnonzero(mask) + lo).astype(np.int64))
+        found = np.flatnonzero(mask)
+        found += lo
+        out[count : count + len(found)] = found
+        count += len(found)
         lo = hi
-    return np.concatenate(parts)
+    out.resize(count, refcheck=False)  # no view of `out` exists
+    return out
+
+
+def _gap_records(primes):
+    """The primes ending a gap larger than every gap before it, and those
+    gaps; read in chunks, so no temporary as long as the table is held."""
+    ends, gaps = [], []
+    best = 0
+    for lo in range(1, len(primes), GAP_CHUNK):
+        d = np.diff(primes[lo - 1 : lo + GAP_CHUNK])
+        run = np.maximum(np.maximum.accumulate(d), best)
+        rec = np.flatnonzero(d > np.r_[best, run[:-1]])
+        ends.append(primes[lo + rec])
+        gaps.append(d[rec])
+        best = int(run[-1])
+    if not ends:
+        return np.array([], dtype=np.int64), np.array([], dtype=np.int64)
+    return np.concatenate(ends), np.concatenate(gaps)
 
 
 class GapTable:
@@ -69,24 +94,17 @@ class PrimeTable:
     def __init__(self, limit, primes):
         self.limit = int(limit)
         self.primes = primes
+        self.gaps = GapTable(*_gap_records(primes))
+        # Cramer-style sanity bound, known to hold for all x <= 8e16
+        if not all(
+            g <= 0.93 * math.log(p) ** 2
+            for p, g in zip(self.gaps.record_primes.tolist(), self.gaps.record_gaps.tolist())
+            if p > 10  # below that (log p)^2 is tiny and the bound is vacuous anyway
+        ):
+            raise AssertionError("prime gap exceeded 0.93 (log x)^2 below %d" % self.limit)
         self.cumulative = np.cumsum(primes)
         if len(primes) and int(self.cumulative[-1]) >= (1 << 62):
             raise CapacityError("cumulative prime sums would overflow int64")
-        d = np.diff(primes)
-        if len(d):
-            running = np.maximum.accumulate(d)
-            rec = np.flatnonzero(np.r_[True, running[1:] > running[:-1]])
-            self.gaps = GapTable(primes[rec + 1].copy(), d[rec].copy())
-            # Cramer-style sanity bound, known to hold for all x <= 8e16
-            lim = float(self.gaps.record_primes[-1])
-            if not all(
-                g <= 0.93 * math.log(p) ** 2
-                for p, g in zip(self.gaps.record_primes.tolist(), self.gaps.record_gaps.tolist())
-                if p > 10  # below that (log p)^2 is tiny and the bound is vacuous anyway
-            ):
-                raise AssertionError("prime gap exceeded 0.93 (log x)^2 below %s" % lim)
-        else:
-            self.gaps = GapTable(np.array([], dtype=np.int64), np.array([], dtype=np.int64))
         for a in (self.primes, self.cumulative):
             a.flags.writeable = False
 
@@ -116,26 +134,33 @@ class PrimeTable:
     def __len__(self):
         return len(self.primes)
 
+    def _beyond(self, what):
+        return CapacityError("%s is beyond the sieve limit %d" % (what, self.limit))
+
     def prime(self, i):
         """p_i, 1-based."""
-        if not 1 <= i <= len(self.primes):
+        if i < 1:
             raise IndexError("prime index %d out of range" % i)
+        if i > len(self.primes):
+            raise self._beyond("prime index %d" % i)
         return int(self.primes[i - 1])
 
     def rank(self, p):
         """Index i with p_i = p; raises if p is not prime or out of range."""
+        if p > self.limit:
+            raise self._beyond("%d" % p)
         i = int(np.searchsorted(self.primes, p, side="left"))
         if i >= len(self.primes) or int(self.primes[i]) != p:
             raise ValueError("%d is not a prime in the table" % p)
         return i + 1
 
     def count_upto(self, x):
-        """pi(x): number of primes <= x."""
+        """Number of the table's primes <= x: pi(x) for x <= limit."""
         return int(np.searchsorted(self.primes, x, side="right"))
 
     def is_prime(self, x):
         if x > self.limit:
-            raise CapacityError("%d beyond sieve limit %d" % (x, self.limit))
+            raise self._beyond("%d" % x)
         i = int(np.searchsorted(self.primes, x, side="left"))
         return i < len(self.primes) and int(self.primes[i]) == x
 
@@ -147,15 +172,17 @@ class PrimeTable:
             raise ValueError("next_prime requires x >= 1")
         i = int(np.searchsorted(self.primes, x, side="right"))
         if i >= len(self.primes):
-            raise CapacityError("no prime <= %d exceeds %d" % (self.limit, x))
+            raise self._beyond("the prime after %d" % x)
         return int(self.primes[i])
 
     # -- sums ---------------------------------------------------------------
 
     def sum_prime_range(self, a_index, b_index):
         """Exact p_a + p_{a+1} + ... + p_b (1-based, inclusive)."""
-        if not 1 <= a_index <= b_index <= len(self.primes):
+        if not 1 <= a_index <= b_index:
             raise IndexError("prime index range [%d, %d] out of range" % (a_index, b_index))
+        if b_index > len(self.primes):
+            raise self._beyond("prime index %d" % b_index)
         s = int(self.cumulative[b_index - 1])
         if a_index >= 2:
             s -= int(self.cumulative[a_index - 2])
@@ -166,17 +193,31 @@ class PrimeTable:
     def max_gap_upto(self, x):
         """Delta(x), the largest gap between consecutive primes p_j <= x."""
         if x > self.limit:
-            raise CapacityError("%d beyond sieve limit %d" % (x, self.limit))
+            raise self._beyond("%d" % x)
         return self.gaps.max_gap_upto(x)
 
 
 def auto_limit(n):
-    """Sieve limit covering everything needed to compute g(n).
+    """Sieve limit for the reads of g(n) and of the event table Solver
+    builds to l = max(n, 10^4), from x with x^2 / (2 log x) = l:
 
-    2.7*sqrt(n log n) covers the largest-prime bound 1.328*sqrt(n log n) with
-    slack for window widening above p_k; the additive margin keeps tiny n
-    workable.
+    - p_k < x: the primes of the champion sum to at most l, and the primes
+      up to x sum to more than x^2 / (2 log x) for x > 347 (checked to 10^8;
+      the sum is x^2 / (2 log x) (1 + 1 / (2 log x) + ...)).  p_k is
+      0.93-0.98 x for n in [3000, 10^12].
+    - The event table ends at the first exponent bump past l.  Bumps to
+      exponent 2 at consecutive primes q ~ x_2 ~ sqrt(p/2) lie about
+      4 q (q' - q) <= 0.66 sqrt(p) log^2 p apart in p, as prime gaps stay
+      below 0.93 log^2 q: sqrt(x) log^2 x above x.
+    - G reads p + M for M up to 255 beyond the larger of SMALL_M_CUTOFF
+      (3000) and 9/2 of delta1's ceiling 10.2 log^2 p + 2: 46 log^2 x plus
+      3300.  The walks above p_k stay within a few primes of it.
+
+    A read past the sieve raises CapacityError and Solver grows the table,
+    so a short estimate costs time, never an answer.
     """
-    if n < 100:
-        return 10**6
-    return int(2.7 * math.sqrt(n * math.log(n))) + 10**6
+    lim = max(n, 10**4)
+    x = math.sqrt(lim * math.log(lim))
+    for _ in range(30):  # x -> sqrt(2 l log x) contracts to the root
+        x = math.sqrt(2 * lim * math.log(x))
+    return int(x + (math.sqrt(x) + 46) * math.log(x) ** 2) + 3300

@@ -20,6 +20,8 @@ from . import arith
 from .arith import _tree_product, log_int, log_product
 from .errors import CapacityError, InvariantViolation
 
+LOG_CHUNK = 1 << 18  # primes per np.log call of Champion.approx_log
+
 
 class Rho:
     """A critical slope, kept symbolically as (q, j) so that the threshold
@@ -142,7 +144,7 @@ class Champion:
     [x_{j+1}, x_j).  The exponent-1 run can hold millions of primes, so the
     value is never expanded; cost and log come from prime-table range sums."""
 
-    __slots__ = ("table", "xs", "runs", "ell", "k", "_log")
+    __slots__ = ("table", "xs", "runs", "ell", "k", "_log", "_approx")
 
     def __init__(self, table, xs):
         self.table = table
@@ -169,6 +171,7 @@ class Champion:
         self.ell = ell
         self.k = runs[-1][2]
         self._log = None
+        self._approx = None
 
     @property
     def p_k(self):
@@ -186,11 +189,12 @@ class Champion:
 
     @property
     def log(self):
+        """log N to the working precision: slow for millions of primes, so
+        only a near-tie of approx_log() or a caller of log10_g reads it."""
         if self._log is None:
             total = mpf(0)
             for j, lo, hi in self.runs:
-                seg = self.table.primes[lo - 1 : hi].tolist()
-                total += j * log_product(seg)
+                total += j * log_product(self.table.primes[lo - 1 : hi])
             self._log = total
         return self._log
 
@@ -199,11 +203,25 @@ class Champion:
             for i in range(lo, hi + 1):
                 yield self.table.prime(i), j
 
+    def approx_log(self):
+        """(v, err): log N as a float with |v - log N| <= err, err counting
+        the steps arith's docstring gives a champion log, with the one
+        difference its caller compares v by."""
+        if self._approx is None:
+            v = 0.0
+            for j, lo, hi in self.runs:
+                run = 0.0
+                for a in range(lo - 1, hi, LOG_CHUNK):  # bounded float temporaries
+                    run += float(np.log(self.table.primes[a : min(a + LOG_CHUNK, hi)]).sum())
+                v += j * run
+            self._approx = (v, arith.rounding_error(v, self.k + len(self.runs) + 5, 53))
+        return self._approx
+
     def to_int(self, digit_budget=10**7):
-        digits = self.log / log_int(10)
-        if digits > digit_budget:
+        v, err = self.approx_log()
+        if arith.guarded_sign(v, err, digit_budget * log_int(10), lambda: self.log) > 0:
             raise CapacityError(
-                "champion has ~%d digits, budget %d" % (int(digits) + 1, digit_budget)
+                "champion has ~%d digits, budget %d" % (v / math.log(10) + 1, digit_budget)
             )
         return _tree_product(p**j for p, j in self.iter_factors())
 
@@ -292,7 +310,7 @@ def _largest_prime_ratio_below(table, r, lo_idx):
         else:
             hi = mid - 1
     if lo >= len(table):
-        raise CapacityError("prime table too small for event enumeration")
+        raise CapacityError("the event table needs primes past the sieve limit %d" % table.limit)
     return lo
 
 

@@ -263,8 +263,10 @@ def test_criterion_8_gap_values(table1m):
 
 
 @extended
-def test_criterion_8x_delta1(big_solver):
-    eng = big_solver.engine
+def test_criterion_8x_delta1(cache_dir):
+    # 252314747 lies past p_k(10^15) ~ 1.93e8, so past the sieve a 10^15
+    # Solver reads; delta1 reads less than 10^4 above its p
+    eng = GEngine(PrimeTable.build(252314747 + 10**5, cache_dir=cache_dir))
     assert eng.delta1(252314747) == 900
     print("PASS criterion 8x: delta1(252314747) = 900")
 

@@ -133,6 +133,28 @@ def test_log_product_chunks():
     assert abs(log_product(vals) - want) < mpf(10) ** (-mp.dps + 3) * want
 
 
+def _log_product_one_by_one(ints):
+    # the chunking log_product keeps, one value at a time
+    total, chunk, bits = mpf(0), 1, 0
+    for v in ints:
+        chunk *= v
+        bits += v.bit_length()
+        if bits >= 4096:
+            total += mp.log(chunk)
+            chunk, bits = 1, 0
+    return total + mp.log(chunk) if chunk != 1 else total
+
+
+def test_log_product_same_chunks_as_one_by_one(table1m):
+    # the same exact products, so the same mpf sum bit for bit, across the
+    # slices log_product reads its bit lengths in
+    ps = table1m.primes
+    for lo, hi in ((0, len(ps)), (5, 65536 + 200), (1000, 1001), (3, 3), (60000, 78000)):
+        assert log_product(ps[lo:hi]) == _log_product_one_by_one(ps[lo:hi].tolist())
+    powers = [2**40, 3, 2**52, 7] * 60  # bit lengths straddling 4096 at powers of two
+    assert log_product(powers) == _log_product_one_by_one(powers)
+
+
 def test_render_parse_roundtrip(table1m):
     rng = random.Random(17)
     for _ in range(10**4):

@@ -1,11 +1,14 @@
 import random
+from dataclasses import replace
 
 import pytest
 from mpmath import mp, mpf
 
 from landau.arith import DEFAULT_PRECISION, set_precision
 from landau.assemble import Solver, fight
+from landau.errors import CapacityError, InvariantViolation
 from landau.oracle import g_list_merge_prune
+from landau.superchampion import Champion
 
 
 @pytest.fixture(scope="module")
@@ -204,3 +207,121 @@ def test_forced_exact_matches_oracle(forced_exact):
     assert solver.compute(10**6).correction.factors == ((43, 1), (3847, -1), (3947, 1))
     for n in range(998500, 998600):  # 61 of these n have 2 or 3 candidates
         _check_survivors_exactly(solver.compute(n, details=True)[1])
+
+
+def test_short_sieve_grows_to_the_default_answer(monkeypatch):
+    # an automatic limit far too short: every read past it grows the sieve
+    # (at least doubling it) until the run fits, and the answer is the default's
+    from landau import assemble
+
+    want = {n: Solver(limit_hint=n).compute(n) for n in (10**6, 10**9)}
+    monkeypatch.setattr(assemble, "auto_limit", lambda n: 1000)
+    for n, res in want.items():
+        solver = Solver(limit_hint=n)
+        got = solver.compute(n)
+        assert (got.correction, got.ell_g, got.context.ellN) == (
+            res.correction, res.ell_g, res.context.ellN)
+        assert solver.table.limit in {1000 * 2**i for i in range(1, 12)}
+
+
+def test_fixed_short_sieve_limit_never_changes_the_answer():
+    # a fixed sieve_limit is a hard cap: at every short cap the run either
+    # raises CapacityError or returns the default's answer
+    n = 10**6
+    want = Solver(limit_hint=n).compute(n).correction
+    outcomes = set()
+    for cap in range(3900, 5200, 37):
+        try:
+            got = Solver(sieve_limit=cap).compute(n).correction
+        except CapacityError:
+            outcomes.add("capacity")
+            continue
+        assert got == want, cap
+        outcomes.add("answer")
+    assert outcomes == {"capacity", "answer"}
+
+
+class _CountingLog:
+    """Champion.log, counting its evaluations."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        real = Champion.log.fget
+
+        def log(champion):
+            self.calls += 1
+            return real(champion)
+
+        monkeypatch.setattr(Champion, "log", property(log))
+
+
+def test_cold_compute_and_to_int_skip_the_exact_champion_log(monkeypatch):
+    spy = _CountingLog(monkeypatch)
+    res = Solver(limit_hint=10**6).compute(10**6)
+    assert res.to_int() % 3947 == 0
+    assert spy.calls == 0
+    # log10_g is computed on access, from the exact log
+    assert mp.nstr(res.log10_g, 25) == "1699.395237142470003972748"
+    assert spy.calls == 1
+
+
+def test_check_bounds_exact_path_same_verdict(forced_exact, monkeypatch):
+    spy = _CountingLog(monkeypatch)
+    solver = Solver(limit_hint=10**6)
+    for n in (2485, 55555, 10**6):
+        res = solver.compute(n)  # runs check_bounds, every comparison exactly
+        res.check_bounds()
+    assert spy.calls == 3 * 2 * 2  # both log bounds, in compute and again
+
+
+class _Placed:
+    """A champion whose float log is placed at `v` with error `err` and
+    whose exact log is `log`; everything else is the real champion's."""
+
+    def __init__(self, champion, v, err, log):
+        self._champion = champion
+        self._approx = (v, err)
+        self.exact_reads = 0
+        self._log = log
+
+    def approx_log(self):
+        return self._approx
+
+    @property
+    def log(self):
+        self.exact_reads += 1
+        return self._log
+
+    def __getattr__(self, name):
+        return getattr(self._champion, name)
+
+
+def test_result_inside_the_guard_of_the_majorant_goes_exact():
+    # the float log of g(n) sits half its error below the majorant and the
+    # exact log a quarter above it: only the exact path sees the violation
+    n = 10**6
+    res = Solver(limit_hint=n).compute(n)
+    root = mp.sqrt(n * mp.log(n))
+    maj = root * (1 + (mp.log(mp.log(n)) - mpf("0.975")) / (2 * mp.log(n)))
+    corr = res.correction.log
+    err = 1e-6 * float(maj)
+    placed = _Placed(res.champion, float(maj - corr) - err / 2, err,
+                     maj - corr + mpf(err) / 4)
+    with pytest.raises(InvariantViolation, match="majorant"):
+        replace(res, champion=placed).check_bounds()
+    assert placed.exact_reads == 1
+    # outside the guard the float decides alone
+    placed = _Placed(res.champion, float(maj - corr) - 2 * err, err, maj - corr + err)
+    replace(res, champion=placed).check_bounds()
+    assert placed.exact_reads == 0
+
+
+def test_warm_sweep_keeps_one_candidate_set_per_context():
+    # restarts build D(B') at a budget B of their own n; only the
+    # first-round set is stored for the rest of the bracket
+    solver = Solver(limit_hint=151000)
+    lst = g_list_merge_prune(151000)
+    for n in range(150001, 151001):
+        assert solver.compute(n).to_int() == lst.query(n)
+    assert solver._ctx_cache
+    assert all(len(tables.dsets) == 1 for tables in solver._ctx_cache)

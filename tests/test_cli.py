@@ -143,3 +143,20 @@ def test_config_validation(capsys):
     assert rc == cli.EXIT_FAIL and "precision" in err
     rc, _, err = run_cli(capsys, "--digit-budget", "10", "compute", "100")
     assert rc == cli.EXIT_FAIL and "digit budget" in err
+
+
+def test_compute_log_digits_unchanged(capsys):
+    # the 25-digit log10 g(n) the CLI printed while compute still evaluated
+    # the exact champion log on every call
+    for n, want in (("1000000", "1699.395237142470003972748"),
+                    ("1000000000", "65536.24744176646897076518")):
+        rc, out, _ = run_cli(capsys, "compute", n, "--format", "log")
+        assert rc == 0 and out.strip() == want
+        rc, out, _ = run_cli(capsys, "compute", n)
+        assert "log10(g(n)) = %s" % want in out
+
+
+def test_compute_short_fixed_sieve_limit_exits_capacity(capsys):
+    # --sieve-limit is a hard cap: too short for n, the run refuses
+    rc, out, err = run_cli(capsys, "--sieve-limit", "3000", "compute", "1000000")
+    assert rc == cli.EXIT_CAPACITY and out == "" and "sieve limit 3000" in err

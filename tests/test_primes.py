@@ -1,12 +1,15 @@
 import math
 import os
+import random
 import subprocess
 import sys
+import tracemalloc
 
+import numpy as np
 import pytest
 
 import landau
-from landau import cache
+from landau import cache, primes
 from landau.errors import CapacityError
 from landau.primes import DEFAULT_MAX_LIMIT, PrimeTable, auto_limit
 
@@ -154,9 +157,60 @@ def test_sieve_cache_shared_by_two_processes(tmp_path):
     assert cache.load(str(tmp_path), last).tolist() == PrimeTable.build(last).primes.tolist()
 
 
-def test_auto_limit_covers_grantham():
-    for n in (10**6, 10**9, 10**12, 10**15):
-        assert auto_limit(n) > 1.328 * math.sqrt(n * math.log(n))
+def test_auto_limit_covers_the_reads(monkeypatch):
+    # a cold compute at the automatic limit never reads past its sieve, so
+    # it never grows the table
+    from landau.assemble import Solver
+
+    grown = []
+    monkeypatch.setattr(Solver, "_grow", lambda self: grown.append(self) or False)
+    rng = random.Random(67)
+    ns = [10**4, 10**6, 10**9, 10**12] + [int(10 ** rng.uniform(4, 12)) for _ in range(12)]
+    for n in ns:
+        solver = Solver(limit_hint=n)
+        res = solver.compute(n)
+        assert solver.table.limit == auto_limit(n) and not grown, n
+        assert res.context.p_k < auto_limit(n)
+
+
+def test_reads_past_the_table_raise_capacity_error():
+    t = PrimeTable.build(100)  # 25 primes, the last 97
+    assert t.prime(25) == 97 and t.count_upto(100) == 25 and t.sum_prime_range(1, 25) == 1060
+    for read in (lambda: t.prime(26), lambda: t.rank(101),
+                 lambda: t.sum_prime_range(20, 26), lambda: t.next_prime(97),
+                 lambda: t.is_prime(101), lambda: t.max_gap_upto(101)):
+        with pytest.raises(CapacityError):
+            read()
+    with pytest.raises(IndexError):  # below the table is a caller's error
+        t.prime(0)
+
+
+def test_build_peak_memory_stays_near_what_the_table_keeps():
+    # one array filled segment by segment and trimmed once, and gap records
+    # read in chunks: no second full-length copy of the primes is held
+    tracemalloc.start()
+    try:
+        t = PrimeTable.build(10**7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    kept = sum(a.nbytes for a in (t.primes, t.cumulative, t.gaps.record_primes,
+                                  t.gaps.record_gaps))
+    assert peak <= 1.5 * kept, (peak, kept)
+    assert len(t) == 664579 and t.max_gap_upto(10**7) == 154
+
+
+def test_gap_records_across_chunks(monkeypatch, table1m):
+    # chunk boundaries anywhere leave the records as one pass finds them
+    d = np.diff(table1m.primes)
+    run = np.maximum.accumulate(d)
+    rec = np.flatnonzero(np.r_[True, run[1:] > run[:-1]])
+    for chunk in (1, 2, 3, 1000, 1 << 20):
+        monkeypatch.setattr(primes, "GAP_CHUNK", chunk)
+        ends, gaps = primes._gap_records(table1m.primes[:20000])
+        keep = rec[rec + 1 < 20000]
+        assert ends.tolist() == table1m.primes[keep + 1].tolist()
+        assert gaps.tolist() == d[keep].tolist()
 
 
 def test_immutability(table1m):
