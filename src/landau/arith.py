@@ -10,8 +10,8 @@ exact integer cross-multiplication, which makes the order total and immune
 to rounding.
 
 Rounding error.  Each fast comparison (PrimeFraction.cmp, assemble.fight,
-the G window's float logs, the float filter of D(B'), the event table's
-prime probes) trusts a computed difference only beyond rounding_error and
+the G window's float logs, the float build of D(B') and estimate_B, the
+event table's prime probes) trusts a computed difference only beyond rounding_error and
 settles the rest exactly.  With `bits` significant bits and rounding to
 nearest, one rounding multiplies by 1 + d, |d| <= u = 2^-bits.  If each
 term t_i of v = sum t_i reaches the
@@ -28,11 +28,8 @@ primes P less their common p_k^j, each term log1p((P - p_k)/p_k) (the
 quotient, log1p, j - 1 sums, difference), with size 2 j T where T bounds
 |log1p((P - p_k)/p_k)| and |P - p_k|/P over the window: log1p passes the
 quotient's rounding on scaled by |P - p_k|/P, up to p_k/P_1 at the smallest
-window prime P_1, which can exceed the term itself; the D(B') budget 4 at
-53 bits (float copies of ben, c and B', two float operations, and the mpf
-test's own rounding of B' - ben, finer than a 53-bit step); the D(B') order
-1 (float copies of mpf logs, whose rounding is monotone); the event table's
-p/log p < rho 6 at 53 bits (log, quotient, float copy of rho, difference,
+window prime P_1, which can exceed the term itself; D(B') and estimate_B as
+below; the event table's p/log p < rho 6 at 53 bits (log, quotient, float copy of rho, difference,
 and the mpf test's own rounding); a champion's log, which check_bounds and
 the digit budgets compare with an mpf bound, k + R + 5 at 53 bits for k
 primes in R exponent runs (np.log, the product by the run's exponent, at
@@ -40,6 +37,35 @@ most k + R additions in any order, counting each run's and the total's
 start at 0.0, the difference, and one more as the size is the computed
 log itself), and log g(n) adds two for the float copy of the correction's
 mpf log and its sum with the champion's.  guarded_sign is that comparison.
+
+D(B') (benefit's docstring) keeps running float sums.  A float benp(p, g)
+is d - float(rho)*(g*log p) with d = dell_pp exact: an integer below 2^53
+converts exactly, a larger one in one rounding.  The product passes through
+at most 4 roundings (log, g*log p, the copy of rho, the product) and the
+difference adds one: 5 steps, size |d| + |rho g log p|.  The power event's
+zero-cost step is 0.0, exact, of size 0.  A member with f factors has the
+running ben 0.0 + c_1 + ... + c_f, whose first addition is exact, so each
+term reaches it through at most f + 4 steps; its size is the running sum of
+the c_i's sizes.  The admission excess (ben + c) - B' for one more c adds
+two steps to those (c's own terms take 7, the float copy of B' 2), one
+covers the mpf test's roundings (at most f + 6 at mp.prec, within one
+53-bit step while f + 6 <= 2^(mp.prec - 53), that is f < 2^17 - 6 at the
+70 bits of MIN_PRECISION), and one the float size, itself a rounded sum:
+f + 9 steps (9 for the member 1), size ben's + c's + B'.  The row filter
+in front of it doubles the layer's largest such bound to cover its own
+roundings.  A gamma list ends at the first benp > B', the float cost - B'
+counting 8 steps (its 5, the mpf benp, the copy of B', the difference).  A member's running
+log, the sum of g*log p over its factors, reaches its value through f + 2
+steps (log, product, f - 1 additions); the mpf log the exact sort reads
+adds one and the float size one, so each float log lies within
+rounding_error(S, f + 4, 53) of it, for S and f the layer's largest log
+size and factor count.  Two adjacent float logs more than
+rounding_error(2 S, f + 5, 53) apart (twice that, plus the rounding of
+their difference) are in the order of their mpf logs, and so is every pair
+across that gap.  estimate_B values a witness as (ben + walk) + slack from
+float copies of the mpf ben and walk sum and an exact integer slack: 3
+steps, one for the mpf sum it stands for, two for adding and subtracting
+the bound before comparing, and one for the float size: 7.
 """
 
 import math

@@ -341,15 +341,28 @@ class Solver:
         if n < 7:
             res = self._from_oracle(n)
             return (res, None) if details else res
+        try:
+            return self._growing(lambda: self._compute_fast(n, details))
+        except (BoundFailureError, PrefixGapError):
+            if n < ORACLE_FALLBACK_MAX_N:
+                res = self._from_oracle(n)
+                return (res, None) if details else res
+            raise
+
+    def prefixes(self, n):
+        """bound_loop's (BoundResult, D(B)) for n, with the sieve grown as
+        compute grows it."""
+        def step():
+            ctx, tables = self.context(n)
+            return bound_loop(ctx, n, tables)
+        return self._growing(step)
+
+    def _growing(self, step):
+        """step(), started over with a grown sieve after each read past it."""
         while True:
             try:
-                return self._compute_fast(n, details)
-            except (BoundFailureError, PrefixGapError):
-                if n < ORACLE_FALLBACK_MAX_N:
-                    res = self._from_oracle(n)
-                    return (res, None) if details else res
-                raise
-            except CapacityError:  # a read past the sieve: grow it and start over
+                return step()
+            except CapacityError:
                 if not self._grow():
                     raise
 

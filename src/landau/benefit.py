@@ -7,15 +7,38 @@ holds every fraction on primes < sqrt(x1) that could be the small-prime part
 of g(n) while ben g(n) <= B'; dominated candidates (smaller value, no
 cheaper cost) are pruned as in the champion-list oracle.
 
-D(B') is built with a float64 filter in front of the exact mpf arithmetic.
-Every float is a copy of an mpf value, never a running float sum, so each
-ben, dell and delta in D(B') is the one the mpf loop alone produces.  A
-candidate runs the exact loop unless its float excess ben + c - B' (c the
-cheaper of benp(p, -1) and benp(p, +1)) exceeds arith.rounding_error; a
-layer whose adjacent float logs lie within that bound is sorted by the mpf
-logs.  Domination compares dell as int64, which raises rather than wrap.
+D(B') is built on float64 arrays, one prime layer at a time.  A member
+of a layer is a row: its factor tuple (the only Python object), its dell as
+int64, and running float sums of its ben and of its log, each with the sum
+of its terms' absolute values; with the member's factor count these bound
+the sums' rounding errors (arith's docstring derives the bounds).  The float
+benp(p, gamma) is the exact dell_pp less float(rho)*gamma*log p, tabulated
+per context in BenefitTables.  A (member, gamma) pair is admitted or
+refused by the float excess ben + benp - B' beyond arith.rounding_error;
+inside it the exact loop's mpf test benp > B' - ben decides, on the mpf ben
+of that member.  In each direction a member's gammas end at the first one
+refused, as in the exact loop.  A layer is sorted by its float logs, each
+run of entries whose logs lie within the bound of the next by the mpf logs,
+and domination compares dell exactly (every |dell| stays below
+B' + rho*|log delta|, far from 2^63).  Only the members of the last layer
+get an mpf ben: the left fold of BenefitTables.benp over their factors in
+ascending prime order, which is the exact loop's chain cand.ben + cost bit
+for bit.  So D(B') is the exact loop's set, entry for entry.
+
+A gamma list stops at the first gamma whose benp exceeds B' (the float
+decides beyond its bound, the mpf value inside it).  N is an
+l-superchampion at slope rho, so ben >= 0 for every fraction and no
+member's budget B' - ben exceeds B': that gamma ends every member's run,
+and the exact loop, stopping at the first gamma over budget, never looks
+past it.  The stop loses no fraction of benefit <= B': benp(p, gamma) is
+convex in gamma, as l(p^e) is convex in e and rho*gamma*log p is linear,
+and its minimum is benp(p, 0) = 0, so it does not fall as |gamma| grows
+in either direction.  The build does not rest on this: should a member still be
+admitted at a list's last gamma, the list grows by one gamma and the layer
+is tested again.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,10 +68,68 @@ def dell_pp(p, alpha, gamma):
     return ell_pp(p, alpha + gamma) - ell_pp(p, alpha)
 
 
+class PrefixSet(list):
+    """D(B') in ascending value: its PrefixCandidates, with their dell as
+    int64 and float copies of their mpf ben, the arrays estimate_B reads."""
+
+    def __init__(self, cands, dell):
+        super().__init__(cands)
+        self.dell = dell
+        self.ben_f = np.array([float(c.ben) for c in cands])
+
+    def select(self, keep):
+        idx = np.flatnonzero(keep)
+        return PrefixSet([self[i] for i in idx.tolist()], self.dell[idx])
+
+
+class GammaColumns:
+    """benp(p, gamma) in float for gamma = -1, -2, ... and then 1, 2, ...:
+    the columns a layer of D(B') tests, negative gammas first.  cost is the
+    exact dell_pp less float(rho)*gamma*log p, size the sum of its terms'
+    absolute values, glog gamma*log p."""
+
+    __slots__ = ("_f", "_i", "n_neg")
+
+    def __init__(self, neg, pos):
+        # entries (gamma, cost, size, dell_pp, glog) by |gamma|; two arrays
+        # hold them, as a context keeps the columns of every small prime
+        rows = neg + pos
+        self._f = np.array([(e[1], e[2], e[4]) for e in rows]).T.copy()
+        self._i = np.array([(e[0], e[3]) for e in rows], dtype=np.int64).T.copy()
+        self.n_neg = len(neg)
+
+    cost = property(lambda self: self._f[0])
+    size = property(lambda self: self._f[1])
+    glog = property(lambda self: self._f[2])
+    gammas = property(lambda self: self._i[0])
+    dell = property(lambda self: self._i[1])
+
+    @property
+    def first(self):
+        """The first column of each direction."""
+        n_neg, n_pos = self.lengths()
+        return ([0] if n_neg else []) + ([n_neg] if n_pos else [])
+
+    def lengths(self):
+        return self.n_neg, len(self._i[0]) - self.n_neg
+
+    def open_ends(self, ok, alpha):
+        """Directions, as signs, whose last gamma ok admits for some row and
+        that may go on: gamma = -alpha ends the negative one."""
+        n_neg, n_pos = self.lengths()
+        out = []
+        if 0 < n_neg < alpha and ok[:, n_neg - 1].any():
+            out.append(-1)
+        if n_pos and ok[:, -1].any():
+            out.append(1)
+        return out
+
+
 class BenefitTables:
-    """Per-context cache: small-prime benefits ben(N p^gamma), the prefix
-    sums of single-prime benefits along the walk above/below p_k, and the
-    candidate sets D(B') built for a first-round budget, by budget."""
+    """Per-context cache: small-prime benefits ben(N p^gamma), exact and in
+    float, the mpf ben of prefix fractions, the prefix sums of single-prime
+    benefits along the walk above/below p_k, and the candidate sets D(B')
+    built for a first-round budget, by budget."""
 
     def __init__(self, ctx):
         self.ctx = ctx
@@ -57,8 +138,12 @@ class BenefitTables:
         self.sp_primes = [t.prime(i) for i in range(1, self.sp_count + 1)]
         self.alphas = {p: ctx.N.alpha(p) for p in self.sp_primes}
         self._benp = {}
+        self._gamma = {}       # p -> [GammaColumns, the largest budget both lists cover]
+        self._rho_f = float(ctx.rho.value)
+        self._ben = {(): mpf(0)}  # factor tuple -> mpf ben, every prefix of a tuple asked for
         self._up = [mpf(0)]    # partial sums of ben(N p_{k+i}), i = 1..
         self._down = [mpf(0)]  # partial sums of ben(N / p_{k-i}), i = 0..
+        self._up_f = self._down_f = np.zeros(1)  # their float copies
         self.dsets = {}
 
     def benp(self, p, gamma):
@@ -79,6 +164,69 @@ class BenefitTables:
                 v = dell_pp(p, alpha, gamma) - rho.value * gamma * log_int(p)
             self._benp[key] = v
         return v
+
+    def ben_of(self, factors):
+        """ben(N*delta) in mpf for delta's factor tuple: benp summed in
+        ascending prime order from mpf(0), as the exact loop chains it."""
+        v = self._ben.get(factors)
+        if v is None:
+            i = len(factors) - 1
+            while factors[:i] not in self._ben:
+                i -= 1
+            v = self._ben[factors[:i]]
+            for i in range(i, len(factors)):
+                v = v + self.benp(*factors[i])
+                self._ben[factors[: i + 1]] = v
+        return v
+
+    def gamma_columns(self, p, b_prime, b_f):
+        """p's float benp columns for the budget B' (b_f its float copy): each
+        direction up to its first gamma whose benp exceeds B', or up to
+        gamma = -alpha_p."""
+        entry = self._gamma.get(p)
+        if entry is not None and b_f <= entry[1]:
+            return entry[0]
+        neg, pos = self._entries(p, entry)
+        while len(neg) < self.alphas[p] and not (neg and self._over(p, neg[-1], b_prime, b_f)):
+            neg.append(self._float_benp(p, -len(neg) - 1))
+        while not (pos and self._over(p, pos[-1], b_prime, b_f)):
+            pos.append(self._float_benp(p, len(pos) + 1))
+        cols = GammaColumns(neg, pos)
+        self._gamma[p] = [cols, b_f]
+        return cols
+
+    def grow_gamma_columns(self, p, signs):
+        """p's columns with one more gamma in each direction of signs."""
+        entry = self._gamma[p]
+        neg, pos = self._entries(p, entry)
+        for sign, run in zip((-1, 1), (neg, pos)):
+            if sign in signs:
+                run.append(self._float_benp(p, sign * (len(run) + 1)))
+        entry[0] = GammaColumns(neg, pos)
+        return entry[0]
+
+    def _entries(self, p, entry):
+        n_neg, n_pos = entry[0].lengths() if entry is not None else (0, 0)
+        return ([self._float_benp(p, -g) for g in range(1, n_neg + 1)],
+                [self._float_benp(p, g) for g in range(1, n_pos + 1)])
+
+    def _over(self, p, entry, b_prime, b_f):
+        """benp(p, gamma) > B' for a float column entry."""
+        gamma, cost, size = entry[:3]
+        d = cost - b_f
+        if abs(d) > arith.rounding_error(size + b_f, 8, 53):
+            return d > 0
+        return self.benp(p, gamma) > b_prime
+
+    def _float_benp(self, p, gamma):
+        """(gamma, cost, size, dell_pp, gamma*log p) for benp(p, gamma)."""
+        d = dell_pp(p, self.alphas[p], gamma)
+        glog = gamma * math.log(p)
+        rho = self.ctx.rho
+        if gamma == 1 and rho.is_power_event and p == rho.q:
+            return gamma, 0.0, 0.0, d, glog  # zero, as in benp
+        r = self._rho_f * glog
+        return gamma, d - r, abs(d) + abs(r), d, glog
 
     def up_ben(self, omega):
         """Sum of ben(N p_{k+i}) for i = 1..omega (primes appended above p_k)."""
@@ -102,13 +250,27 @@ class BenefitTables:
             self._down.append(self._down[-1] + ctx.rho.value * log_int(p) - p)
         return self._down[count]
 
+    def walk_ben_f(self, omega):
+        """Float copies of up_ben(w) for w >= 0 and down_ben(-w) for w < 0,
+        over an int array omega."""
+        top, bottom = int(omega.max()), int(-omega.min())
+        if top >= len(self._up_f):
+            self.up_ben(top)
+            self._up_f = np.array([float(v) for v in self._up])
+        if bottom >= len(self._down_f):
+            self.down_ben(bottom)
+            self._down_f = np.array([float(v) for v in self._down])
+        return np.where(omega >= 0, self._up_f[np.maximum(omega, 0)],
+                        self._down_f[np.maximum(-omega, 0)])
+
 
 def build_prefix_sets(ctx, b_prime, tables):
     """The candidate set D(B'): all undominated prefix fractions with benefit
-    at most B', built one prime at a time with pruning at each step.
+    at most B', built one prime at a time with pruning at each step, as a
+    PrefixSet.
 
-    Each layer is held as arrays parallel to the candidate list; only the
-    candidates that pass the float budget test run the mpf loop.
+    A layer is a set of parallel arrays, one row per member; only the rows
+    that survive the last layer become PrefixCandidates.
     """
     if b_prime >= ctx.B1:
         raise BoundFailureError(
@@ -117,68 +279,100 @@ def build_prefix_sets(ctx, b_prime, tables):
     if b_prime < 0:
         raise ValueError("budget must be non-negative")
     b_f = float(b_prime)
-    cands = np.array([PrefixCandidate(PrimeFraction.one(), mpf(0), 0)], dtype=object)
-    ben_f = np.zeros(1)
-    log_f = np.zeros(1)
+    fac = np.empty(1, dtype=object)
+    fac[0] = ()
     dell = np.zeros(1, dtype=np.int64)
+    ben_f, ben_size = np.zeros(1), np.zeros(1)  # running float sums, size of their terms
+    log_f, log_size = np.zeros(1), np.zeros(1)
+    nf = np.zeros(1, dtype=np.int64)           # factors per member
+    ben_size_max = log_size_max = 0.0
+    nf_max = 0
     for p in tables.sp_primes:
-        alpha = tables.alphas[p]
-        # the cheapest first step: the exact loop tries gamma = -1 and +1 first
-        cost_f = float(min(tables.benp(p, g) for g in (-1, 1) if g >= -alpha))
-        excess = ben_f + cost_f - b_f
-        size = np.abs(ben_f) + abs(cost_f) + abs(b_f)
-        maybe = np.flatnonzero(excess <= arith.rounding_error(size, 4, 53))
-        at, new = [], []
-        for i in maybe.tolist():
-            ext = _extensions(cands[i], p, alpha, b_prime, tables)
-            at += [i + 1] * len(ext)
-            new += ext
-        if not new:
-            continue  # the layer is already sorted and pruned
-        # insert each extension after its parent: the order the exact loop
-        # appends in, which breaks ties in the stable sort below
-        cands = np.insert(cands, at, np.array(new, dtype=object))
-        ben_f = np.insert(ben_f, at, [float(c.ben) for c in new])
-        log_f = np.insert(log_f, at, [float(c.delta.log) for c in new])
-        dell = np.insert(dell, at, np.array([c.dell for c in new], dtype=np.int64))
+        cols = tables.gamma_columns(p, b_prime, b_f)
+        # rows whose cheapest first step is clearly over budget extend by
+        # nothing; twice the pair bound covers the roundings of this filter
+        first = cols.first
+        slack = 2 * arith.rounding_error(
+            ben_size_max + cols.size[first].max() + b_f, nf_max + 9, 53)
+        rows = np.flatnonzero(ben_f <= b_f - cols.cost[first].min() + slack)
+        if not rows.size:
+            continue
+        while True:
+            ok = _admitted(p, cols, rows, fac, ben_f, ben_size, nf, b_prime, b_f, tables)
+            signs = cols.open_ends(ok, tables.alphas[p])
+            if not signs:
+                break
+            # a member admitted at a list's last gamma: the list was cut
+            # short, so grow it and test the layer again
+            cols = tables.grow_gamma_columns(p, signs)
+        at, j = np.nonzero(ok)  # row-major: each parent's extensions in the exact loop's order
+        if not at.size:
+            continue
+        par = rows[at]
+        m = len(fac)
+        new_fac = np.fromiter(
+            (fac[i] + ((p, g),) for i, g in zip(par.tolist(), cols.gammas[j].tolist())),
+            dtype=object, count=len(par))
+        new_ben_size = ben_size[par] + cols.size[j]
+        new_log_size = log_size[par] + np.abs(cols.glog[j])
+        new_nf = nf[par] + 1
+        ben_size_max = max(ben_size_max, float(new_ben_size.max()))
+        log_size_max = max(log_size_max, float(new_log_size.max()))
+        nf_max = max(nf_max, int(new_nf.max()))
+        fac = np.concatenate((fac, new_fac))
+        dell = np.concatenate((dell, dell[par] + cols.dell[j]))
+        ben_f = np.concatenate((ben_f, ben_f[par] + cols.cost[j]))
+        ben_size = np.concatenate((ben_size, new_ben_size))
+        log_f = np.concatenate((log_f, log_f[par] + cols.glog[j]))
+        log_size = np.concatenate((log_size, new_log_size))
+        nf = np.concatenate((nf, new_nf))
         order = np.argsort(log_f, kind="stable")
         s = log_f[order]
-        if np.any(np.diff(s) <= arith.rounding_error(np.abs(s[1:]) + np.abs(s[:-1]), 1, 53)):
-            order = np.array(sorted(range(len(cands)), key=lambda i: cands[i].delta.log))
+        near = np.flatnonzero(
+            np.diff(s) <= arith.rounding_error(2 * log_size_max, nf_max + 5, 53))
+        if near.size:
+            # the exact loop appends each member's extensions after it
+            appended = lambda i: (i, 0) if i < m else (int(par[i - m]), 1 + int(j[i - m]))
+            _sort_near_ties(order, near, fac, appended)
         order = order[_undominated(dell[order])]
-        cands, ben_f, log_f, dell = cands[order], ben_f[order], log_f[order], dell[order]
-    return cands.tolist()
+        fac, dell, nf = fac[order], dell[order], nf[order]
+        ben_f, ben_size = ben_f[order], ben_size[order]
+        log_f, log_size = log_f[order], log_size[order]
+    cands = [PrefixCandidate(PrimeFraction(f), tables.ben_of(f), d)
+             for f, d in zip(fac.tolist(), dell.tolist())]
+    return PrefixSet(cands, dell)
 
 
-def _extensions(cand, p, alpha, b_prime, tables):
-    """cand times p^gamma for every gamma the budget admits, in the order
-    -1, -2, ..., -alpha, then 1, 2, ...; each direction stops at the first
-    gamma over budget."""
-    budget = b_prime - cand.ben
-    out = []
-    for gamma in range(-1, -alpha - 1, -1):
-        cost = tables.benp(p, gamma)
-        if cost > budget:
-            break
-        out.append(_extend(cand, p, alpha, gamma, cost))
-    gamma = 1
-    while True:
-        cost = tables.benp(p, gamma)
-        if cost > budget:
-            break
-        out.append(_extend(cand, p, alpha, gamma, cost))
-        gamma += 1
-    return out
+def _admitted(p, cols, rows, fac, ben_f, ben_size, nf, b_prime, b_f, tables):
+    """Mask over rows x cols of the (member, gamma) pairs the exact loop
+    admits: in each direction the gammas before the first whose benp exceeds
+    B' - ben.  The float excess ben + benp - B' decides beyond its rounding
+    bound, the mpf test inside it."""
+    excess = ben_f[rows, None] + cols.cost - b_f
+    err = arith.rounding_error(
+        ben_size[rows, None] + cols.size + abs(b_f), nf[rows, None] + 9, 53)
+    ok = excess < -err
+    starts = (0, cols.n_neg)
+    for i, k in zip(*np.nonzero(np.abs(excess) <= err)):  # row-major: ok[i, k-1] is final
+        if k in starts or ok[i, k - 1]:
+            ben = tables.ben_of(fac[rows[i]])
+            ok[i, k] = not tables.benp(p, int(cols.gammas[k])) > b_prime - ben
+    n = cols.n_neg
+    ok[:, :n] = np.logical_and.accumulate(ok[:, :n], axis=1)
+    ok[:, n:] = np.logical_and.accumulate(ok[:, n:], axis=1)
+    return ok
 
 
-def _extend(cand, p, alpha, gamma, cost):
-    # primes are added in ascending order, so p^gamma is the last factor
-    delta = cand.delta
-    return PrefixCandidate(
-        PrimeFraction(delta.factors + ((p, gamma),), _ell=delta.ell + ell_pp(p, gamma)),
-        cand.ben + cost,
-        cand.dell + dell_pp(p, alpha, gamma),
-    )
+def _sort_near_ties(order, near, fac, appended):
+    """Sort, in place, each run of order whose float logs lie within their
+    rounding bound of the next (near: positions t with s[t+1] - s[t] within
+    it) by the mpf logs, ties in the exact loop's appending order."""
+    breaks = np.flatnonzero(np.diff(near) > 1)
+    starts = np.concatenate(([near[0]], near[breaks + 1]))
+    ends = np.concatenate((near[breaks], [near[-1]])) + 2
+    for a, b in zip(starts.tolist(), ends.tolist()):
+        order[a:b] = sorted(order[a:b].tolist(),
+                            key=lambda i: (PrimeFraction(fac[i]).log, appended(i)))
 
 
 def _undominated(dell):
@@ -211,45 +405,49 @@ def _solve_t1(ctx, B):
 
 def estimate_B(ctx, d_set, n, tables):
     """Upper bound B >= ben g(n) + n - l(g(n)) from the best witness
-    N*delta_omega with the candidates' primes extended along the champion walk."""
+    N*delta_omega with the candidates' primes extended along the champion walk.
+
+    d_set is a PrefixSet.  Every walk is found at once and every witness
+    valued in float; the mpf value, which is the bound, is computed for the
+    candidates within the rounding bound of the float minimum, and the first
+    exact minimum wins.
+    """
     if not d_set:
         raise InvariantViolation("empty candidate set")
-    t = ctx.table
-    cs = t.cumulative
+    cs = ctx.table.cumulative
     k = ctx.k
     s_k = int(cs[k - 1])
-    sqrt_x1_floor = int(mp.floor(ctx.sqrt_x1))
-    min_keep_idx = t.count_upto(sqrt_x1_floor) + 1  # removals must stay >= sqrt(x1)
-    best = None
-    best_parts = None
-    for cand in d_set:
-        c = n - ctx.ellN - cand.dell
-        if c >= 0:
-            omega = walk_up(cs, k, c)
-            s_omega = int(cs[k + omega - 1]) - s_k
-            ben_walk = tables.up_ben(omega)
-        else:
-            # peel p_k, p_{k-1}, ... until the cost drops below n
-            idx = int(np.searchsorted(cs, s_k + c, side="left"))  # first with CS >= s_k+c
-            count = k - idx
-            if k - count + 1 < min_keep_idx:
-                continue  # would peel primes below sqrt(x1): forget this candidate
-            omega = -count
-            s_omega = int(cs[k - count - 1]) - s_k  # negative
-            ben_walk = tables.down_ben(count)
-        slack = n - (ctx.ellN + cand.dell + s_omega)
-        value = cand.ben + ben_walk + slack
-        if best is None or value < best:
-            best = value
-            best_parts = (cand, omega)
-    if best is None:
+    c = (n - ctx.ellN) - d_set.dell
+    up = c >= 0
+    # one past the walk: the first CS > s_k + c when appending p_{k+1}, ...,
+    # the first CS >= s_k + c when peeling p_k, p_{k-1}, ... until the cost
+    # drops below n; so omega = idx - k and S_omega = CS[idx - 1] - s_k
+    idx = np.searchsorted(cs, s_k + c + up, side="left")
+    if np.any(idx[up] == len(cs)):
+        raise CapacityError("champion walk reaches the end of the prime table")
+    # a peel must leave the primes below sqrt(x1): forget the candidate
+    keep = np.flatnonzero(up | (idx >= tables.sp_count))
+    if not keep.size:
         raise BoundFailureError("no candidate admits a witness with l <= n")
+    idx = idx[keep]
+    omega = idx - k
+    slack = c[keep] - (cs[idx - 1] - s_k)  # n - l(N delta_omega)
+    ben_f = d_set.ben_f[keep]
+    walk_f = tables.walk_ben_f(omega)
+    value = ben_f + walk_f + slack
+    err = arith.rounding_error(np.abs(ben_f) + np.abs(walk_f) + np.abs(slack), 7, 53)
+    best = None
+    for i in np.flatnonzero(value - err <= np.min(value + err)).tolist():
+        w = int(omega[i])
+        v = d_set[keep[i]].ben + (tables.up_ben(w) if w >= 0 else tables.down_ben(-w)) \
+            + int(slack[i])
+        if best is None or v < best:
+            best, best_i = v, i
     if best >= ctx.B1:
         raise BoundFailureError(
             "benefit bound %s reached B1=%s" % (mp.nstr(best, 10), mp.nstr(ctx.B1, 10))
         )
-    cand, omega = best_parts
-    witness = _walk_fraction(ctx, cand.delta, omega)
+    witness = _walk_fraction(ctx, d_set[keep[best_i]].delta, int(omega[best_i]))
     return BoundResult(B=best, t1=_solve_t1(ctx, best), witness=witness)
 
 
@@ -304,7 +502,7 @@ def bound_loop(ctx, n, tables, initial=None):
         res = estimate_B(ctx, d_set, n, tables)
         if res.B <= b_prime:
             if res.B < b_prime:
-                d_set = [c for c in d_set if c.ben <= res.B]
+                d_set = d_set.select([c.ben <= res.B for c in d_set])
             return res, d_set
         b_prime = res.B
     raise InvariantViolation("benefit bound loop failed to settle")

@@ -169,11 +169,8 @@ def cmd_superchampion(args):
 
 
 def cmd_prefixes(args):
-    from .benefit import bound_loop
-
     solver = Solver(limit_hint=args.n, cache_dir=args.cache_dir, sieve_limit=args.sieve_limit)
-    ctx, tables = solver.context(args.n)
-    bound, d_set = bound_loop(ctx, args.n, tables)
+    bound, d_set = solver.prefixes(args.n)
     print("# n = %d  B = %s  t1 = %s  count = %d"
           % (args.n, mp.nstr(bound.B, 15), mp.nstr(bound.t1, 15), len(d_set)))
     for cand in d_set:

@@ -6,6 +6,8 @@ compute g(n) at small scale.
 `prefix_sets_mpf` is the reference for `landau.benefit.build_prefix_sets`:
 the candidate set D(B') built in mpf alone, with no float filter, and `ben`
 is ben(N*delta) for a prefix fraction delta, summed prime by prime.
+`estimate_B_mpf` is the reference for `landau.benefit.estimate_B`: every
+candidate's witness valued in mpf, one candidate at a time.
 
 `h_window_steps` is the reference for `landau.gfunction.GEngine._run_h`: the
 window recursion H(j, P_r; m) over breakpoint lists of linked prime chains,
@@ -18,8 +20,15 @@ import numpy as np
 from mpmath import mpf
 
 from landau.arith import PrimeFraction
-from landau.benefit import PrefixCandidate, dell_pp
-from landau.errors import CapacityError
+from landau.benefit import (
+    BoundResult,
+    PrefixCandidate,
+    _solve_t1,
+    _walk_fraction,
+    dell_pp,
+    walk_up,
+)
+from landau.errors import BoundFailureError, CapacityError, InvariantViolation
 from landau.oracle import _pmax
 from landau.primes import _simple_sieve
 
@@ -160,6 +169,42 @@ def _prune_mpf(cands):
             out.pop()
         out.append(c)
     return out
+
+
+def estimate_B_mpf(ctx, d_set, n, tables):
+    """estimate_B candidate by candidate in mpf: the first minimum of
+    ben(N*delta) + ben of the walk + the slack n - l(N*delta_omega)."""
+    if not d_set:
+        raise InvariantViolation("empty candidate set")
+    cs = ctx.table.cumulative
+    k = ctx.k
+    s_k = int(cs[k - 1])
+    best = best_parts = None
+    for cand in d_set:
+        c = n - ctx.ellN - cand.dell
+        if c >= 0:
+            omega = walk_up(cs, k, c)
+            s_omega = int(cs[k + omega - 1]) - s_k
+            ben_walk = tables.up_ben(omega)
+        else:
+            # peel p_k, p_{k-1}, ... until the cost drops below n
+            idx = int(np.searchsorted(cs, s_k + c, side="left"))
+            count = k - idx
+            if k - count + 1 < tables.sp_count + 1:
+                continue  # would peel primes below sqrt(x1)
+            omega = -count
+            s_omega = int(cs[k - count - 1]) - s_k
+            ben_walk = tables.down_ben(count)
+        value = cand.ben + ben_walk + (n - (ctx.ellN + cand.dell + s_omega))
+        if best is None or value < best:
+            best, best_parts = value, (cand, omega)
+    if best is None:
+        raise BoundFailureError("no candidate admits a witness with l <= n")
+    if best >= ctx.B1:
+        raise BoundFailureError("benefit bound reached B1")
+    cand, omega = best_parts
+    return BoundResult(B=best, t1=_solve_t1(ctx, best),
+                       witness=_walk_fraction(ctx, cand.delta, omega))
 
 
 class _Node:

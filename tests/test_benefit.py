@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from mpmath import mp, mpf
 
-from landau import benefit
+from landau import arith, benefit
 from landau.arith import PrimeFraction
 from landau.benefit import (
     BenefitTables,
@@ -20,7 +20,7 @@ from landau.errors import BoundFailureError, CapacityError, InvariantViolation
 from landau.primes import PrimeTable, auto_limit
 from landau.superchampion import build_e2_table, find_context
 
-from oracles import _prune_mpf, ben, g_table_dp, prefix_sets_mpf
+from oracles import _prune_mpf, ben, estimate_B_mpf, g_table_dp, prefix_sets_mpf
 
 
 @pytest.fixture(scope="module")
@@ -256,6 +256,117 @@ def test_prefix_sets_match_mpf_at_boundary_budgets(ctx1e6, tables1e6):
         if len(c.delta.factors) >= 2:
             got = _same_as_mpf_reference(ctx1e6, c.ben, tables1e6)
             assert any(g.delta == c.delta for g in got)
+
+
+def test_prefix_sets_match_mpf_at_cold_1e14():
+    n = 103613071095758  # from the cold-1e14 bench pool
+    ctx, tables = _context(n)
+    assert len(_same_as_mpf_reference(ctx, initial_budget(ctx, n), tables)) == 2630
+
+
+def test_prefix_sets_match_mpf_at_a_restart_budget(ctx1e9):
+    # the B that estimate_B returns above B' is the next round's budget
+    ctx, tables = ctx1e9
+    b = mpf("0.6") * ctx.rho.value
+    res = estimate_B(ctx, build_prefix_sets(ctx, b, tables), 1000064448, tables)
+    assert res.B > b
+    assert len(_same_as_mpf_reference(ctx, res.B, tables)) == 224
+
+
+def test_pair_inside_the_ben_guard_goes_exact(ctx1e6):
+    # a member's last (member, gamma) pair: the mpf test admits it at the
+    # budget B' = its ben, and the float cost of that gamma is placed so that
+    # the float excess sits half the pair's rounding bound over budget; only
+    # the exact path keeps the member
+    probe = BenefitTables(ctx1e6)
+    ref = prefix_sets_mpf(ctx1e6, ctx1e6.rho.value, probe)
+    cand = next(c for c in ref if len(c.delta.factors) >= 2)
+    *parent, (p, gamma) = cand.delta.factors
+    real = probe._float_benp
+    ben_f = size = 0.0  # the parent's running float sums, as the build makes them
+    for q, e in parent:
+        ben_f += real(q, e)[1]
+        size += real(q, e)[2]
+    _, _, size_p, d, glog = real(p, gamma)
+    b_f = float(cand.ben)
+    err = arith.rounding_error(size + size_p + b_f, len(parent) + 9, 53)
+    placed = b_f - ben_f + err / 2
+    assert 0 < ben_f + placed - b_f <= err
+    stub = BenefitTables(ctx1e6)
+    stub._float_benp = lambda q, e: (
+        (e, placed, size_p, d, glog) if (q, e) == (p, gamma) else real(q, e))
+    got = _same_as_mpf_reference(ctx1e6, cand.ben, stub)
+    assert any(c.delta == cand.delta for c in got)
+
+
+def test_gamma_lists_cut_short_grow(ctx1e9, monkeypatch):
+    # lists that stop after one gamma: every member admitted at a list's
+    # last gamma makes it grow, and D(B') is unchanged
+    ctx, _ = ctx1e9
+    monkeypatch.setattr(BenefitTables, "_over", lambda self, p, entry, b_prime, b_f: True)
+    tables = BenefitTables(ctx)
+    assert len(_same_as_mpf_reference(ctx, ctx.rho.value, tables)) == 194
+    assert max(tables._gamma[p][0].lengths()[1] for p in (2, 3)) > 1
+
+
+def _same_as_estimate_mpf(ctx, d_set, n, tables):
+    got = estimate_B(ctx, d_set, n, tables)
+    want = estimate_B_mpf(ctx, d_set, n, tables)
+    assert (got.B, got.t1, got.witness) == (want.B, want.t1, want.witness), n
+    return got
+
+
+@pytest.fixture(scope="module")
+def estimate_cases(ctx1e9):
+    """(ctx, D(B'), n, tables) at 200 seeded n in [10^5, 2*10^5), their
+    restart sets, and at the 10^9 and 10^12 contexts."""
+    from landau.assemble import Solver
+
+    solver = Solver(limit_hint=2 * 10**5)
+    rng = random.Random(71)
+    cases = []
+    for n in sorted(rng.sample(range(10**5, 2 * 10**5), 200)):
+        ctx, tables = solver.context(n)
+        b = initial_budget(ctx, n)
+        if b not in tables.dsets:
+            tables.dsets[b] = build_prefix_sets(ctx, b, tables)
+        cases.append((ctx, tables.dsets[b], n, tables))
+        res = estimate_B(ctx, tables.dsets[b], n, tables)
+        if res.B > b:
+            cases.append((ctx, build_prefix_sets(ctx, res.B, tables), n, tables))
+    assert len(cases) > 200  # some restart
+    ctx, tables = ctx1e9
+    for b in (mpf("0.6") * ctx.rho.value, ctx.rho.value):
+        cases.append((ctx, build_prefix_sets(ctx, b, tables), 1000064448, tables))
+    ctx, tables = _context(10**12)
+    cases.append((ctx, build_prefix_sets(ctx, initial_budget(ctx, 10**12), tables), 10**12, tables))
+    return cases
+
+
+def test_estimate_B_matches_mpf(estimate_cases):
+    for case in estimate_cases:
+        _same_as_estimate_mpf(*case)
+
+
+def test_estimate_B_exact_fallbacks_match_mpf(estimate_cases, forced_exact):
+    # every candidate's witness is valued in mpf
+    for case in estimate_cases:
+        _same_as_estimate_mpf(*case)
+
+
+def test_witness_inside_the_guard_goes_exact(ctx1e6, tables1e6):
+    # a clone of the winning candidate, dearer in mpf but a few ulps cheaper
+    # in float: only the exact path keeps the winner
+    n = 10**6
+    d = build_prefix_sets(ctx1e6, initial_budget(ctx1e6, n), tables1e6)
+    want = estimate_B_mpf(ctx1e6, d, n, tables1e6)
+    small = tuple(f for f in want.witness.factors if f[0] in tables1e6.alphas)
+    win = next(c for c in d if c.delta.factors == small)
+    clone = PrefixCandidate(win.delta, win.ben + mpf(2) ** -80 * (1 + abs(win.ben)), win.dell)
+    pair = benefit.PrefixSet([clone, win], np.array([win.dell] * 2, dtype=np.int64))
+    pair.ben_f[0] = pair.ben_f[1] - 4 * float(want.B) / 2**53
+    got = estimate_B(ctx1e6, pair, n, tables1e6)
+    assert (got.B, got.witness) == (want.B, want.witness)
 
 
 def test_undominated_matches_stack_prune():

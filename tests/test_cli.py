@@ -4,6 +4,7 @@ from mpmath import mp, workdps
 
 from landau import cli
 from landau.arith import PrimeFraction, parse_factored
+from landau.errors import CapacityError
 from landau.primes import PrimeTable
 
 
@@ -131,6 +132,30 @@ def test_prefixes_cmd(capsys):
     lines = out.strip().splitlines()
     assert lines[0].startswith("# n = 1000366")
     assert any(line.startswith("1 ") for line in lines[1:])
+
+
+def test_prefixes_grow_a_short_sieve(capsys, monkeypatch):
+    # as compute does, prefixes grows an automatic sieve limit that falls
+    # short, and starts over after a read past the sieve in the bound loop
+    from landau import assemble, benefit
+
+    want = run_cli(capsys, "prefixes", "1000000")
+    assert want[0] == 0
+    monkeypatch.setattr(assemble, "auto_limit", lambda n: 1000)
+    assert run_cli(capsys, "prefixes", "1000000") == want
+    limits = []
+
+    def short_once(ctx, n, tables):
+        limits.append(ctx.table.limit)
+        if len(limits) == 1:
+            raise CapacityError("stub: a read past the sieve")
+        return bound_loop(ctx, n, tables)
+
+    bound_loop = benefit.bound_loop
+    monkeypatch.setattr(benefit, "bound_loop", short_once)
+    monkeypatch.setattr(assemble, "bound_loop", short_once)
+    assert run_cli(capsys, "prefixes", "1000000") == want
+    assert len(limits) == 2 and limits[1] >= 2 * limits[0]
 
 
 def test_precision_guard(capsys):
