@@ -36,7 +36,8 @@ primes in R exponent runs (np.log, the product by the run's exponent, at
 most k + R additions in any order, counting each run's and the total's
 start at 0.0, the difference, and one more as the size is the computed
 log itself), and log g(n) adds two for the float copy of the correction's
-mpf log and its sum with the champion's.  guarded_sign is that comparison.
+mpf log and its sum with the champion's.  guarded_sign is the comparison
+every one of these callers makes.
 
 D(B') (benefit's docstring) keeps running float sums.  A float benp(p, g)
 is d - float(rho)*(g*log p) with d = dell_pp exact: an integer below 2^53
@@ -107,13 +108,12 @@ def rounding_error(size, steps, bits):
     return size * (2 * steps) / 2**bits
 
 
-def guarded_sign(value, err, bound, exact):
-    """Sign of x - bound for an mpf bound, given a float value with
-    |value - x| <= err (err counting the difference as a step): the float
-    decides beyond err, and exact(), x at the working precision, inside it."""
-    d = mpf(value) - bound
+def guarded_sign(d, err, exact_d):
+    """Sign of a difference d computed with |error| <= err (err counting the
+    difference as a step): d decides beyond err, and exact_d(), the
+    difference computed exactly or at the working precision, inside it."""
     if abs(d) <= err:
-        d = exact() - bound
+        d = exact_d()
     return (d > 0) - (d < 0)
 
 
@@ -270,13 +270,12 @@ class PrimeFraction:
         """-1, 0 or +1; exact even when the logs nearly tie."""
         if self.factors == other.factors:
             return 0
-        d = self.log - other.log
         exps = sum(abs(e) for _, e in self.factors + other.factors)
         size = exps * log_int(max(self.max_prime(), other.max_prime()))
-        if abs(d) > rounding_error(size, 5, mp.prec):
-            return 1 if d > 0 else -1
-        a, b = self.numerator() * other.denominator(), other.numerator() * self.denominator()
-        return (a > b) - (a < b)
+        return guarded_sign(
+            self.log - other.log, rounding_error(size, 5, mp.prec),
+            lambda: self.numerator() * other.denominator()
+            - other.numerator() * self.denominator())
 
     def __eq__(self, other):
         return isinstance(other, PrimeFraction) and self.factors == other.factors

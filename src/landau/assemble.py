@@ -12,11 +12,12 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
+import numpy as np
 from mpmath import mp, mpf
 
 from . import arith
 from .arith import PrimeFraction, log_int
-from .benefit import BenefitTables, BoundResult, _walk_fraction, bound_loop, walk_up
+from .benefit import BenefitTables, BoundResult, _walk_fraction, bound_loop
 from .errors import (
     BoundFailureError,
     CapacityError,
@@ -64,77 +65,65 @@ class NormalizedCandidate:
 
 def normalized_candidates(ctx, bound, d_set, n, tables):
     """All (delta, omega) pairs whose walk sum lands in the admissible window
-    and whose continuation prime stays at or above t1."""
+    and whose continuation prime stays at or above t1, in D order with omega
+    descending; d_set is a PrefixSet.
+
+    With hi = n - l(N) - dell(delta) and i = k + omega, the walk sum is
+    S_omega = CS[i-1] - CS[k-1] for either sign of omega, so a candidate's
+    pairs fill one index range [low, top]: S_omega <= hi up to top, and from
+    low on the weak window hi - S_omega <= B/(1 - rho/t1) and p_{i+1} >= t1,
+    which holds from i = pi(ceil(t1) - 1) on.  Every sum and prime is an
+    integer, so the floor or ceiling of each bound decides its test exactly.
+    """
     t = ctx.table
     cs = t.cumulative
     k = ctx.k
     s_k = int(cs[k - 1])
-    rho = ctx.rho.value
-    denom = 1 - rho / bound.t1
+    denom = 1 - ctx.rho.value / bound.t1
     if denom <= 0:
         raise InvariantViolation("t1 at or below rho")
-    width = bound.B / denom
+    weak = int(mp.floor(bound.B / denom))
+    r1 = t.count_upto(int(mp.ceil(bound.t1)) - 1)  # >= 2, as t1 > rho > 3
+    gap_min = int(mp.ceil(ctx.sqrt_x1))
+    hi = (n - ctx.ellN) - d_set.dell
+    top = np.searchsorted(cs, s_k + hi, side="right")
+    if np.any(top[hi >= 0] == len(cs)):
+        raise CapacityError("champion walk reaches the end of the prime table")
+    low = np.maximum(np.searchsorted(cs, s_k + hi - weak, side="left") + 1, r1)
     out = []
-    for cand in d_set:
-        hi = n - ctx.ellN - cand.dell
-        weak_lo = hi - width
-        # omega >= 0: S_w = p_{k+1} + ... + p_{k+w}
-        if hi >= 0:
-            w = walk_up(cs, k, hi)
-            while w >= 0:
-                s_w = int(cs[k + w - 1]) - s_k if w > 0 else 0
-                if mpf(s_w) < weak_lo:
-                    break
-                _try_candidate(ctx, bound, tables, out, cand, w, s_w, hi, denom)
-                w -= 1
-        # omega < 0: peel p_k, p_{k-1}, ... while the peeled prime stays >= t1
-        count = 1
-        while True:
-            peeled = t.prime(k - count + 1)
-            if mpf(peeled) < bound.t1:
-                break
-            s_w = int(cs[k - count - 1]) - s_k  # negative
-            if mpf(s_w) < weak_lo:
-                break
-            if s_w <= hi:
-                _try_candidate(ctx, bound, tables, out, cand, -count, s_w, hi, denom)
-            count += 1
+    for j in np.flatnonzero(low <= top).tolist():
+        cand, c = d_set[j], int(hi[j])
+        for i in range(int(top[j]), int(low[j]) - 1, -1):
+            w = i - k
+            m_suffix = c - (int(cs[i - 1]) - s_k)
+            ben_pi = cand.ben + (tables.up_ben(w) if w >= 0 else tables.down_ben(-w))
+            # sharpened window: hi - S_w <= (B - ben(N*Pi)) / (1 - rho/t1)
+            if m_suffix > (bound.B - ben_pi) / denom:
+                continue
+            next_p = t.prime(i + 1)
+            if next_p - m_suffix < gap_min:
+                raise PrefixGapError(
+                    "candidate at omega=%d has p_{k+w+1}-m = %d below sqrt(x1)=%s"
+                    % (w, next_p - m_suffix, mp.nstr(ctx.sqrt_x1, 10))
+                )
+            out.append(
+                NormalizedCandidate(
+                    plain=cand,
+                    omega=w,
+                    Pi=_walk_fraction(ctx, cand.delta, w),
+                    dell_Pi=cand.dell + c - m_suffix,
+                    ben_Pi=ben_pi,
+                    m_suffix=m_suffix,
+                    base_idx=i,
+                    base_prime=t.prime(i),
+                    next_prime=next_p,
+                )
+            )
     if not out:
         raise InvariantViolation(
             "no normalized candidate at n=%d; the true prefix must qualify" % n
         )
     return out
-
-
-def _try_candidate(ctx, bound, tables, out, cand, w, s_w, hi, denom):
-    t = ctx.table
-    ben_pi = cand.ben + (tables.up_ben(w) if w >= 0 else tables.down_ben(-w))
-    # sharpened window: S_w >= hi - (B - ben(N*Pi)) / (1 - rho/t1)
-    if mpf(s_w) < hi - (bound.B - ben_pi) / denom:
-        return
-    m_suffix = hi - s_w
-    next_p = t.prime(ctx.k + w + 1)
-    if mpf(next_p) < bound.t1:
-        return
-    if mpf(next_p - m_suffix) < ctx.sqrt_x1:
-        raise PrefixGapError(
-            "candidate at omega=%d has p_{k+w+1}-m = %d below sqrt(x1)=%s"
-            % (w, next_p - m_suffix, mp.nstr(ctx.sqrt_x1, 10))
-        )
-    pi = _walk_fraction(ctx, cand.delta, w)
-    out.append(
-        NormalizedCandidate(
-            plain=cand,
-            omega=w,
-            Pi=pi,
-            dell_Pi=cand.dell + s_w,
-            ben_Pi=ben_pi,
-            m_suffix=m_suffix,
-            base_idx=ctx.k + w,
-            base_prime=t.prime(ctx.k + w),
-            next_prime=next_p,
-        )
-    )
 
 
 def fight(cands, ctx):
@@ -159,16 +148,13 @@ def fight(cands, ctx):
         if c is bc:
             out.append(c)
             continue
-        up = c.upper_log()
-        guard = arith.rounding_error(size(c) + best_size, 7, mp.prec)
-        if up - best_low > guard:
-            out.append(c)
-        elif best_low - up > guard:
-            continue
-        else:
+        def exact_d():
             un, ud = c.upper_rational()
-            if un * best_low_den >= best_low_num * ud:
-                out.append(c)
+            return un * best_low_den - best_low_num * ud
+
+        guard = arith.rounding_error(size(c) + best_size, 7, mp.prec)
+        if arith.guarded_sign(c.upper_log() - best_low, guard, exact_d) >= 0:
+            out.append(c)
     return out
 
 
@@ -199,7 +185,7 @@ class LandauResult:
         c = float(self.correction.log)
         v, err = self.champion.approx_log() if self.champion is not None else (0.0, 0.0)
         err += arith.rounding_error(abs(v) + abs(c), 2, 53)
-        return arith.guarded_sign(v + c, err, bound, self.log_g)
+        return arith.guarded_sign(mpf(v + c) - bound, err, lambda: self.log_g() - bound)
 
     def max_prime_factor(self):
         best = self.correction.max_prime() if self.correction.factors else 1

@@ -213,10 +213,8 @@ class BenefitTables:
     def _over(self, p, entry, b_prime, b_f):
         """benp(p, gamma) > B' for a float column entry."""
         gamma, cost, size = entry[:3]
-        d = cost - b_f
-        if abs(d) > arith.rounding_error(size + b_f, 8, 53):
-            return d > 0
-        return self.benp(p, gamma) > b_prime
+        return arith.guarded_sign(cost - b_f, arith.rounding_error(size + b_f, 8, 53),
+                                  lambda: self.benp(p, gamma) - b_prime) > 0
 
     def _float_benp(self, p, gamma):
         """(gamma, cost, size, dell_pp, gamma*log p) for benp(p, gamma)."""
@@ -388,10 +386,14 @@ def _undominated(dell):
 
 
 @dataclass
-class BoundResult:
+class Estimate:
     B: mpf
-    t1: mpf
     witness: PrimeFraction  # the correction M/N achieving the bound
+
+
+@dataclass
+class BoundResult(Estimate):
+    t1: mpf  # root of t - rho*log t + B, solved once B settles
 
 
 def _solve_t1(ctx, B):
@@ -447,18 +449,8 @@ def estimate_B(ctx, d_set, n, tables):
         raise BoundFailureError(
             "benefit bound %s reached B1=%s" % (mp.nstr(best, 10), mp.nstr(ctx.B1, 10))
         )
-    witness = _walk_fraction(ctx, d_set[keep[best_i]].delta, int(omega[best_i]))
-    return BoundResult(B=best, t1=_solve_t1(ctx, best), witness=witness)
-
-
-def walk_up(cs, k, c):
-    """Largest omega with p_{k+1} + ... + p_{k+omega} <= c, for c >= 0 and
-    the table's cumulative sums cs.  A walk that reaches the last prime
-    raises CapacityError: the table cannot tell how much further it goes."""
-    idx = int(np.searchsorted(cs, c + int(cs[k - 1]), side="right"))
-    if idx == len(cs):
-        raise CapacityError("champion walk reaches the end of the prime table")
-    return idx - k
+    w = int(omega[best_i])
+    return Estimate(B=best, witness=_walk_fraction(ctx, d_set[keep[best_i]].delta, w))
 
 
 def _walk_fraction(ctx, delta, omega):
@@ -480,7 +472,8 @@ def initial_budget(ctx, n):
 
 
 def bound_loop(ctx, n, tables, initial=None):
-    """Iterate D(B') -> B until B <= B', then trim D to benefit <= B.
+    """Iterate D(B') -> B until B <= B', then trim D to benefit <= B and
+    solve t1 for that B.
 
     B is always a valid bound; a second round only enlarges the candidate
     pool, so the loop settles after at most one restart in practice.  The
@@ -503,6 +496,6 @@ def bound_loop(ctx, n, tables, initial=None):
         if res.B <= b_prime:
             if res.B < b_prime:
                 d_set = d_set.select([c.ben <= res.B for c in d_set])
-            return res, d_set
+            return BoundResult(res.B, res.witness, _solve_t1(ctx, res.B)), d_set
         b_prime = res.B
     raise InvariantViolation("benefit bound loop failed to settle")

@@ -155,7 +155,7 @@ def cmd_gfun(args):
 
 def cmd_superchampion(args):
     solver = Solver(limit_hint=args.n, cache_dir=args.cache_dir, sieve_limit=args.sieve_limit)
-    ctx, _ = solver.context(args.n)
+    ctx, _ = solver._growing(lambda: solver.context(args.n))
     print("n = %d" % args.n)
     print("rho = %s  (%r)" % (mp.nstr(ctx.rho.value, 25), ctx.rho))
     print("N = %s" % ctx.N.render())

@@ -308,20 +308,6 @@ class GEngine:
 
     # -- public operations ----------------------------------------------------------
 
-    def g_small(self, p_k, M):
-        """[G(p_k, 0), ..., G(p_k, M)] by the full, uncertified window
-        recursion: the reference the confirmed window is checked against."""
-        pk_idx = self.table.rank(p_k)
-        if pk_idx < 2:
-            raise ValueError("p_k must be at least 3")
-        pk1 = self.table.prime(pk_idx + 1)
-        if not 0 <= M <= pk1 - 3:
-            raise ValueError("M=%d outside [0, %d]" % (M, pk1 - 3))
-        top_idx = max(self._full_top_idx(pk_idx, M), pk_idx + 1)
-        steps = self._run_h(pk_idx, self._low_idx(pk1, M), top_idx, M)
-        entry = _UptoEntry(pk_idx, M, top_idx, steps)
-        return [self._extract(entry, m) for m in range(M + 1)]
-
     def g_fraction(self, p_k, m):
         """G(p_k, m), dispatching between the two algorithms."""
         t = self.table

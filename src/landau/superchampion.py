@@ -219,7 +219,8 @@ class Champion:
 
     def to_int(self, digit_budget=10**7):
         v, err = self.approx_log()
-        if arith.guarded_sign(v, err, digit_budget * log_int(10), lambda: self.log) > 0:
+        bound = digit_budget * log_int(10)
+        if arith.guarded_sign(mpf(v) - bound, err, lambda: self.log - bound) > 0:
             raise CapacityError(
                 "champion has ~%d digits, budget %d" % (v / math.log(10) + 1, digit_budget)
             )
@@ -295,17 +296,18 @@ def _largest_prime_ratio_below(table, r, lo_idx):
     """Largest index i >= lo_idx >= 2 with p_i / log p_i < r (monotone there)."""
     lo = max(lo_idx, 2)
     hi = len(table)
-    if not _ratio_below(table.prime(lo), r):
+    rf = float(r)
+    if not _ratio_below(table.prime(lo), r, rf):
         raise InvariantViolation("event slope below its own prime window")
     # exponential then binary search
     step = 1
-    while lo + step <= hi and _ratio_below(table.prime(lo + step), r):
+    while lo + step <= hi and _ratio_below(table.prime(lo + step), r, rf):
         lo += step
         step *= 2
     hi = min(lo + step, hi)
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if _ratio_below(table.prime(mid), r):
+        if _ratio_below(table.prime(mid), r, rf):
             lo = mid
         else:
             hi = mid - 1
@@ -314,13 +316,13 @@ def _largest_prime_ratio_below(table, r, lo_idx):
     return lo
 
 
-def _ratio_below(p, r):
-    """p / log p < r: floats decide beyond their rounding error, mp.log the
-    rest, uncached, as most probed primes are probed once."""
-    q, rf = p / math.log(p), float(r)
-    if abs(q - rf) > arith.rounding_error(q + rf, 6, 53):
-        return q < rf
-    return mpf(p) / mp.log(p) < r
+def _ratio_below(p, r, rf):
+    """p / log p < r, rf the float copy of r: floats decide beyond their
+    rounding error, mp.log the rest, uncached, as most probed primes are
+    probed once."""
+    q = p / math.log(p)
+    return arith.guarded_sign(q - rf, arith.rounding_error(q + rf, 6, 53),
+                              lambda: mpf(p) / mp.log(p) - r) < 0
 
 
 @dataclass

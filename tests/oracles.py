@@ -8,27 +8,37 @@ the candidate set D(B') built in mpf alone, with no float filter, and `ben`
 is ben(N*delta) for a prefix fraction delta, summed prime by prime.
 `estimate_B_mpf` is the reference for `landau.benefit.estimate_B`: every
 candidate's witness valued in mpf, one candidate at a time.
+`normalized_candidates_loop` is the reference for
+`landau.assemble.normalized_candidates`: the walk up and the peel down,
+step by step, each step testing its mpf bounds.
 
 `h_window_steps` is the reference for `landau.gfunction.GEngine._run_h`: the
 window recursion H(j, P_r; m) over breakpoint lists of linked prime chains,
-compared as exact integers.
+compared as exact integers.  `g_small` runs the full, uncertified window
+recursion, the reference for the confirmed window.
 """
 
 import math
 
 import numpy as np
-from mpmath import mpf
+from mpmath import mp, mpf
 
 from landau.arith import PrimeFraction
+from landau.assemble import NormalizedCandidate
 from landau.benefit import (
     BoundResult,
     PrefixCandidate,
     _solve_t1,
     _walk_fraction,
     dell_pp,
-    walk_up,
 )
-from landau.errors import BoundFailureError, CapacityError, InvariantViolation
+from landau.errors import (
+    BoundFailureError,
+    CapacityError,
+    InvariantViolation,
+    PrefixGapError,
+)
+from landau.gfunction import _UptoEntry
 from landau.oracle import _pmax
 from landau.primes import _simple_sieve
 
@@ -171,6 +181,16 @@ def _prune_mpf(cands):
     return out
 
 
+def walk_up(cs, k, c):
+    """Largest omega with p_{k+1} + ... + p_{k+omega} <= c, for c >= 0 and
+    the table's cumulative sums cs.  A walk that reaches the last prime
+    raises CapacityError: the table cannot tell how much further it goes."""
+    idx = int(np.searchsorted(cs, c + int(cs[k - 1]), side="right"))
+    if idx == len(cs):
+        raise CapacityError("champion walk reaches the end of the prime table")
+    return idx - k
+
+
 def estimate_B_mpf(ctx, d_set, n, tables):
     """estimate_B candidate by candidate in mpf: the first minimum of
     ben(N*delta) + ben of the walk + the slack n - l(N*delta_omega)."""
@@ -205,6 +225,97 @@ def estimate_B_mpf(ctx, d_set, n, tables):
     cand, omega = best_parts
     return BoundResult(B=best, t1=_solve_t1(ctx, best),
                        witness=_walk_fraction(ctx, cand.delta, omega))
+
+
+def normalized_candidates_loop(ctx, bound, d_set, n, tables):
+    """normalized_candidates step by step: for each candidate walk omega down
+    from the longest walk up and then peel p_k, p_{k-1}, ..., testing each
+    step's mpf bounds."""
+    t = ctx.table
+    cs = t.cumulative
+    k = ctx.k
+    s_k = int(cs[k - 1])
+    rho = ctx.rho.value
+    denom = 1 - rho / bound.t1
+    if denom <= 0:
+        raise InvariantViolation("t1 at or below rho")
+    width = bound.B / denom
+    out = []
+    for cand in d_set:
+        hi = n - ctx.ellN - cand.dell
+        weak_lo = hi - width
+        # omega >= 0: S_w = p_{k+1} + ... + p_{k+w}
+        if hi >= 0:
+            w = walk_up(cs, k, hi)
+            while w >= 0:
+                s_w = int(cs[k + w - 1]) - s_k if w > 0 else 0
+                if mpf(s_w) < weak_lo:
+                    break
+                _try_candidate(ctx, bound, tables, out, cand, w, s_w, hi, denom)
+                w -= 1
+        # omega < 0: peel p_k, p_{k-1}, ... while the peeled prime stays >= t1
+        count = 1
+        while True:
+            peeled = t.prime(k - count + 1)
+            if mpf(peeled) < bound.t1:
+                break
+            s_w = int(cs[k - count - 1]) - s_k  # negative
+            if mpf(s_w) < weak_lo:
+                break
+            if s_w <= hi:
+                _try_candidate(ctx, bound, tables, out, cand, -count, s_w, hi, denom)
+            count += 1
+    if not out:
+        raise InvariantViolation(
+            "no normalized candidate at n=%d; the true prefix must qualify" % n
+        )
+    return out
+
+
+def _try_candidate(ctx, bound, tables, out, cand, w, s_w, hi, denom):
+    t = ctx.table
+    ben_pi = cand.ben + (tables.up_ben(w) if w >= 0 else tables.down_ben(-w))
+    # sharpened window: S_w >= hi - (B - ben(N*Pi)) / (1 - rho/t1)
+    if mpf(s_w) < hi - (bound.B - ben_pi) / denom:
+        return
+    m_suffix = hi - s_w
+    next_p = t.prime(ctx.k + w + 1)
+    if mpf(next_p) < bound.t1:
+        return
+    if mpf(next_p - m_suffix) < ctx.sqrt_x1:
+        raise PrefixGapError(
+            "candidate at omega=%d has p_{k+w+1}-m = %d below sqrt(x1)=%s"
+            % (w, next_p - m_suffix, mp.nstr(ctx.sqrt_x1, 10))
+        )
+    out.append(
+        NormalizedCandidate(
+            plain=cand,
+            omega=w,
+            Pi=_walk_fraction(ctx, cand.delta, w),
+            dell_Pi=cand.dell + s_w,
+            ben_Pi=ben_pi,
+            m_suffix=m_suffix,
+            base_idx=ctx.k + w,
+            base_prime=t.prime(ctx.k + w),
+            next_prime=next_p,
+        )
+    )
+
+
+def g_small(engine, p_k, M):
+    """[G(p_k, 0), ..., G(p_k, M)] by the full, uncertified window
+    recursion of a GEngine: the reference the confirmed window is checked
+    against."""
+    pk_idx = engine.table.rank(p_k)
+    if pk_idx < 2:
+        raise ValueError("p_k must be at least 3")
+    pk1 = engine.table.prime(pk_idx + 1)
+    if not 0 <= M <= pk1 - 3:
+        raise ValueError("M=%d outside [0, %d]" % (M, pk1 - 3))
+    top_idx = max(engine._full_top_idx(pk_idx, M), pk_idx + 1)
+    steps = engine._run_h(pk_idx, engine._low_idx(pk1, M), top_idx, M)
+    entry = _UptoEntry(pk_idx, M, top_idx, steps)
+    return [engine._extract(entry, m) for m in range(M + 1)]
 
 
 class _Node:

@@ -29,7 +29,7 @@ from landau.primes import PrimeTable
 from landau.superchampion import build_e2_table, find_context
 
 from conftest import EXTENDED, extended
-from oracles import g_bruteforce, g_table_dp
+from oracles import g_bruteforce, g_small, g_table_dp
 
 
 @pytest.fixture(scope="module")
@@ -90,6 +90,52 @@ def test_criterion_3x_golden_1e12_1e15(big_solver):
     print("PASS criterion 3x: golden factorizations at 1e12, 1e15")
 
 
+def _jump_check(solver, n):
+    """With m = l(g(n)): g(m) = g(n), and g(m - 1) < g(n) exactly.
+
+    m >= l(N), as N is itself a jump of g, so g(m) has n's bracket and
+    g(m - 1) has it or the one just below, whose champion is N divided by
+    the prime q of that bracket's event: the comparison is of short
+    fractions.  Returns the three results."""
+    res = solver.compute(n)
+    m = res.ell_g
+    at_m, below = solver.compute(m), solver.compute(m - 1)
+    ctx = res.context
+    assert at_m.context.ellN == ctx.ellN and at_m.correction == res.correction, n
+    # g(n) = N * c, g(m - 1) = N' * c' with N = N' q^(0 or 1)
+    if below.context.ellN == ctx.ellN:
+        q = PrimeFraction.one()
+    else:
+        rho = below.context.rho
+        step = rho.q if rho.j == 1 else rho.q**rho.j - rho.q ** (rho.j - 1)
+        assert below.context.ell_nplus == ctx.ellN == below.context.ellN + step, n
+        q = PrimeFraction.from_int(rho.q)
+    assert below.correction.cmp(res.correction.mul(q)) < 0, n
+    return res, at_m, below
+
+
+def test_jump_check():
+    # seeded n, and l(N) of the 10^6 and 10^9 goldens, where g(m - 1) has
+    # the bracket below; the values themselves are compared as well
+    rng = random.Random(131)
+    ns = [scale + rng.randrange(10**5) for scale in (10**6, 10**7, 10**9) for _ in range(3)]
+    solver = Solver(limit_hint=max(ns))
+    for n in sorted(ns + [998093, 999969437]):
+        res, at_m, below = _jump_check(solver, n)
+        g = res.to_int()
+        assert at_m.to_int() == g and below.to_int() < g, n
+    print("PASS jump check: g(l(g(n))) = g(n) > g(l(g(n)) - 1) near 1e6, 1e7, 1e9")
+
+
+@extended
+def test_jump_check_1e12_1e15(big_solver):
+    rng = random.Random(137)
+    ns = [scale - rng.randrange(10**6) for scale in (10**12, 10**15) for _ in range(3)]
+    for n in sorted(ns + [999997526071, 999999940824564]):
+        _jump_check(big_solver, n)
+    print("PASS jump check near 1e12, 1e15")
+
+
 FIG2 = [(1, 0), (3, 3), (6, 5), (12, 7), (60, 12), (420, 19), (4620, 30), (60060, 43)]
 
 
@@ -125,7 +171,7 @@ def test_criterion_5_g_values(table1m):
     # both algorithms agree across the full overlap band at p_k = 9973
     d1 = eng.delta1(table1m.next_prime(9973))
     lo = -(-9 * d1 // 2)
-    rng_all = eng.g_small(9973, 3000)
+    rng_all = g_small(eng, 9973, 3000)
     for m in range(lo + (lo & 1), 3001, 2):
         assert eng.g_large(9973, m) == rng_all[m]
     print("PASS criterion 5: G values and algorithm agreement on [%d, 3000]" % lo)
@@ -181,8 +227,8 @@ def _walk_ben(p, rho):
 
 def _crit7_pairs(ctx, bound, d_set, n):
     """The (plain delta, omega) pairs from the conditions that
-    assemble.normalized_candidates and _try_candidate state, enumerated
-    from prime sums and per-prime walk benefits; both edges inclusive."""
+    assemble.normalized_candidates states, enumerated prime by prime from
+    prime sums and per-prime walk benefits; both edges inclusive."""
     t, k, rho = ctx.table, ctx.k, ctx.rho
     denom = 1 - rho.value / bound.t1
     pairs = set()

@@ -1,14 +1,18 @@
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from mpmath import mp, mpf
 
 from landau.arith import DEFAULT_PRECISION, set_precision
-from landau.assemble import Solver, fight
-from landau.errors import CapacityError, InvariantViolation
+from landau.assemble import Solver, fight, normalized_candidates
+from landau.benefit import BoundResult, PrefixCandidate, PrefixSet
+from landau.errors import CapacityError, InvariantViolation, PrefixGapError
 from landau.oracle import g_list_merge_prune
 from landau.superchampion import Champion
+
+from oracles import normalized_candidates_loop
 
 
 @pytest.fixture(scope="module")
@@ -123,6 +127,89 @@ def test_normalized_candidates_examples(solver):
     res, det = solver.compute(998555, details=True)
     got = sorted(c.Pi.render() or "1" for c in det.candidates)
     assert got == sorted(["1", "41^-1 * 43", "2^-1 * 5^-1 * 11"])
+
+
+def _pairs(walk, ctx, bound, d_set, n, tables):
+    """walk's (delta, omega, m_suffix, Pi) list, or the type of its error."""
+    try:
+        return [(c.plain.delta, c.omega, c.m_suffix, c.Pi)
+                for c in walk(ctx, bound, d_set, n, tables)]
+    except (CapacityError, InvariantViolation, PrefixGapError) as e:
+        return type(e)
+
+
+def _same_pairs(ctx, bound, d_set, n, tables):
+    got = _pairs(normalized_candidates, ctx, bound, d_set, n, tables)
+    assert got == _pairs(normalized_candidates_loop, ctx, bound, d_set, n, tables), n
+    return got
+
+
+def _prefix_runs(solver, ns):
+    """(ctx, bound, D(B), n, tables) for each n."""
+    out = []
+    for n in ns:
+        bound, d_set = solver.prefixes(n)
+        ctx, tables = solver.context(n)
+        out.append((ctx, bound, d_set, n, tables))
+    return out
+
+
+@pytest.fixture(scope="module")
+def crit7_runs(solver):
+    return _prefix_runs(solver, range(998001, 10**6 + 1))
+
+
+def test_normalized_candidates_match_the_loop(solver, crit7_runs):
+    runs = _prefix_runs(Solver(limit_hint=151000), range(150001, 151001)) + crit7_runs
+    assert sum(len(_same_pairs(*run)) for run in runs) == 1074 + 2549  # pairs per window
+    rng = random.Random(113)
+    for scale in (10**9, 10**12):
+        ns = [scale + rng.randrange(10**6) for _ in range(4)]
+        for run in _prefix_runs(Solver(limit_hint=max(ns)), ns):
+            assert isinstance(_same_pairs(*run), list)
+    n = 103613071095758  # from the cold-1e14 bench pool
+    (run,) = _prefix_runs(Solver(limit_hint=n), [n])
+    assert isinstance(_same_pairs(*run), list)
+
+
+def test_normalized_candidates_match_the_loop_where_t1_binds(crit7_runs):
+    # t1 at a prime near p_k, and just above and below it: the floor on
+    # p_{k+omega+1} >= t1 cuts the walk, which the real t1 never does
+    binds = 0
+    for ctx, bound, d_set, n, tables in crit7_runs[::50]:
+        real = _same_pairs(ctx, bound, d_set, n, tables)
+        for i in range(ctx.k - 1, ctx.k + 3):
+            p = ctx.table.prime(i)
+            for t1 in (p - mpf(2) ** -60 * p, mpf(p), p + mpf(2) ** -60 * p):
+                stub = BoundResult(bound.B, bound.witness, t1)
+                got = _same_pairs(ctx, stub, d_set, n, tables)
+                binds += got != real
+    assert binds > 0
+
+
+def test_normalized_candidates_match_the_loop_at_the_weak_window_edge(crit7_runs):
+    # B placed so that hi - S_omega = floor(W), W = B/(1 - rho/t1), for a
+    # pair the sharpened window keeps: the weak window's lowest pair
+    edges = 0
+    for ctx, bound, d_set, n, tables in crit7_runs[::20]:
+        denom = 1 - ctx.rho.value / bound.t1
+        for c in normalized_candidates(ctx, bound, d_set, n, tables):
+            if c.ben_Pi < denom / 2:
+                stub = BoundResult((c.m_suffix + mpf(1) / 2) * denom + c.ben_Pi,
+                                   bound.witness, bound.t1)
+                got = _same_pairs(ctx, stub, d_set, n, tables)
+                assert (c.plain.delta, c.omega, c.m_suffix, c.Pi) in got
+                edges += 1
+    assert edges > 0
+    # a member whose ben is far below zero, which no D(B) holds: the
+    # sharpened window is then wider than the weak one, which decides alone
+    kept = 0
+    for ctx, bound, d_set, n, tables in crit7_runs[::20]:
+        top = d_set[-1]
+        low = PrefixCandidate(top.delta, top.ben - 10 * ctx.p_k, top.dell)
+        stub_set = PrefixSet([low], np.array([top.dell], dtype=np.int64))
+        kept += isinstance(_same_pairs(ctx, bound, stub_set, n, tables), list)
+    assert kept > 0
 
 
 def test_candidate_count_fig4_row_1e6(solver):

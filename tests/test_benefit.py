@@ -312,7 +312,7 @@ def test_gamma_lists_cut_short_grow(ctx1e9, monkeypatch):
 def _same_as_estimate_mpf(ctx, d_set, n, tables):
     got = estimate_B(ctx, d_set, n, tables)
     want = estimate_B_mpf(ctx, d_set, n, tables)
-    assert (got.B, got.t1, got.witness) == (want.B, want.t1, want.witness), n
+    assert (got.B, _solve_t1(ctx, got.B), got.witness) == (want.B, want.t1, want.witness), n
     return got
 
 
@@ -408,6 +408,31 @@ def test_t1_newton_from_x1(ctx1e6, monkeypatch):
     # at x1 the equation reads rho*log x1 - x1 = 0, so a negative B has no root
     with pytest.raises(InvariantViolation):
         _solve_t1(ctx1e6, -ctx1e6.rho.value)
+
+
+def test_t1_solved_once_per_n(monkeypatch):
+    # bound_loop solves t1 for the round that settles, not for every round
+    from landau.assemble import Solver
+
+    solver = Solver(limit_hint=151000)
+    solves, rounds = [], []
+    solve, estimate = benefit._solve_t1, benefit.estimate_B
+
+    def counting_solve(ctx, B):
+        solves.append(B)
+        return solve(ctx, B)
+
+    def counting_estimate(ctx, d_set, n, tables):
+        rounds.append(n)
+        return estimate(ctx, d_set, n, tables)
+
+    monkeypatch.setattr(benefit, "_solve_t1", counting_solve)
+    monkeypatch.setattr(benefit, "estimate_B", counting_estimate)
+    window = range(150001, 151001)
+    for n in window:
+        solver.compute(n)
+    # some n need a second round, and still one solve
+    assert len(solves) == len(window) < len(rounds)
 
 
 def test_walk_to_the_last_prime_raises_capacity_error(ctx1e6, tables1e6):

@@ -158,6 +158,29 @@ def test_prefixes_grow_a_short_sieve(capsys, monkeypatch):
     assert len(limits) == 2 and limits[1] >= 2 * limits[0]
 
 
+def test_superchampion_grows_a_short_sieve(capsys, monkeypatch):
+    # superchampion grows a short automatic sieve as compute and prefixes
+    # do, and starts over after a read past the sieve in the bracket lookup
+    from landau import assemble
+
+    want = run_cli(capsys, "superchampion", "1000000")
+    assert want[0] == 0
+    monkeypatch.setattr(assemble, "auto_limit", lambda n: 1000)
+    assert run_cli(capsys, "superchampion", "1000000") == want
+    limits = []
+
+    def short_once(n, table, e2):
+        limits.append(table.limit)
+        if len(limits) == 1:
+            raise CapacityError("stub: a read past the sieve")
+        return find_context(n, table, e2)
+
+    find_context = assemble.find_context
+    monkeypatch.setattr(assemble, "find_context", short_once)
+    assert run_cli(capsys, "superchampion", "1000000") == want
+    assert len(limits) == 2 and limits[1] >= 2 * limits[0]
+
+
 def test_precision_guard(capsys):
     rc, _, err = run_cli(capsys, "--precision", "10", "compute", "100")
     assert rc == cli.EXIT_FAIL

@@ -11,7 +11,7 @@ from landau.errors import InvariantViolation
 from landau.gfunction import GEngine, GFraction
 from landau.primes import PrimeTable, _simple_sieve
 
-from oracles import h_window_steps
+from oracles import g_small, h_window_steps
 
 
 @pytest.fixture(scope="module")
@@ -20,9 +20,9 @@ def engine(table1m):
 
 
 def test_known_values(engine):
-    f = engine.g_small(103, 22)[22]
+    f = g_small(engine, 103, 22)[22]
     assert (f.Qs, f.qs) == ((107, 113), (101, 97))
-    f = engine.g_small(107, 12)[12]
+    f = g_small(engine, 107, 12)[12]
     assert (f.Qs, f.qs) == ((109,), (97,))
     assert engine.g_fraction(103, 22) == GFraction((107, 113), (101, 97))
 
@@ -33,13 +33,13 @@ def test_below_first_gap_is_one(engine):
 
 
 def test_odd_budget_equals_even(engine):
-    r = engine.g_small(997, 200)
+    r = g_small(engine, 997, 200)
     for m in range(1, 200, 2):
         assert r[m] == r[m - 1]
 
 
 def test_nondecreasing_and_cost(engine):
-    r = engine.g_small(997, 300)
+    r = g_small(engine, 997, 300)
     prev = None
     for m in range(0, 301):
         f = r[m]
@@ -93,7 +93,7 @@ def test_forced_exact_matches_bruteforce(table1m, forced_exact):
 def _check_against_bruteforce(engine, table):
     for pk in (13, 31, 103):
         cap = min(60, table.next_prime(pk) - 3)
-        r = engine.g_small(pk, cap)
+        r = g_small(engine, pk, cap)
         for m in range(0, cap + 1):
             want = brute_G(table, pk, m)
             assert (r[m].numerator(), r[m].denominator()) == want
@@ -107,7 +107,7 @@ def test_widen_matches_full_window(engine, table1m):
     primes = [table1m.prime(i) for i in range(3, table1m.count_upto(1000) + 1)]
     for pk in rng.sample(primes, 30):
         cap = min(200, table1m.next_prime(pk) - 3)
-        full = engine.g_small(pk, cap)
+        full = g_small(engine, pk, cap)
         for m in rng.sample(range(cap + 1), 12):
             assert engine.g_fraction(pk, m) == full[m]
 
@@ -122,7 +122,7 @@ def test_widen_example_uses_narrow_window():
     assert entry.cap == 1280
     assert t.count_upto(150989 + entry.cap) - pk_idx == 115
     assert entry.rhat_idx - pk_idx == 35
-    full = eng.g_small(150989, 1200)
+    full = g_small(eng, 150989, 1200)
     assert [eng._extract(entry, m) for m in range(1201)] == full
     assert eng.g_fraction(150989, 1200) == full[1200]
 
@@ -212,7 +212,7 @@ def test_g_large_agrees_with_small(engine):
     pk = 9973
     d1 = engine.delta1(engine.table.next_prime(pk))
     lo = -(-9 * d1 // 2)
-    r = engine.g_small(pk, 1200)
+    r = g_small(engine, pk, 1200)
     for m in range(lo + (lo & 1), 1201, 2):
         assert engine.g_large(pk, m) == r[m]
 
