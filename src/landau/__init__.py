@@ -11,7 +11,7 @@ from .errors import (
     LandauError,
     PrefixGapError,
 )
-from .gfunction import GEngine, GFraction
+from .gfunction import GEngine
 from .oracle import g_list_merge_prune
 from .primes import PrimeTable
 from .superchampion import build_e2_table, find_context
@@ -23,7 +23,6 @@ __all__ = [
     "CapacityError",
     "Delta1CeilingError",
     "GEngine",
-    "GFraction",
     "InvariantViolation",
     "LandauError",
     "LandauResult",

@@ -169,14 +169,10 @@ class PrimeFraction:
 
     __slots__ = ("factors", "ell", "_log")
 
-    def __init__(self, factors, _ell=None):
+    def __init__(self, factors):
         # factors: tuple of (prime, nonzero exponent), primes strictly ascending
         self.factors = factors
-        self.ell = (
-            _ell
-            if _ell is not None
-            else sum(ell_pp(p, e) for p, e in factors)
-        )
+        self.ell = sum(ell_pp(p, e) for p, e in factors)
         self._log = None
 
     # -- constructors -------------------------------------------------------
@@ -284,10 +280,6 @@ class PrimeFraction:
         return hash(self.factors)
 
     # -- rendering -------------------------------------------------------------------
-
-    def rational(self):
-        """(numerator, denominator) as exact coprime integers."""
-        return self.numerator(), self.denominator()
 
     def render(self, table=None):
         return render_factored(self.factors, table)

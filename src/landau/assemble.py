@@ -257,7 +257,7 @@ class Solver:
         self._oracle = None
         self._oracle_limit = -1
         if limit_hint is not None:
-            self._ensure(limit_hint)
+            self._growing(lambda: self._ensure(limit_hint))
 
     # -- infrastructure -----------------------------------------------------
 
@@ -271,18 +271,14 @@ class Solver:
         if self.table is None or self.table.limit < limit:
             self._sieve(limit)
         if cover >= 7:
-            while True:
-                try:
-                    self._e2 = build_e2_table(max(cover, 10**4), self.table)
-                    break
-                except CapacityError:
-                    if self.sieve_limit is None:
-                        if not self._grow():
-                            raise
-                    elif cover > n:  # a fixed sieve limit may not hold twice the n
-                        cover = n
-                    else:
-                        raise
+            try:
+                self._e2 = build_e2_table(max(cover, 10**4), self.table)
+            except CapacityError:
+                # _growing grows a sieve; a fixed one may not hold twice the n
+                if self.sieve_limit is None or cover == n:
+                    raise
+                cover = n
+                self._e2 = build_e2_table(max(cover, 10**4), self.table)
             self._covered = cover
 
     def _sieve(self, limit):
@@ -382,15 +378,14 @@ class Solver:
                     continue
             frac = self.engine.g_fraction(cand.base_prime, cand.m_suffix)
             evaluated += 1
-            ell_val = ctx.ellN + cand.dell_Pi + frac.cost
-            if ell_val > n:
+            if ctx.ellN + cand.dell_Pi + frac.ell > n:
                 raise InvariantViolation("evaluated candidate exceeds the cost budget")
-            value = cand.Pi.mul(frac.as_fraction())
+            value = cand.Pi.mul(frac)
             if best is None or value.cmp(best) > 0:
                 best = value
-                best_num, best_den = value.rational()
+                best_num, best_den = value.numerator(), value.denominator()
                 best_cand = cand
-                best_cost = frac.cost
+                best_cost = frac.ell
         if not best_cand.ben_Pi <= bound.B:
             raise InvariantViolation("winning candidate exceeds the benefit bound")
         res = LandauResult(

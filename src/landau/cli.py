@@ -58,7 +58,7 @@ def cmd_compute(args):
         print(mp.nstr(result.log10_g, 25))
         return EXIT_OK
     if args.format == "json":
-        num, den = result.correction.rational()
+        num, den = result.correction.numerator(), result.correction.denominator()
         payload = {
             "n": n,
             "rho": mp.nstr(result.context.rho.value, 25) if result.context is not None else None,
@@ -144,11 +144,10 @@ def cmd_gfun(args):
     else:
         algo = ("large-m reduction" if engine.uses_large_m(args.p, args.m)
                 else "windowed min-product recursion")
-        print(
-            "G(%d, %d) = (%s) / (%s)"
-            % (args.p, args.m, "*".join(map(str, frac.Qs)), "*".join(map(str, frac.qs)))
-        )
-    print("cost = %d" % frac.cost)
+        Qs = [str(p) for p, e in frac.factors if e > 0]
+        qs = [str(p) for p, e in reversed(frac.factors) if e < 0]
+        print("G(%d, %d) = (%s) / (%s)" % (args.p, args.m, "*".join(Qs), "*".join(qs)))
+    print("cost = %d" % frac.ell)
     print("algorithm: %s" % algo)
     return EXIT_OK
 

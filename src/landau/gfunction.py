@@ -31,70 +31,23 @@ from .errors import CapacityError, Delta1CeilingError, InvariantViolation
 SMALL_M_CUTOFF = 3000     # below this the window recursion, never the large-m reduction
 TRIAL_WIDTH = 10          # first truncated window: ten primes above p_k
 UPTO_GRANULARITY = 256    # cache capacity rounding for per-prime G tables
+UPTO_ENTRIES = 64         # per-prime G tables kept; the oldest goes first
 
 
-class GFraction:
-    """A balanced fraction: numerators above p_k ascending, denominators
-    below descending, with its exact swap cost."""
-
-    __slots__ = ("Qs", "qs", "cost")
-
-    def __init__(self, Qs, qs, cost=None):
-        self.Qs = tuple(Qs)
-        self.qs = tuple(qs)
-        self.cost = cost if cost is not None else sum(self.Qs) - sum(self.qs)
-
-    @classmethod
-    def one(cls):
-        return cls((), (), 0)
-
-    def is_one(self):
-        return not self.Qs
-
-    def numerator(self):
-        v = 1
-        for p in self.Qs:
-            v *= p
-        return v
-
-    def denominator(self):
-        v = 1
-        for p in self.qs:
-            v *= p
-        return v
-
-    def as_fraction(self):
-        f = {}
-        for p in self.Qs:
-            f[p] = 1
-        for p in self.qs:
-            f[p] = -1
-        return PrimeFraction.from_factors(f)
-
-    def check(self, p_k, m):
-        if len(self.Qs) != len(self.qs):
-            raise InvariantViolation("unbalanced fraction")
-        if self.Qs:
-            if not (3 <= self.qs[-1] and self.qs[0] <= p_k < self.Qs[0]):
-                raise InvariantViolation("fraction primes outside their bands")
-            if list(self.Qs) != sorted(self.Qs) or list(self.qs) != sorted(self.qs, reverse=True):
-                raise InvariantViolation("fraction primes out of order")
-            if len(set(self.Qs)) != len(self.Qs) or len(set(self.qs)) != len(self.qs):
-                raise InvariantViolation("repeated prime in fraction")
-        if not 0 <= self.cost <= m:
-            raise InvariantViolation("fraction cost %d outside [0, %d]" % (self.cost, m))
-
-    def __eq__(self, other):
-        return isinstance(other, GFraction) and self.Qs == other.Qs and self.qs == other.qs
-
-    def __hash__(self):
-        return hash((self.Qs, self.qs))
-
-    def __repr__(self):
-        if not self.Qs:
-            return "GFraction(1)"
-        return "GFraction(%s / %s, cost=%d)" % (
-            "*".join(map(str, self.Qs)), "*".join(map(str, self.qs)), self.cost)
+def check_fraction(frac, p_k, m):
+    """Raise InvariantViolation unless frac is a balanced fraction of
+    G(p_k, m): exponents +-1, as many numerator as denominator primes,
+    3 <= q <= p_k < Q, and a swap cost in [0, m]."""
+    Qs = [p for p, e in frac.factors if e == 1]
+    qs = [p for p, e in frac.factors if e == -1]
+    if len(Qs) + len(qs) != len(frac.factors):
+        raise InvariantViolation("fraction exponent other than +-1")
+    if len(Qs) != len(qs):
+        raise InvariantViolation("unbalanced fraction")
+    if qs and not (3 <= qs[0] and qs[-1] <= p_k < Qs[0]):
+        raise InvariantViolation("fraction primes outside their bands")
+    if not 0 <= frac.ell <= m:
+        raise InvariantViolation("fraction cost %d outside [0, %d]" % (frac.ell, m))
 
 
 def g_floor(table, p_k, pk1, m):
@@ -125,8 +78,8 @@ class _UptoEntry:
 
 
 class GEngine:
-    """Computes G(p_k, m) exactly, caching per-prime step functions and the
-    delta1 table in memory."""
+    """Computes G(p_k, m) exactly, caching the step functions of the last
+    UPTO_ENTRIES primes and the delta1 table in memory."""
 
     def __init__(self, table):
         self.table = table
@@ -234,21 +187,20 @@ class GEngine:
         return (2 * starts).tolist(), [tuple(P[chosen[i]].tolist()) for i in starts.tolist()]
 
     def _extract(self, entry, m):
-        """GFraction at m from a confirmed step-function entry."""
+        """G(p_k, m) from a confirmed step-function entry: the window primes
+        above p_k the H set leaves out over the primes at or below p_k it
+        takes."""
         i = bisect_right(entry.ms, m) - 1
         frac = entry.fracs.get(i)
         if frac is None:
-            chain = entry.sets[i]
+            chain = entry.sets[i]  # ascending
             pk = self.table.prime(entry.pk_idx)
             tops_used = {p for p in chain if p > pk}
-            qs = sorted((p for p in chain if p <= pk), reverse=True)
-            Qs = [
-                self.table.prime(idx)
-                for idx in range(entry.pk_idx + 1, entry.rhat_idx + 1)
-                if self.table.prime(idx) not in tops_used
-            ]
-            frac = GFraction(Qs, qs)
-            frac.check(pk, entry.ms[i + 1] - 1 if i + 1 < len(entry.ms) else entry.cap)
+            tops = self.table.primes[entry.pk_idx : entry.rhat_idx].tolist()
+            frac = PrimeFraction(
+                tuple((p, -1) for p in chain if p <= pk)
+                + tuple((p, 1) for p in tops if p not in tops_used))
+            check_fraction(frac, pk, entry.ms[i + 1] - 1 if i + 1 < len(entry.ms) else entry.cap)
             entry.fracs[i] = frac
         return frac
 
@@ -303,7 +255,10 @@ class GEngine:
                 break
             rhat_idx = min(max(t.count_upto(need) + 1, rhat_idx + TRIAL_WIDTH), full_top)
         entry = _UptoEntry(pk_idx, cap, rhat_idx, steps)
+        self._upto.pop(pk_idx, None)
         self._upto[pk_idx] = entry
+        if len(self._upto) > UPTO_ENTRIES:
+            del self._upto[next(iter(self._upto))]
         return entry
 
     # -- public operations ----------------------------------------------------------
@@ -316,7 +271,7 @@ class GEngine:
         if not 0 <= m <= pk1 - 3:
             raise ValueError("m=%d outside [0, %d]" % (m, pk1 - 3))
         if m < pk1 - p_k:
-            return GFraction.one()
+            return PrimeFraction.one()
         if self.uses_large_m(p_k, m):
             frac = self.g_large(p_k, m)
         else:
@@ -337,7 +292,7 @@ class GEngine:
         up, down = g_ceiling(pk1, m)
         if num * down > den * up:
             raise InvariantViolation("G above p_{k+1}/(p_{k+1}-m)")
-        if frac.cost > m:
+        if frac.ell > m:
             raise InvariantViolation("G cost exceeds budget")
 
     # -- delta1 ------------------------------------------------------------------------
@@ -409,8 +364,7 @@ class GEngine:
         if delta is None:
             raise InvariantViolation("no valid budget delta found for G(%d, %d)" % (p_k, m))
         if delta == 0:
-            q = pk1 - m
-            return GFraction((pk1,), (q,))
+            return PrimeFraction(((pk1 - m, -1), (pk1, 1)))
         q_hat = (pk1 * pk2 * (pk1 - m + delta)) // ((pk1 + delta) * (pk1 - 3 * delta // 2))
         q_lo = pk1 - m
         if q_hat < q_lo + delta:
@@ -431,13 +385,8 @@ class GEngine:
                 best_num, best_den = num, den
             q_idx += 1
         q, inner_frac = best
-        if pk1 in inner_frac.qs:
-            qs = tuple(sorted((p for p in inner_frac.qs if p != pk1), reverse=True))
-            Qs = inner_frac.Qs
-        else:
-            qs = inner_frac.qs
-            Qs = (pk1,) + inner_frac.Qs
-        qs = tuple(sorted(qs + (q,), reverse=True))
-        out = GFraction(Qs, qs)
-        out.check(p_k, m)
+        # p_{k+1}/q times G(p_{k+1}, m - p_{k+1} + q): a p_{k+1} below cancels,
+        # and a q already below would show as q^-2
+        out = inner_frac.mul(PrimeFraction(((q, -1), (pk1, 1))))
+        check_fraction(out, p_k, m)
         return out

@@ -72,33 +72,19 @@ def _gap_records(primes):
     return np.concatenate(ends), np.concatenate(gaps)
 
 
-class GapTable:
-    """Record points of Delta(x) = max_{p_j <= x} (p_j - p_{j-1})."""
-
-    def __init__(self, record_primes, record_gaps):
-        self.record_primes = record_primes  # prime ending each record gap
-        self.record_gaps = record_gaps      # the corresponding gap value
-
-    def max_gap_upto(self, x):
-        if x < 3:
-            raise ValueError("Delta(x) is defined for x >= 3")
-        i = int(np.searchsorted(self.record_primes, x, side="right"))
-        if i == 0:
-            raise ValueError("no prime gap at or below %d" % x)
-        return int(self.record_gaps[i - 1])
-
-
 class PrimeTable:
-    """All primes <= limit with cumulative sums and the gap record table."""
+    """All primes <= limit with cumulative sums and the record points of
+    Delta(x) = max_{p_j <= x} (p_j - p_{j-1}): each prime ending a gap larger
+    than every gap before it, and that gap."""
 
     def __init__(self, limit, primes):
         self.limit = int(limit)
         self.primes = primes
-        self.gaps = GapTable(*_gap_records(primes))
+        self.record_primes, self.record_gaps = _gap_records(primes)
         # Cramer-style sanity bound, known to hold for all x <= 8e16
         if not all(
             g <= 0.93 * math.log(p) ** 2
-            for p, g in zip(self.gaps.record_primes.tolist(), self.gaps.record_gaps.tolist())
+            for p, g in zip(self.record_primes.tolist(), self.record_gaps.tolist())
             if p > 10  # below that (log p)^2 is tiny and the bound is vacuous anyway
         ):
             raise AssertionError("prime gap exceeded 0.93 (log x)^2 below %d" % self.limit)
@@ -194,7 +180,12 @@ class PrimeTable:
         """Delta(x), the largest gap between consecutive primes p_j <= x."""
         if x > self.limit:
             raise self._beyond("%d" % x)
-        return self.gaps.max_gap_upto(x)
+        if x < 3:
+            raise ValueError("Delta(x) is defined for x >= 3")
+        i = int(np.searchsorted(self.record_primes, x, side="right"))
+        if i == 0:
+            raise ValueError("no prime gap at or below %d" % x)
+        return int(self.record_gaps[i - 1])
 
 
 def auto_limit(n):

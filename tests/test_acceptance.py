@@ -165,9 +165,9 @@ def test_criterion_4x_full_event_table_count(big_solver):
 def test_criterion_5_g_values(table1m):
     eng = GEngine(table1m)
     f = eng.g_fraction(103, 22)
-    assert (f.Qs, f.qs) == ((107, 113), (101, 97))
+    assert f.factors == ((97, -1), (101, -1), (107, 1), (113, 1))
     f = eng.g_fraction(107, 12)
-    assert (f.Qs, f.qs) == ((109,), (97,))
+    assert f.factors == ((97, -1), (109, 1))
     # both algorithms agree across the full overlap band at p_k = 9973
     d1 = eng.delta1(table1m.next_prime(9973))
     lo = -(-9 * d1 // 2)
@@ -181,7 +181,7 @@ def test_criterion_5_large_argument_completes():
     t = PrimeTable.build(195 * 10**6)
     eng = GEngine(t)
     f = eng.g_fraction(192678883, 688930)
-    assert f.cost <= 688930 and not f.is_one()
+    assert f.ell <= 688930 and not f.is_one()
     print("PASS criterion 5: G(192678883, 688930) completes")
 
 

@@ -90,9 +90,10 @@ def _check_cmp_against_fractions(rng):
 
 def test_to_decimal():
     # an integer's value is its numerator; a result's expansion keeps to its budget
-    assert PrimeFraction.from_int(12).rational() == (12, 1)
+    twelve, third = PrimeFraction.from_int(12), PrimeFraction.from_factors({3: -1})
+    assert (twelve.numerator(), twelve.denominator()) == (12, 1)
     assert PrimeFraction.from_int(210).numerator() == 210
-    assert PrimeFraction.from_factors({3: -1}).rational() == (1, 3)
+    assert (third.numerator(), third.denominator()) == (1, 3)
     res = Solver(limit_hint=10**6).compute(10**6)  # g(10^6) has 1700 digits
     assert len(str(res.to_int())) == 1700
     with pytest.raises(CapacityError):

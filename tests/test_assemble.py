@@ -20,6 +20,11 @@ def solver():
     return Solver(limit_hint=2 * 10**6)
 
 
+@pytest.fixture(scope="module")
+def lst_1e5():
+    return g_list_merge_prune(10**5)
+
+
 def test_matches_oracle_to_3000(solver):
     lst = g_list_merge_prune(3000)
     for n in range(3000):
@@ -285,15 +290,35 @@ def test_precision_change_rebuilds_contexts():
         set_precision(DEFAULT_PRECISION)
 
 
-def test_forced_exact_matches_oracle(forced_exact):
+def test_forced_exact_matches_oracle(forced_exact, lst_1e5):
     # every fast comparison decided by its exact fallback
     solver = Solver(limit_hint=2 * 10**6)
-    lst = g_list_merge_prune(10**5)
     for n in range(99800, 10**5 + 1):
-        assert solver.compute(n).to_int() == lst.query(n)
+        assert solver.compute(n).to_int() == lst_1e5.query(n)
     assert solver.compute(10**6).correction.factors == ((43, 1), (3847, -1), (3947, 1))
     for n in range(998500, 998600):  # 61 of these n have 2 or 3 candidates
         _check_survivors_exactly(solver.compute(n, details=True)[1])
+
+
+def test_g_cache_stays_within_its_cap(monkeypatch, lst_1e5):
+    # n spread over [10^4, 10^5) read more per-prime G tables than the cache
+    # keeps; the evicted ones are rebuilt and every answer stays the oracle's
+    from landau import gfunction
+
+    built = set()
+
+    class Recording(gfunction._UptoEntry):
+        def __init__(self, pk_idx, *args):
+            built.add(pk_idx)
+            super().__init__(pk_idx, *args)
+
+    monkeypatch.setattr(gfunction, "_UptoEntry", Recording)
+    solver = Solver(limit_hint=10**5)
+    rng = random.Random(5)
+    for n in (rng.randrange(10**4, 10**5) for _ in range(300)):
+        assert solver.compute(n).to_int() == lst_1e5.query(n)
+        assert len(solver.engine._upto) <= gfunction.UPTO_ENTRIES
+    assert len(built) > gfunction.UPTO_ENTRIES
 
 
 def test_short_sieve_grows_to_the_default_answer(monkeypatch):

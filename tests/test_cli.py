@@ -112,12 +112,20 @@ def test_verify_detects_injected_fault(capsys, monkeypatch):
 def test_gfun(capsys):
     rc, out, _ = run_cli(capsys, "gfun", "103", "22")
     assert rc == 0
-    assert "G(103, 22) = (107*113) / (101*97)" in out
-    assert "cost = 22" in out
-    assert "algorithm: windowed min-product recursion" in out
+    assert out == ("G(103, 22) = (107*113) / (101*97)\n"
+                   "cost = 22\n"
+                   "algorithm: windowed min-product recursion\n")
+    # the large-m reduction, with p_{k+1} cancelled and with it kept
     rc, out, _ = run_cli(capsys, "gfun", "9973", "3000")
     assert rc == 0
-    assert "algorithm: large-m reduction" in out
+    assert out == ("G(9973, 3000) = (10009) / (7013)\n"
+                   "cost = 2996\n"
+                   "algorithm: large-m reduction\n")
+    rc, out, _ = run_cli(capsys, "gfun", "999983", "4000")
+    assert rc == 0
+    assert out == ("G(999983, 4000) = (1000003*1000037) / (999931*996109)\n"
+                   "cost = 4000\n"
+                   "algorithm: large-m reduction\n")
 
 
 def test_superchampion_cmd(capsys):

@@ -8,7 +8,8 @@ import pytest
 from mpmath import mp
 
 from landau.errors import InvariantViolation
-from landau.gfunction import GEngine, GFraction
+from landau.arith import PrimeFraction
+from landau.gfunction import GEngine, check_fraction
 from landau.primes import PrimeTable, _simple_sieve
 
 from oracles import g_small, h_window_steps
@@ -21,10 +22,11 @@ def engine(table1m):
 
 def test_known_values(engine):
     f = g_small(engine, 103, 22)[22]
-    assert (f.Qs, f.qs) == ((107, 113), (101, 97))
+    assert f.factors == ((97, -1), (101, -1), (107, 1), (113, 1))
     f = g_small(engine, 107, 12)[12]
-    assert (f.Qs, f.qs) == ((109,), (97,))
-    assert engine.g_fraction(103, 22) == GFraction((107, 113), (101, 97))
+    assert f.factors == ((97, -1), (109, 1))
+    assert engine.g_fraction(103, 22) == PrimeFraction.from_factors(
+        {107: 1, 113: 1, 101: -1, 97: -1})
 
 
 def test_below_first_gap_is_one(engine):
@@ -43,7 +45,7 @@ def test_nondecreasing_and_cost(engine):
     prev = None
     for m in range(0, 301):
         f = r[m]
-        assert f.cost <= m
+        assert f.ell <= m
         v = (f.numerator(), f.denominator())
         if prev is not None:
             assert v[0] * prev[1] >= prev[0] * v[1]
@@ -176,12 +178,12 @@ def test_sandwich_invariant(engine, table1m):
         if q <= pk:
             assert num * q >= den * pk1
         assert num * (pk1 - m) <= den * pk1
-        assert f.cost <= m
+        assert f.ell <= m
         # the two bounds from ratios of extreme terms
-        if f.Qs:
-            S = f.cost
-            assert num * (f.Qs[-1] - S) <= den * f.Qs[-1]  # F <= Qs/(Qs - S)
-            assert mp.log(num) - mp.log(den) <= mp.mpf(S) / f.qs[-1]
+        if not f.is_one():
+            S, Q_s, q_s = f.ell, f.factors[-1][0], f.factors[0][0]
+            assert num * (Q_s - S) <= den * Q_s  # F <= Q_s/(Q_s - S)
+            assert mp.log(num) - mp.log(den) <= mp.mpf(S) / q_s
 
 
 def test_delta1_basics(engine, table1m):
@@ -205,7 +207,7 @@ def test_g_large_exact_prime_case(engine, table1m):
             m, q = cand, pk1 - cand
             break
     f = engine.g_large(pk, m)
-    assert (f.Qs, f.qs) == ((pk1,), (q,))
+    assert f.factors == ((q, -1), (pk1, 1))
 
 
 def test_g_large_agrees_with_small(engine):
@@ -223,11 +225,18 @@ def test_g_large_rejects_small_m(engine):
 
 
 def test_gfraction_check():
+    def check(factors, p_k, m):
+        check_fraction(PrimeFraction.from_factors(factors), p_k, m)
+
     with pytest.raises(InvariantViolation):
-        GFraction((11, 13), (7,)).check(7, 100)
+        check({11: 1, 13: 1, 7: -1}, 7, 100)
     with pytest.raises(InvariantViolation):
-        GFraction((11,), (13,)).check(7, 100)
-    GFraction((11, 13), (7, 5)).check(7, 100)
+        check({11: 1, 13: -1}, 7, 100)
+    with pytest.raises(InvariantViolation):  # a q taken twice
+        check({11: 1, 13: 1, 7: -2}, 7, 100)
+    with pytest.raises(InvariantViolation):
+        check({11: 1, 13: 1, 7: -1, 5: -1}, 7, 11)
+    check({11: 1, 13: 1, 7: -1, 5: -1}, 7, 100)
 
 
 def test_domain_errors(engine, table1m):

@@ -50,7 +50,7 @@ def test_max_gap_values(table1m):
 
 
 def test_gap_bound_and_monotone(table1m):
-    g = table1m.gaps
+    g = table1m
     assert all(
         gap <= 0.93 * math.log(p) ** 2
         for p, gap in zip(g.record_primes.tolist(), g.record_gaps.tolist())
@@ -194,8 +194,7 @@ def test_build_peak_memory_stays_near_what_the_table_keeps():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    kept = sum(a.nbytes for a in (t.primes, t.cumulative, t.gaps.record_primes,
-                                  t.gaps.record_gaps))
+    kept = sum(a.nbytes for a in (t.primes, t.cumulative, t.record_primes, t.record_gaps))
     assert peak <= 1.5 * kept, (peak, kept)
     assert len(t) == 664579 and t.max_gap_upto(10**7) == 154
 
