@@ -11,9 +11,10 @@ to rounding.
 
 Rounding error.  Each fast comparison (PrimeFraction.cmp, assemble.fight,
 the G window's float logs, the float build of D(B') and estimate_B, the
-event table's prime probes) trusts a computed difference only beyond rounding_error and
-settles the rest exactly.  With `bits` significant bits and rounding to
-nearest, one rounding multiplies by 1 + d, |d| <= u = 2^-bits.  If each
+event table's slope order and prime probes) trusts a computed difference
+only beyond rounding_error and settles the rest exactly.  With `bits`
+significant bits and rounding to nearest, one rounding multiplies by
+1 + d, |d| <= u = 2^-bits.  If each
 term t_i of v = sum t_i reaches the
 computed value through at most s roundings (a library log, good to one ulp,
 counts as two; each sum, difference, product or copy as one), then
@@ -29,8 +30,11 @@ quotient, log1p, j - 1 sums, difference), with size 2 j T where T bounds
 |log1p((P - p_k)/p_k)| and |P - p_k|/P over the window: log1p passes the
 quotient's rounding on scaled by |P - p_k|/P, up to p_k/P_1 at the smallest
 window prime P_1, which can exceed the term itself; D(B') and estimate_B as
-below; the event table's p/log p < rho 6 at 53 bits (log, quotient, float copy of rho, difference,
-and the mpf test's own rounding); a champion's log, which check_bounds and
+below; the event table's slopes (q^j - q^{j-1})/log q, an exact integer
+over a float log, 5 at 53 bits for the order of two (log, quotient,
+difference, and the mpf slopes they must order alike), and its p/log p < rho
+8 (log and quotient on each side, difference, and the mpf test's own
+rounding); a champion's log, which check_bounds and
 the digit budgets compare with an mpf bound, k + R + 5 at 53 bits for k
 primes in R exponent runs (np.log, the product by the run's exponent, at
 most k + R additions in any order, counting each run's and the total's

@@ -6,16 +6,17 @@ shared freely between threads.
 """
 
 import math
+from operator import index
 
 import numpy as np
 
 from . import cache
 from .errors import CapacityError
 
-SEGMENT = 1 << 20
+SEGMENT = 1 << 19  # odd numbers per sieve segment: 2^20 numbers, a 512 KB mask
 GAP_CHUNK = 1 << 16
-# S(4e8) < 2^63 comfortably; the cap below keeps cumulative sums in int64
-# with a wide margin and bounds memory to a few GB of int64 arrays.
+# S(2e9) ~ 9.3e16 < 2^62, inside the check PrimeTable makes on its
+# cumulative sums; the cap also bounds memory to a few GB of int64 arrays.
 DEFAULT_MAX_LIMIT = 2_000_000_000
 
 
@@ -30,24 +31,37 @@ def _simple_sieve(limit):
 
 def _segmented_primes(limit):
     """All primes <= limit, sieved segment by segment into one array sized by
-    pi(x) < 1.25506 x / log x (Rosser and Schoenfeld, x > 1), trimmed once."""
-    base = _simple_sieve(math.isqrt(limit) + 1)
+    pi(x) < 1.25506 x / log x (Rosser and Schoenfeld, x > 1), trimmed once.
+
+    Only odd numbers are sieved: mask index i stands for 2i + 1, and 2 is
+    written first.  An odd prime p crosses off every p-th index from that of
+    p^2, and each base prime's next index is carried from one segment to
+    the next."""
+    base = _simple_sieve(math.isqrt(limit) + 1)[1:].tolist()
+    nxt = [p * p // 2 for p in base]  # index of the next odd multiple to cross off
     out = np.empty(int(1.25506 * limit / math.log(limit)) + 1, dtype=np.int64)
-    count = 0
+    out[0] = 2
+    count = 1
+    size = (limit + 1) // 2  # indices of the odd numbers <= limit
+    mask = np.empty(min(SEGMENT, size), dtype=bool)
+    active = 0  # base primes whose square lies below the segment's end
     lo = 0
-    while lo <= limit:
-        hi = min(lo + SEGMENT, limit + 1)
-        mask = np.ones(hi - lo, dtype=bool)
+    while lo < size:
+        hi = min(lo + SEGMENT, size)
+        seg = mask[: hi - lo]
+        seg[:] = True
         if lo == 0:
-            mask[:2] = False
-        for p in base:
-            p = int(p)
-            if p * p >= hi:
-                break
-            start = max(p * p, ((lo + p - 1) // p) * p)
-            mask[start - lo :: p] = False
-        found = np.flatnonzero(mask)
-        found += lo
+            seg[0] = False  # 1
+        while active < len(base) and nxt[active] < hi:
+            active += 1
+        for k in range(active):
+            s, p = nxt[k], base[k]
+            if s < hi:
+                seg[s - lo :: p] = False
+                nxt[k] = s + ((hi - 1 - s) // p + 1) * p
+        found = np.flatnonzero(seg)
+        found *= 2
+        found += 2 * lo + 1
         out[count : count + len(found)] = found
         count += len(found)
         lo = hi
@@ -75,7 +89,10 @@ def _gap_records(primes):
 class PrimeTable:
     """All primes <= limit with cumulative sums and the record points of
     Delta(x) = max_{p_j <= x} (p_j - p_{j-1}): each prime ending a gap larger
-    than every gap before it, and that gap."""
+    than every gap before it, and that gap.
+
+    Queries take integers only (operator.index): numpy would search a float
+    in a float64 copy of the whole table."""
 
     def __init__(self, limit, primes):
         self.limit = int(limit)
@@ -133,6 +150,7 @@ class PrimeTable:
 
     def rank(self, p):
         """Index i with p_i = p; raises if p is not prime or out of range."""
+        p = index(p)
         if p > self.limit:
             raise self._beyond("%d" % p)
         i = int(np.searchsorted(self.primes, p, side="left"))
@@ -142,9 +160,10 @@ class PrimeTable:
 
     def count_upto(self, x):
         """Number of the table's primes <= x: pi(x) for x <= limit."""
-        return int(np.searchsorted(self.primes, x, side="right"))
+        return int(np.searchsorted(self.primes, index(x), side="right"))
 
     def is_prime(self, x):
+        x = index(x)
         if x > self.limit:
             raise self._beyond("%d" % x)
         i = int(np.searchsorted(self.primes, x, side="left"))
@@ -154,6 +173,7 @@ class PrimeTable:
 
     def next_prime(self, x):
         """Smallest prime > x (must exist within the table)."""
+        x = index(x)
         if x < 1:
             raise ValueError("next_prime requires x >= 1")
         i = int(np.searchsorted(self.primes, x, side="right"))
@@ -178,6 +198,7 @@ class PrimeTable:
 
     def max_gap_upto(self, x):
         """Delta(x), the largest gap between consecutive primes p_j <= x."""
+        x = index(x)
         if x > self.limit:
             raise self._beyond("%d" % x)
         if x < 3:
@@ -207,8 +228,14 @@ def auto_limit(n):
     A read past the sieve raises CapacityError and Solver grows the table,
     so a short estimate costs time, never an answer.
     """
-    lim = max(n, 10**4)
-    x = math.sqrt(lim * math.log(lim))
-    for _ in range(30):  # x -> sqrt(2 l log x) contracts to the root
-        x = math.sqrt(2 * lim * math.log(x))
+    x = sum_root(max(n, 10**4))
     return int(x + (math.sqrt(x) + 46) * math.log(x) ** 2) + 3300
+
+
+def sum_root(ell):
+    """The x > e with x^2 / (2 log x) = ell >= 7, near the largest prime of
+    a champion of cost ell."""
+    x = math.sqrt(ell * math.log(ell))
+    for _ in range(30):  # x -> sqrt(2 l log x) contracts to the root
+        x = math.sqrt(2 * ell * math.log(x))
+    return x

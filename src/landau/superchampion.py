@@ -8,7 +8,6 @@ j (j >= 2); between two such events consecutive champions differ by one
 new prime of exponent 1.
 """
 
-import heapq
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -19,6 +18,7 @@ from mpmath import mp, mpf, sqrt as mp_sqrt
 from . import arith
 from .arith import _tree_product, log_int, log_product
 from .errors import CapacityError, InvariantViolation
+from .primes import sum_root
 
 LOG_CHUNK = 1 << 18  # primes per np.log call of Champion.approx_log
 
@@ -256,73 +256,143 @@ class E2Entry:
 def build_e2_table(ell_limit, table):
     """All exponent-bump slopes in increasing order, each with the largest
     exponent-1 prime p of the champion just above it and l(N^+); stops at the
-    first entry whose l exceeds ell_limit (kept, as the navigation fence)."""
+    first entry whose l exceeds ell_limit (kept, as the navigation fence).
+
+    The slopes (q^j - q^{j-1}) / log q, j >= 2, up to a bound are sorted as
+    floats, each run of neighbours within their rounding error by the mpf
+    slopes.  An entry's p is the largest prime with p / log p below its
+    slope: the float root of x / log x = slope places it, and the primes on
+    either side are settled in floats beyond their rounding error and in
+    mpf inside it.  l(N^+) = S(p) + the bump costs
+    so far, S the prime sums: each prime up to p counts once, and each bump
+    of q from j - 1 to j adds q^j - q^{j-1}.  Without the fence below the
+    bound the bound doubles."""
     if ell_limit < 7:
         raise ValueError("ell_limit must be >= 7")
-    cs = table.cumulative
-
-    def sum_through(idx):  # primes p_1..p_idx
-        return int(cs[idx - 1]) if idx else 0
-
-    def rho_val(q, j):
-        return mpf(q**j - q ** (j - 1)) / log_int(q)
-
-    # merge the per-prime event streams (q^2-q)/log q < (q^3-q^2)/log q < ...
-    heap = [(rho_val(2, 2), 2, 2), (rho_val(3, 2), 3, 2)]
-    max_seeded = 3
-    entries = []
-    p_idx = 2  # largest prime with p/log p < r starts at 3 for the first event
-    ell = 3    # champion just below the first event is 3 itself
+    primes = table.primes
+    n = len(primes)
+    bound = _slope_bound(ell_limit)
     while True:
-        r, q, j = heapq.heappop(heap)
-        heapq.heappush(heap, (rho_val(q, j + 1), q, j + 1))
-        if q == max_seeded:
-            nq = table.next_prime(q)
-            heapq.heappush(heap, (rho_val(nq, 2), nq, 2))
-            max_seeded = nq
-        new_idx = _largest_prime_ratio_below(table, r, p_idx)
-        ell += sum_through(new_idx) - sum_through(p_idx)
-        ell += q**j - q ** (j - 1)
-        if q == 2 and j == 2:
-            ell += 2  # 2/log 2 coincides with (2^2-2)/log 2: exponent jumps 0 -> 2
-        p_idx = new_idx
-        entries.append(E2Entry(q, j, table.prime(p_idx), ell))
-        if ell > ell_limit:
+        q, j, cost, r = _sorted_slopes(table, bound)
+        # a slope left out may lie below one whose float is this close to the bound
+        m = int(np.searchsorted(r, bound * (1 - 2.0**-40)))
+        q, j, cost, r = q[:m], j[:m], cost[:m], r[:m]
+        idx = _ratio_indices(primes, q, cost, r)
+        ell = table.cumulative[idx - 1] + np.cumsum(cost)
+        over = np.flatnonzero(ell > ell_limit)
+        end = int(over[0]) + 1 if len(over) else m  # through the fence
+        if np.any(idx[:end] >= n):  # past the sieve before the fence
+            raise CapacityError("the event table needs primes past the sieve limit %d"
+                                % table.limit)
+        if len(over):
             break
-    return entries
+        bound *= 2
+    if np.any(np.diff(idx[:end]) < 0):
+        raise InvariantViolation("event slopes out of order")
+    rows = zip(q[:end].tolist(), j[:end].tolist(), primes[idx[:end] - 1].tolist(),
+               ell[:end].tolist())
+    return [E2Entry(*row) for row in rows]
 
 
-def _largest_prime_ratio_below(table, r, lo_idx):
-    """Largest index i >= lo_idx >= 2 with p_i / log p_i < r (monotone there)."""
-    lo = max(lo_idx, 2)
-    hi = len(table)
-    rf = float(r)
-    if not _ratio_below(table.prime(lo), r, rf):
-        raise InvariantViolation("event slope below its own prime window")
-    # exponential then binary search
-    step = 1
-    while lo + step <= hi and _ratio_below(table.prime(lo + step), r, rf):
-        lo += step
-        step *= 2
-    hi = min(lo + step, hi)
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if _ratio_below(table.prime(mid), r, rf):
-            lo = mid
-        else:
-            hi = mid - 1
-    if lo >= len(table):
-        raise CapacityError("the event table needs primes past the sieve limit %d" % table.limit)
-    return lo
+def _slope_bound(ell_limit):
+    """A first slope bound for build_e2_table.  The fence's p lies near the x
+    with x^2 / (2 log x) = ell_limit; its slope came within 1.81 times
+    x / log x for ell_limit from 7 to 10^12, and within 1.05 above 10^6.  A
+    short bound costs one more build."""
+    x = sum_root(ell_limit)
+    return 1.5 * x / math.log(x) + 16
 
 
-def _ratio_below(p, r, rf):
-    """p / log p < r, rf the float copy of r: floats decide beyond their
-    rounding error, mp.log the rest, uncached, as most probed primes are
-    probed once."""
-    q = p / math.log(p)
-    return arith.guarded_sign(q - rf, arith.rounding_error(q + rf, 6, 53),
-                              lambda: mpf(p) / mp.log(p) - r) < 0
+def _sorted_slopes(table, bound):
+    """Every (q, j >= 2) whose float slope is at most bound, in the order of
+    the slopes: q, j, the cost q^j - q^{j-1} and the float slope, arrays.
+
+    The cost, below 2^53, converts exactly, so two neighbours further apart
+    than rounding_error(their sum, 5, 53) (arith's docstring) are in the
+    order of their mpf slopes, and so is every pair across that gap.  A run
+    of closer neighbours is sorted by its mpf slopes, then by (q, j)."""
+    qs, js, costs = [], [], []
+    j = 2
+    while 2 ** (j - 1) / math.log(2) <= bound:
+        # a slope <= bound has q <= bound + 3 and (q - 1)^j <= bound log q
+        hi = int((bound * math.log(bound + 3)) ** (1 / j)) + 2
+        c = table.primes[: table.count_upto(hi)]
+        cf = c.astype(np.float64)
+        c = c[cf ** (j - 1) * (cf - 1) / np.log(cf) <= bound]
+        qs.append(c)
+        js.append(np.full(len(c), j, dtype=np.int64))
+        costs.append(c ** (j - 1) * (c - 1))
+        j += 1
+    q, j, cost = np.concatenate(qs), np.concatenate(js), np.concatenate(costs)
+    r = cost / np.log(q.astype(np.float64))
+    order = np.argsort(r, kind="stable")
+    close = np.flatnonzero(np.diff(r[order]) <= arith.rounding_error(
+        r[order[:-1]] + r[order[1:]], 5, 53))
+    logs = {}
+    for run in np.split(close, np.flatnonzero(np.diff(close) > 1) + 1):
+        if len(run):
+            lo, hi = int(run[0]), int(run[-1]) + 2
+            order[lo:hi] = sorted(order[lo:hi].tolist(), key=lambda i: (
+                _mpf_slope(int(q[i]), int(cost[i]), logs), int(q[i]), int(j[i])))
+    return q[order], j[order], cost[order], r[order]
+
+
+def _mpf_slope(q, cost, logs):
+    """Rho(q, j).value, with log q kept in the caller's dict rather than in
+    arith.log_int's cache: the build reads many q once."""
+    if q not in logs:
+        logs[q] = mp.log(q)
+    return mpf(cost) / logs[q]
+
+
+def _ratio_roots(r):
+    """For each slope r > e, the root x > r of x - r log x, convex: Newton's
+    method from 2 r log r, where it is r (log r - log(2 log r)) > 0, falls
+    monotonically to the root."""
+    x = 2 * r * np.log(r)
+    for _ in range(100):
+        step = (x - r * np.log(x)) / (1 - r / x)
+        x -= step
+        if np.all(np.abs(step) <= 1e-12 * x):
+            return x
+    raise InvariantViolation("Newton's method did not converge")
+
+
+def _ratio_indices(primes, q, cost, r):
+    """For each slope, the 1-based index of the largest prime p >= 3 with
+    p / log p < slope (p / log p increases from 3 on); len(primes) when the
+    table's last prime is below the slope."""
+    n = len(primes)
+    # integer needles: a float one would make numpy search a float64 copy
+    idx = np.maximum(np.searchsorted(primes, _ratio_roots(r).astype(np.int64), side="right"), 2)
+    d, err = _ratio_excess(primes[idx - 1], r)
+    settled = d < -err
+    up = idx < n
+    d, err = _ratio_excess(primes[idx[up]], r[up])
+    settled[up] &= d > err
+    logs = {}
+    for i in np.flatnonzero(~settled).tolist():  # the floats cannot tell: mpf
+        rv = _mpf_slope(int(q[i]), int(cost[i]), logs)
+        k = int(idx[i])
+        while k > 2 and not _ratio_below(int(primes[k - 1]), rv):
+            k -= 1
+        while k < n and _ratio_below(int(primes[k]), rv):
+            k += 1
+        idx[i] = k
+    return idx
+
+
+def _ratio_excess(p, r):
+    """p / log p - r in floats for float slopes r of _sorted_slopes, and its
+    rounding bound (8 steps, arith's docstring)."""
+    v = p / np.log(p)
+    return v - r, arith.rounding_error(v + r, 8, 53)
+
+
+def _ratio_below(p, rv):
+    """p / log p < rv in mpf, log p uncached: most probed primes are probed
+    once."""
+    return mpf(p) / mp.log(p) < rv
 
 
 @dataclass

@@ -12,18 +12,27 @@ candidate's witness valued in mpf, one candidate at a time.
 `landau.assemble.normalized_candidates`: the walk up and the peel down,
 step by step, each step testing its mpf bounds.
 
+`segmented_primes_all` is the reference for `landau.primes._segmented_primes`:
+the same segmented sieve over every number, odd and even, with each segment's
+first multiple found by a division.  `e2_table_heap` is the reference for
+`landau.superchampion.build_e2_table`: the per-prime slope streams merged
+through a heap of mpf slopes, each event's prime found by an exponential and
+binary search of guarded probes.
+
 `h_window_steps` is the reference for `landau.gfunction.GEngine._run_h`: the
 window recursion H(j, P_r; m) over breakpoint lists of linked prime chains,
 compared as exact integers.  `g_small` runs the full, uncertified window
 recursion, the reference for the confirmed window.
 """
 
+import heapq
 import math
 
 import numpy as np
 from mpmath import mp, mpf
 
-from landau.arith import PrimeFraction
+from landau import arith
+from landau.arith import PrimeFraction, log_int
 from landau.assemble import NormalizedCandidate
 from landau.benefit import (
     BoundResult,
@@ -41,6 +50,7 @@ from landau.errors import (
 from landau.gfunction import _UptoEntry
 from landau.oracle import _pmax
 from landau.primes import _simple_sieve
+from landau.superchampion import E2Entry
 
 DP_MAX_N = 2_000_000
 BRUTE_MAX_N = 64
@@ -124,6 +134,101 @@ def g_bruteforce(n):
         return top
 
     return PrimeFraction.from_int(best(0, n))
+
+
+def segmented_primes_all(limit, segment=1 << 20):
+    """All primes <= limit, sieved over all numbers segment by segment into
+    one array sized by pi(x) < 1.25506 x / log x, trimmed once."""
+    base = _simple_sieve(math.isqrt(limit) + 1)
+    out = np.empty(int(1.25506 * limit / math.log(limit)) + 1, dtype=np.int64)
+    count = 0
+    lo = 0
+    while lo <= limit:
+        hi = min(lo + segment, limit + 1)
+        mask = np.ones(hi - lo, dtype=bool)
+        if lo == 0:
+            mask[:2] = False
+        for p in base:
+            p = int(p)
+            if p * p >= hi:
+                break
+            start = max(p * p, ((lo + p - 1) // p) * p)
+            mask[start - lo :: p] = False
+        found = np.flatnonzero(mask)
+        found += lo
+        out[count : count + len(found)] = found
+        count += len(found)
+        lo = hi
+    out.resize(count, refcheck=False)
+    return out
+
+
+def e2_table_heap(ell_limit, table):
+    """build_e2_table by merging the per-prime slope streams
+    (q^2-q)/log q < (q^3-q^2)/log q < ... through a heap of mpf slopes."""
+    if ell_limit < 7:
+        raise ValueError("ell_limit must be >= 7")
+    cs = table.cumulative
+
+    def sum_through(idx):  # primes p_1..p_idx
+        return int(cs[idx - 1]) if idx else 0
+
+    def rho_val(q, j):
+        return mpf(q**j - q ** (j - 1)) / log_int(q)
+
+    heap = [(rho_val(2, 2), 2, 2), (rho_val(3, 2), 3, 2)]
+    max_seeded = 3
+    entries = []
+    p_idx = 2  # largest prime with p/log p < r starts at 3 for the first event
+    ell = 3    # champion just below the first event is 3 itself
+    while True:
+        r, q, j = heapq.heappop(heap)
+        heapq.heappush(heap, (rho_val(q, j + 1), q, j + 1))
+        if q == max_seeded:
+            nq = table.next_prime(q)
+            heapq.heappush(heap, (rho_val(nq, 2), nq, 2))
+            max_seeded = nq
+        new_idx = _largest_prime_ratio_below(table, r, p_idx)
+        ell += sum_through(new_idx) - sum_through(p_idx)
+        ell += q**j - q ** (j - 1)
+        if q == 2 and j == 2:
+            ell += 2  # 2/log 2 coincides with (2^2-2)/log 2: exponent jumps 0 -> 2
+        p_idx = new_idx
+        entries.append(E2Entry(q, j, table.prime(p_idx), ell))
+        if ell > ell_limit:
+            break
+    return entries
+
+
+def _largest_prime_ratio_below(table, r, lo_idx):
+    """Largest index i >= lo_idx >= 2 with p_i / log p_i < r (monotone there)."""
+    lo = max(lo_idx, 2)
+    hi = len(table)
+    rf = float(r)
+    if not _ratio_below(table.prime(lo), r, rf):
+        raise InvariantViolation("event slope below its own prime window")
+    step = 1
+    while lo + step <= hi and _ratio_below(table.prime(lo + step), r, rf):
+        lo += step
+        step *= 2
+    hi = min(lo + step, hi)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if _ratio_below(table.prime(mid), r, rf):
+            lo = mid
+        else:
+            hi = mid - 1
+    if lo >= len(table):
+        raise CapacityError("the event table needs primes past the sieve limit %d" % table.limit)
+    return lo
+
+
+def _ratio_below(p, r, rf):
+    """p / log p < r, rf the float copy of r: floats decide beyond their
+    rounding error, mp.log the rest."""
+    q = p / math.log(p)
+    return arith.guarded_sign(q - rf, arith.rounding_error(q + rf, 6, 53),
+                              lambda: mpf(p) / mp.log(p) - r) < 0
 
 
 def ben(delta, tables):

@@ -13,6 +13,11 @@ from landau import cache, primes
 from landau.errors import CapacityError
 from landau.primes import DEFAULT_MAX_LIMIT, PrimeTable, auto_limit
 
+from conftest import extended
+from oracles import segmented_primes_all
+
+COLD_N = 103613071095758  # an n of the cold benchmark workload
+
 
 def test_build_small():
     t = PrimeTable.build(10)
@@ -215,3 +220,35 @@ def test_gap_records_across_chunks(monkeypatch, table1m):
 def test_immutability(table1m):
     with pytest.raises(ValueError):
         table1m.primes[0] = 1
+
+
+EDGE = 2 * primes.SEGMENT  # the first number of the second segment
+
+
+@pytest.mark.parametrize("limit", [3, 4, 5, 8, 9, 10, 11, 25, 49,
+                                   EDGE - 1, EDGE, EDGE + 1, EDGE + 2, 10**6,
+                                   auto_limit(10**12), auto_limit(COLD_N)])
+def test_odd_sieve_matches_the_all_numbers_sieve(limit):
+    assert np.array_equal(primes._segmented_primes(limit), segmented_primes_all(limit))
+
+
+def test_odd_sieve_with_squares_on_segment_edges(monkeypatch):
+    # with 12 odd numbers a segment, every p^2 >= 25 starts one: p^2 = 1 mod 24
+    monkeypatch.setattr(primes, "SEGMENT", 12)
+    for limit in (23, 24, 25, 26, 47, 49, 50, 1000, 10**4 + 1):
+        assert np.array_equal(primes._segmented_primes(limit), segmented_primes_all(limit))
+
+
+@extended
+def test_odd_sieve_matches_the_all_numbers_sieve_1e15():
+    limit = auto_limit(10**15)
+    assert np.array_equal(primes._segmented_primes(limit), segmented_primes_all(limit))
+
+
+def test_queries_take_integers_only():
+    # a float needle would make numpy search a float64 copy of the table
+    t = PrimeTable.build(100)
+    for query in (t.count_upto, t.next_prime, t.is_prime, t.rank, t.max_gap_upto):
+        with pytest.raises(TypeError):
+            query(7.0)
+    assert t.count_upto(np.int64(7)) == 4 and t.rank(np.int64(7)) == 4

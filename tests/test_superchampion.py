@@ -1,10 +1,11 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 from mpmath import mp, mpf
 
-from landau import arith
+from landau import arith, superchampion
 from landau.arith import log_int
 from landau.errors import CapacityError
 from landau.oracle import g_list_merge_prune
@@ -17,6 +18,11 @@ from landau.superchampion import (
     find_context,
     xj_thresholds,
 )
+
+from conftest import extended
+from oracles import e2_table_heap
+
+COLD_N = 103613071095758  # an n of the cold benchmark workload
 
 FIG2 = [(1, 0), (3, 3), (6, 5), (12, 7), (60, 12), (420, 19), (4620, 30), (60060, 43)]
 
@@ -231,3 +237,70 @@ def test_thresholds_newton_from_above(monkeypatch):
     for n, render in CRITERION_CHAMPIONS.items():
         assert find_context(n, table, e2).N.render() == render
     assert len(per_root) >= 3 * 9 and max(per_root) <= 10
+
+
+@pytest.fixture(scope="module")
+def tables_by_scale(table1m):
+    return {10**6: table1m, 10**12: PrimeTable.build(auto_limit(10**12)),
+            COLD_N: PrimeTable.build(auto_limit(COLD_N))}
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("ell_limit, scale", [
+    # 7, 10 and 100 take the first events, where p / log p falls from 2 to 3
+    # and the (2, 2) slope equals the prime 2's slope 2 / log 2
+    (7, 10**6), (10, 10**6), (100, 10**6), (10**4, 10**6), (10**9, 10**6),
+    (10**12, 10**12), (COLD_N, COLD_N)])
+def test_event_table_matches_the_heap_merge(tables_by_scale, request, exact, ell_limit, scale):
+    if exact:  # every slope run and every prime probe settled in mpf
+        request.getfixturevalue("forced_exact")
+    table = tables_by_scale[scale]
+    assert build_e2_table(ell_limit, table) == e2_table_heap(ell_limit, table)
+
+
+def test_event_table_raises_where_the_heap_merge_raises():
+    # Solver grows its sieve on the CapacityError, so both builds must run
+    # out of primes at the same event
+    def outcome(build, ell_limit, table):
+        try:
+            return build(ell_limit, table)
+        except CapacityError:
+            return "past the sieve"
+
+    for limit in (3, 5, 30, 100, 588, 600, 5000):
+        table = PrimeTable.build(limit)
+        for ell_limit in (7, 100, 20000, 10**6):
+            assert (outcome(build_e2_table, ell_limit, table)
+                    == outcome(e2_table_heap, ell_limit, table)), (limit, ell_limit)
+
+
+def test_event_table_doubles_a_short_slope_bound(table1m, monkeypatch):
+    bounds = []
+
+    def short(ell_limit):
+        bounds.append(ell_limit)
+        return 3.0  # below every slope but the (2, 2) one
+
+    fresh = build_e2_table(10**6, table1m)
+    monkeypatch.setattr(superchampion, "_slope_bound", short)
+    assert build_e2_table(10**6, table1m) == fresh and bounds == [10**6]
+
+
+def test_event_table_peak_memory_is_a_fraction_of_the_table():
+    # the build reads the primes through views and small index arrays; a
+    # float searchsorted needle would copy the whole table to float64
+    t = PrimeTable.build(10**7)
+    tracemalloc.start()
+    try:
+        build_e2_table(10**12, t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < t.primes.nbytes / 8, (peak, t.primes.nbytes)
+
+
+@extended
+def test_event_table_matches_the_heap_merge_1e15():
+    table = PrimeTable.build(auto_limit(10**15))
+    e2 = build_e2_table(10**15, table)
+    assert len(e2) == 1339 and e2 == e2_table_heap(10**15, table)
