@@ -9,8 +9,8 @@ two logs agree to within their rounding error the comparison is redone with
 exact integer cross-multiplication, which makes the order total and immune
 to rounding.
 
-Rounding error.  Each fast comparison (PrimeFraction.cmp, assemble.fight,
-the G window's float logs, the float build of D(B') and estimate_B, the
+Rounding error.  Each fast comparison (PrimeFraction.cmp, the G window's
+float logs, the float build of D(B') and estimate_B, the
 event table's slope order and prime probes) trusts a computed difference
 only beyond rounding_error and settles the rest exactly.  With `bits`
 significant bits and rounding to nearest, one rounding multiplies by
@@ -23,15 +23,14 @@ and size >= sum |t_i| (Higham, Accuracy and Stability of Numerical
 Algorithms, lemma 3.1).  A comparison counts the difference of its sides as
 one more step; beyond the bound that difference has its exact sign.  Steps
 per caller: cmp 5 at mp.prec (log, product, mp.fsum, which rounds once, and
-the difference); fight 7 (one log added to and one subtracted from a
-prefix's log); the G window j + 3 at 53 bits for two products of j window
+the difference); the G window j + 3 at 53 bits for two products of j window
 primes P less their common p_k^j, each term log1p((P - p_k)/p_k) (the
 quotient, log1p, j - 1 sums, difference), with size 2 j T where T bounds
 |log1p((P - p_k)/p_k)| and |P - p_k|/P over the window: log1p passes the
 quotient's rounding on scaled by |P - p_k|/P, up to p_k/P_1 at the smallest
 window prime P_1, which can exceed the term itself; D(B') and estimate_B as
 below; the event table's slopes (q^j - q^{j-1})/log q, an exact integer
-over a float log, 5 at 53 bits for the order of two (log, quotient,
+over a float log, 5 at 53 bits for each slope in their order (log, quotient,
 difference, and the mpf slopes they must order alike), and its p/log p < rho
 8 (log and quotient on each side, difference, and the mpf test's own
 rounding); a champion's log, which check_bounds and
@@ -41,7 +40,14 @@ most k + R additions in any order, counting each run's and the total's
 start at 0.0, the difference, and one more as the size is the computed
 log itself), and log g(n) adds two for the float copy of the correction's
 mpf log and its sum with the champion's.  guarded_sign is the comparison
-every one of these callers makes.
+these callers make, and guarded_order their sort.
+
+Sorting.  guarded_order takes floats v_i, each within its bound e_i of an
+exact value, e_i counting the difference of two floats as one more step.
+Two adjacent floats further apart than the sum of their bounds are in exact
+order, and so is every pair across that gap, as long as v - e and v + e do
+not fall as v grows: a constant bound, or one proportional to v >= 0, as
+both callers have.  A run of closer neighbours is sorted exactly.
 
 D(B') (benefit's docstring) keeps running float sums.  A float benp(p, g)
 is d - float(rho)*(g*log p) with d = dell_pp exact: an integer below 2^53
@@ -64,10 +70,9 @@ log, the sum of g*log p over its factors, reaches its value through f + 2
 steps (log, product, f - 1 additions); the mpf log the exact sort reads
 adds one and the float size one, so each float log lies within
 rounding_error(S, f + 4, 53) of it, for S and f the layer's largest log
-size and factor count.  Two adjacent float logs more than
-rounding_error(2 S, f + 5, 53) apart (twice that, plus the rounding of
-their difference) are in the order of their mpf logs, and so is every pair
-across that gap.  estimate_B values a witness as (ben + walk) + slack from
+size and factor count; with the rounding of their difference,
+rounding_error(S, f + 5, 53) is each log's bound in guarded_order.
+estimate_B values a witness as (ben + walk) + slack from
 float copies of the mpf ben and walk sum and an exact integer slack: 3
 steps, one for the mpf sum it stands for, two for adding and subtracting
 the bound before comparing, and one for the float size: 7.
@@ -119,6 +124,25 @@ def guarded_sign(d, err, exact_d):
     if abs(d) <= err:
         d = exact_d()
     return (d > 0) - (d < 0)
+
+
+def guarded_order(values, err, exact_key):
+    """Indices that sort the float array values, each within its bound err
+    (a float or an array) of the exact value exact_key(i) orders: a stable
+    float argsort, each run of neighbours no further apart than the sum of
+    their bounds sorted by exact_key (the module docstring's Sorting)."""
+    order = np.argsort(values, kind="stable")
+    if np.ndim(err):
+        err = err[order]
+        err = err[:-1] + err[1:]
+    else:
+        err = 2 * err
+    close = np.flatnonzero(np.diff(values[order]) <= err)
+    if close.size:  # rare: skip np.split's cost on the common empty case
+        for run in np.split(close, np.flatnonzero(np.diff(close) > 1) + 1):
+            lo, hi = int(run[0]), int(run[-1]) + 2
+            order[lo:hi] = sorted(order[lo:hi].tolist(), key=exact_key)
+    return order
 
 
 def log_product(values):

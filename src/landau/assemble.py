@@ -9,6 +9,7 @@ on G then eliminate most candidates before the expensive exact evaluation.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
@@ -42,25 +43,9 @@ class NormalizedCandidate:
     dell_Pi: int                  # l(N*Pi) - l(N)
     ben_Pi: mpf
     m_suffix: int                 # n - l(N*Pi)
-    base_idx: int                 # prime-table index of p_{k+omega}
-    base_prime: int
-    next_prime: int               # p_{k+omega+1}
-
-    def lower_log(self, table):
-        up, down = g_floor(table, self.base_prime, self.next_prime, self.m_suffix)
-        return self.Pi.log + log_int(up) - log_int(down)
-
-    def lower_rational(self, table):
-        up, down = g_floor(table, self.base_prime, self.next_prime, self.m_suffix)
-        return self.Pi.numerator() * up, self.Pi.denominator() * down
-
-    def upper_log(self):
-        up, down = g_ceiling(self.next_prime, self.m_suffix)
-        return self.Pi.log + log_int(up) - mp.log(down)
-
-    def upper_rational(self):
-        up, down = g_ceiling(self.next_prime, self.m_suffix)
-        return self.Pi.numerator() * up, self.Pi.denominator() * down
+    base_prime: int               # p_{k+omega}
+    lower: Fraction               # Pi * g_floor <= Pi * G(base_prime, m_suffix)
+    upper: Fraction               # Pi * g_ceiling >= Pi * G(base_prime, m_suffix)
 
 
 def normalized_candidates(ctx, bound, d_set, n, tables):
@@ -106,17 +91,22 @@ def normalized_candidates(ctx, bound, d_set, n, tables):
                     "candidate at omega=%d has p_{k+w+1}-m = %d below sqrt(x1)=%s"
                     % (w, next_p - m_suffix, mp.nstr(ctx.sqrt_x1, 10))
                 )
+            Pi = _walk_fraction(ctx, cand.delta, w)
+            base = t.prime(i)
+            num, den = Pi.numerator(), Pi.denominator()
+            fu, fd = g_floor(t, base, next_p, m_suffix)
+            cu, cd = g_ceiling(next_p, m_suffix)
             out.append(
                 NormalizedCandidate(
                     plain=cand,
                     omega=w,
-                    Pi=_walk_fraction(ctx, cand.delta, w),
+                    Pi=Pi,
                     dell_Pi=cand.dell + c - m_suffix,
                     ben_Pi=ben_pi,
                     m_suffix=m_suffix,
-                    base_idx=i,
-                    base_prime=t.prime(i),
-                    next_prime=next_p,
+                    base_prime=base,
+                    lower=Fraction(num * fu, den * fd),
+                    upper=Fraction(num * cu, den * cd),
                 )
             )
     if not out:
@@ -128,34 +118,9 @@ def normalized_candidates(ctx, bound, d_set, n, tables):
 
 def fight(cands, ctx):
     """Keep only candidates whose upper sandwich bound reaches the best lower
-    bound; log comparison with an exact rational tiebreak."""
-    if len(cands) <= 1:
-        return list(cands)
-    t = ctx.table
-    lowers = [c.lower_log(t) for c in cands]
-    best_i = max(range(len(cands)), key=lambda i: lowers[i])
-    best_low = lowers[best_i]
-    bc = cands[best_i]
-    best_low_num, best_low_den = bc.lower_rational(t)
-
-    def size(c):  # bounds sum |e| log p over both sandwich bounds' primes
-        top = max(c.next_prime, c.Pi.max_prime())
-        return (sum(abs(e) for _, e in c.Pi.factors) + 2) * log_int(top)
-
-    best_size = size(bc)
-    out = []
-    for c in cands:
-        if c is bc:
-            out.append(c)
-            continue
-        def exact_d():
-            un, ud = c.upper_rational()
-            return un * best_low_den - best_low_num * ud
-
-        guard = arith.rounding_error(size(c) + best_size, 7, mp.prec)
-        if arith.guarded_sign(c.upper_log() - best_low, guard, exact_d) >= 0:
-            out.append(c)
-    return out
+    bound, both exact fractions."""
+    best = max(c.lower for c in cands)
+    return [c for c in cands if c.upper >= best]
 
 
 @dataclass
@@ -365,17 +330,12 @@ class Solver:
         bound, d_set = bound_loop(ctx, n, tables)
         cands = normalized_candidates(ctx, bound, d_set, n, tables)
         survivors = fight(cands, ctx)
-        order = sorted(survivors, key=lambda c: c.lower_log(ctx.table), reverse=True)
-        best = None
-        best_num = best_den = None
-        best_cand = None
-        best_cost = None
+        order = sorted(survivors, key=lambda c: c.lower, reverse=True)
+        best = best_f = best_cand = best_cost = None
         evaluated = 0
         for cand in order:
-            if best is not None:
-                un, ud = cand.upper_rational()
-                if un * best_den < best_num * ud:
-                    continue
+            if best is not None and cand.upper < best_f:
+                continue
             frac = self.engine.g_fraction(cand.base_prime, cand.m_suffix)
             evaluated += 1
             if ctx.ellN + cand.dell_Pi + frac.ell > n:
@@ -383,7 +343,7 @@ class Solver:
             value = cand.Pi.mul(frac)
             if best is None or value.cmp(best) > 0:
                 best = value
-                best_num, best_den = value.numerator(), value.denominator()
+                best_f = Fraction(value.numerator(), value.denominator())
                 best_cand = cand
                 best_cost = frac.ell
         if not best_cand.ben_Pi <= bound.B:

@@ -17,13 +17,14 @@ per context in BenefitTables.  A (member, gamma) pair is admitted or
 refused by the float excess ben + benp - B' beyond arith.rounding_error;
 inside it the exact loop's mpf test benp > B' - ben decides, on the mpf ben
 of that member.  In each direction a member's gammas end at the first one
-refused, as in the exact loop.  A layer is sorted by its float logs, each
-run of entries whose logs lie within the bound of the next by the mpf logs,
-and domination compares dell exactly (every |dell| stays below
-B' + rho*|log delta|, far from 2^63).  Only the members of the last layer
-get an mpf ben: the left fold of BenefitTables.benp over their factors in
-ascending prime order, which is the exact loop's chain cand.ben + cost bit
-for bit.  So D(B') is the exact loop's set, entry for entry.
+refused, as in the exact loop.  A layer is sorted by arith.guarded_order:
+by its float logs, and by the mpf logs where the floats are too close to
+tell (the rule is in arith's docstring).  Domination compares dell exactly
+(every |dell| stays below B' + rho*|log delta|, far from 2^63).  Only the
+members of the last layer get an mpf ben: the left fold of
+BenefitTables.benp over their factors in ascending prime order, which is
+the exact loop's chain cand.ben + cost bit for bit.  So D(B') is the exact
+loop's set, entry for entry.
 
 A gamma list stops at the first gamma whose benp exceeds B' (the float
 decides beyond its bound, the mpf value inside it).  N is an
@@ -324,14 +325,11 @@ def build_prefix_sets(ctx, b_prime, tables):
         log_f = np.concatenate((log_f, log_f[par] + cols.glog[j]))
         log_size = np.concatenate((log_size, new_log_size))
         nf = np.concatenate((nf, new_nf))
-        order = np.argsort(log_f, kind="stable")
-        s = log_f[order]
-        near = np.flatnonzero(
-            np.diff(s) <= arith.rounding_error(2 * log_size_max, nf_max + 5, 53))
-        if near.size:
-            # the exact loop appends each member's extensions after it
-            appended = lambda i: (i, 0) if i < m else (int(par[i - m]), 1 + int(j[i - m]))
-            _sort_near_ties(order, near, fac, appended)
+        # the exact loop appends each member's extensions after it
+        appended = lambda i: (i, 0) if i < m else (int(par[i - m]), 1 + int(j[i - m]))
+        order = arith.guarded_order(
+            log_f, arith.rounding_error(log_size_max, nf_max + 5, 53),
+            lambda i: (PrimeFraction(fac[i]).log, appended(i)))
         order = order[_undominated(dell[order])]
         fac, dell, nf = fac[order], dell[order], nf[order]
         ben_f, ben_size = ben_f[order], ben_size[order]
@@ -359,18 +357,6 @@ def _admitted(p, cols, rows, fac, ben_f, ben_size, nf, b_prime, b_f, tables):
     ok[:, :n] = np.logical_and.accumulate(ok[:, :n], axis=1)
     ok[:, n:] = np.logical_and.accumulate(ok[:, n:], axis=1)
     return ok
-
-
-def _sort_near_ties(order, near, fac, appended):
-    """Sort, in place, each run of order whose float logs lie within their
-    rounding bound of the next (near: positions t with s[t+1] - s[t] within
-    it) by the mpf logs, ties in the exact loop's appending order."""
-    breaks = np.flatnonzero(np.diff(near) > 1)
-    starts = np.concatenate(([near[0]], near[breaks + 1]))
-    ends = np.concatenate((near[breaks], [near[-1]])) + 2
-    for a, b in zip(starts.tolist(), ends.tolist()):
-        order[a:b] = sorted(order[a:b].tolist(),
-                            key=lambda i: (PrimeFraction(fac[i]).log, appended(i)))
 
 
 def _undominated(dell):
@@ -471,7 +457,7 @@ def initial_budget(ctx, n):
     return ctx.rho.value / 2
 
 
-def bound_loop(ctx, n, tables, initial=None):
+def bound_loop(ctx, n, tables):
     """Iterate D(B') -> B until B <= B', then trim D to benefit <= B and
     solve t1 for that B.
 
@@ -481,7 +467,7 @@ def bound_loop(ctx, n, tables, initial=None):
     bracket; a restart's budget is B itself, which differs for each n, so
     its set serves this n alone.
     """
-    b_prime = initial if initial is not None else initial_budget(ctx, n)
+    b_prime = initial_budget(ctx, n)
     for i in range(8):
         if b_prime >= ctx.B1:
             raise BoundFailureError(

@@ -307,10 +307,10 @@ def _sorted_slopes(table, bound):
     """Every (q, j >= 2) whose float slope is at most bound, in the order of
     the slopes: q, j, the cost q^j - q^{j-1} and the float slope, arrays.
 
-    The cost, below 2^53, converts exactly, so two neighbours further apart
-    than rounding_error(their sum, 5, 53) (arith's docstring) are in the
-    order of their mpf slopes, and so is every pair across that gap.  A run
-    of closer neighbours is sorted by its mpf slopes, then by (q, j)."""
+    The cost, below 2^53, converts exactly, so each float slope r lies within
+    rounding_error(r, 5, 53) of its mpf slope (arith's docstring), the bound
+    guarded_order reads.  A run of closer neighbours is sorted by its mpf
+    slopes, then by (q, j)."""
     qs, js, costs = [], [], []
     j = 2
     while 2 ** (j - 1) / math.log(2) <= bound:
@@ -325,15 +325,9 @@ def _sorted_slopes(table, bound):
         j += 1
     q, j, cost = np.concatenate(qs), np.concatenate(js), np.concatenate(costs)
     r = cost / np.log(q.astype(np.float64))
-    order = np.argsort(r, kind="stable")
-    close = np.flatnonzero(np.diff(r[order]) <= arith.rounding_error(
-        r[order[:-1]] + r[order[1:]], 5, 53))
     logs = {}
-    for run in np.split(close, np.flatnonzero(np.diff(close) > 1) + 1):
-        if len(run):
-            lo, hi = int(run[0]), int(run[-1]) + 2
-            order[lo:hi] = sorted(order[lo:hi].tolist(), key=lambda i: (
-                _mpf_slope(int(q[i]), int(cost[i]), logs), int(q[i]), int(j[i])))
+    order = arith.guarded_order(r, arith.rounding_error(r, 5, 53), lambda i: (
+        _mpf_slope(int(q[i]), int(cost[i]), logs), int(q[i]), int(j[i])))
     return q[order], j[order], cost[order], r[order]
 
 

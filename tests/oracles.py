@@ -27,6 +27,7 @@ recursion, the reference for the confirmed window.
 
 import heapq
 import math
+from fractions import Fraction
 
 import numpy as np
 from mpmath import mp, mpf
@@ -47,7 +48,7 @@ from landau.errors import (
     InvariantViolation,
     PrefixGapError,
 )
-from landau.gfunction import _UptoEntry
+from landau.gfunction import _UptoEntry, g_ceiling, g_floor
 from landau.oracle import _pmax
 from landau.primes import _simple_sieve
 from landau.superchampion import E2Entry
@@ -392,17 +393,20 @@ def _try_candidate(ctx, bound, tables, out, cand, w, s_w, hi, denom):
             "candidate at omega=%d has p_{k+w+1}-m = %d below sqrt(x1)=%s"
             % (w, next_p - m_suffix, mp.nstr(ctx.sqrt_x1, 10))
         )
+    Pi = _walk_fraction(ctx, cand.delta, w)
+    base = t.prime(ctx.k + w)
+    pi_f = Fraction(Pi.numerator(), Pi.denominator())
     out.append(
         NormalizedCandidate(
             plain=cand,
             omega=w,
-            Pi=_walk_fraction(ctx, cand.delta, w),
+            Pi=Pi,
             dell_Pi=cand.dell + s_w,
             ben_Pi=ben_pi,
             m_suffix=m_suffix,
-            base_idx=ctx.k + w,
-            base_prime=t.prime(ctx.k + w),
-            next_prime=next_p,
+            base_prime=base,
+            lower=pi_f * Fraction(*g_floor(t, base, next_p, m_suffix)),
+            upper=pi_f * Fraction(*g_ceiling(next_p, m_suffix)),
         )
     )
 

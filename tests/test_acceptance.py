@@ -16,6 +16,7 @@ is kept as recorded.
 
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpf
@@ -88,6 +89,25 @@ def test_criterion_3x_golden_1e12_1e15(big_solver):
     assert r.correction.factors == want
     assert big_solver.compute(10**15 - 1).correction == r.correction
     print("PASS criterion 3x: golden factorizations at 1e12, 1e15")
+
+
+@extended
+def test_sandwich_exact_at_goldens(big_solver):
+    # the survivors of the exact sandwich at the 10^12 and 10^15 goldens and
+    # at each n - 1: the candidates whose upper bound reaches the best lower
+    # bound; g(n)/N is one of their values, each within its own bounds
+    for n in (10**12, 10**12 - 1, 10**15, 10**15 - 1):
+        res, det = big_solver.compute(n, details=True)
+        best = max(c.lower for c in det.candidates)
+        assert det.survivors == [c for c in det.candidates if c.upper >= best], n
+        values = []
+        for c in det.survivors:
+            v = c.Pi.mul(big_solver.engine.g_fraction(c.base_prime, c.m_suffix))
+            assert c.lower <= Fraction(v.numerator(), v.denominator()) <= c.upper, n
+            values.append(v)
+        assert res.correction in values, n
+        assert 1 <= det.evaluated <= len(det.survivors), n
+    print("PASS sandwich: exact survivors at 1e12, 1e15")
 
 
 def _jump_check(solver, n):

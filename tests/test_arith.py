@@ -1,12 +1,15 @@
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from mpmath import mp, mpf, workdps
 
 from landau.arith import (
     PrimeFraction,
     ell_pp,
+    guarded_order,
     log_product,
     parse_factored,
     render_factored,
@@ -86,6 +89,43 @@ def _check_cmp_against_fractions(rng):
             < Fraction(b.numerator(), b.denominator())
         )
         assert a.cmp(b) == want
+
+
+def _order(values, err, exact):
+    """guarded_order of values against the exact keys, and the indices
+    whose key it read."""
+    read = set()
+
+    def key(i):
+        read.add(i)
+        return exact[i]
+
+    return guarded_order(np.array(values, dtype=float), err, key).tolist(), read
+
+
+def test_guarded_order():
+    # each float within 0.5 of its exact value: a run at each end whose
+    # floats are in the wrong order, and far-apart entries between them
+    values = [1.3, 0.9, 5.0, 9.0, 14.0, 20.3, 19.9]
+    exact = [Fraction(v) / 10 for v in (10, 12, 50, 90, 140, 200, 202)]
+    assert _order(values, 0.5, exact) == ([0, 1, 2, 3, 4, 5, 6], {0, 1, 5, 6})
+    # the same bounds as an array; zero bounds leave a close pair in float order
+    err = np.array([0.5, 0.5, 0.0, 0.0, 0.0, 0.5, 0.5])
+    assert _order(values, err, exact) == ([0, 1, 2, 3, 4, 5, 6], {0, 1, 5, 6})
+    assert _order([3.0001, 3.0], 0.0, [0, 1]) == ([1, 0], set())
+    # a pair is close when its gap is at most the sum of its two bounds
+    assert _order([1.45, 1.0], np.array([0.2, 0.25]), [0, 1]) == ([0, 1], {0, 1})
+    assert _order([1.5, 1.0], np.array([0.25, 0.25]), [0, 1]) == ([0, 1], {0, 1})
+    assert _order([1.55, 1.0], np.array([0.2, 0.25]), [0, 1]) == ([1, 0], set())
+    assert _order([], 0.5, []) == _order([], np.array([]), []) == ([], set())
+    assert _order([2.0], 0.5, [0]) == ([0], set())
+    # an infinite bound, as under forced_exact, sorts everything exactly
+    rng = random.Random(7)
+    exact = list(range(40))
+    rng.shuffle(exact)
+    values = [rng.random() for _ in exact]
+    got, read = _order(values, math.inf, exact)
+    assert [exact[i] for i in got] == list(range(40)) and read == set(range(40))
 
 
 def test_to_decimal():

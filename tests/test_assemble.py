@@ -1,5 +1,6 @@
 import random
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from landau.arith import DEFAULT_PRECISION, set_precision
 from landau.assemble import Solver, fight, normalized_candidates
 from landau.benefit import BoundResult, PrefixCandidate, PrefixSet
 from landau.errors import CapacityError, InvariantViolation, PrefixGapError
+from landau.gfunction import g_floor
 from landau.oracle import g_list_merge_prune
 from landau.superchampion import Champion
 
@@ -110,22 +112,23 @@ def test_fight_eliminates_strictly_dominated(solver):
     for n in list(range(999990, 10**6 + 10)) + list(range(998500, 998600)):
         res, det = solver.compute(n, details=True)
         assert 1 <= len(det.survivors) <= len(det.candidates)
-        t = det.ctx.table
-        best_low = max(c.lower_log(t) for c in det.survivors)
+        best_low = max(c.lower for c in det.survivors)
         for c in det.survivors:
-            assert c.upper_log() >= best_low - mpf(10) ** (-mp.dps + 6)
+            assert c.upper >= best_low
         _check_survivors_exactly(det)
 
 
 def _check_survivors_exactly(det):
-    # a candidate survives iff its upper bound reaches the best lower bound,
-    # both as exact rationals
+    # each candidate's bounds are Pi * g_floor and Pi * g_ceiling, and a
+    # candidate survives iff its upper bound reaches the best lower bound
     t = det.ctx.table
-    best = max(det.candidates, key=lambda c: c.lower_log(t))
-    bn, bd = best.lower_rational(t)
-    want = [c for c in det.candidates
-            if c is best or c.upper_rational()[0] * bd >= bn * c.upper_rational()[1]]
-    assert det.survivors == want
+    for c in det.candidates:
+        pi = Fraction(c.Pi.numerator(), c.Pi.denominator())
+        pk1 = t.next_prime(c.base_prime)
+        assert c.lower == pi * Fraction(*g_floor(t, c.base_prime, pk1, c.m_suffix))
+        assert c.upper == pi * Fraction(pk1, pk1 - c.m_suffix) >= c.lower
+    best = max(c.lower for c in det.candidates)
+    assert det.survivors == [c for c in det.candidates if c.upper >= best]
 
 
 def test_normalized_candidates_examples(solver):

@@ -101,7 +101,7 @@ def test_dell_matches_direct_recomputation(ctx1e6, tables1e6):
         assert abs(recomputed - cand.ben) <= mpf(10) ** (-mp.dps + 6) * max(1, abs(cand.ben))
 
 
-def test_candidate_counts_and_bound_regression(table1m):
+def test_candidate_counts_and_bound_regression(table1m, monkeypatch):
     n = 1000064448
     from landau.primes import PrimeTable, auto_limit
 
@@ -117,7 +117,9 @@ def test_candidate_counts_and_bound_regression(table1m):
     d10 = build_prefix_sets(ctx, rho, tables)
     assert len(d10) == 194
     # restart path: B' = 0.6 rho climbs to ~1.104 rho, settles at ~1.055 rho
-    res, d_final = bound_loop(ctx, n, tables, initial=mpf("0.6") * rho)
+    with monkeypatch.context() as m:
+        m.setattr(benefit, "initial_budget", lambda ctx, n: mpf("0.6") * rho)
+        res, d_final = bound_loop(ctx, n, tables)
     assert abs(res.B / rho - mpf("1.055")) < mpf("0.005") * mpf("1.055")
     assert len(d_final) == 212
     res2, d_final2 = bound_loop(ctx, n, tables)
