@@ -1,46 +1,41 @@
 """Exact factored rationals, the additive prime-power cost l, and
-high-precision logarithms with an exact comparison fallback.
+float64 comparisons with an exact or high-precision fallback.
 
 A PrimeFraction is a product prod p^e with signed exponents, always kept in
 canonical form (sorted primes, no zero exponents).  l(p^e) = p^e for e > 0
 and the cost of a fraction is l(num) - l(den), so l is additive over
-coprime parts.  Values are compared through cached high-precision logs; when
-two logs agree to within their rounding error the comparison is redone with
-exact integer cross-multiplication, which makes the order total and immune
-to rounding.
+coprime parts.  Two exact rationals compare as fractions.Fraction values
+(PrimeFraction.fraction()); the comparisons below are of float64 logs.
 
-Rounding error.  Each fast comparison (PrimeFraction.cmp, the G window's
-float logs, the float build of D(B') and estimate_B, the
-event table's slope order and prime probes) trusts a computed difference
-only beyond rounding_error and settles the rest exactly.  With `bits`
-significant bits and rounding to nearest, one rounding multiplies by
-1 + d, |d| <= u = 2^-bits.  If each
-term t_i of v = sum t_i reaches the
+Rounding error.  Each fast comparison (the G window's float logs, the float
+build of D(B') and estimate_B, the event table's slope order and prime
+probes) trusts a computed difference only beyond rounding_error and settles
+the rest exactly.  Every one is in float64: rounding to nearest multiplies
+by 1 + d, |d| <= u = 2^-53.  If each term t_i of v = sum t_i reaches the
 computed value through at most s roundings (a library log, good to one ulp,
 counts as two; each sum, difference, product or copy as one), then
 |computed - v| <= s u / (1 - s u) * sum |t_i| <= 2 s u * size for s u <= 1/2
 and size >= sum |t_i| (Higham, Accuracy and Stability of Numerical
 Algorithms, lemma 3.1).  A comparison counts the difference of its sides as
 one more step; beyond the bound that difference has its exact sign.  Steps
-per caller: cmp 5 at mp.prec (log, product, mp.fsum, which rounds once, and
-the difference); the G window j + 3 at 53 bits for two products of j window
-primes P less their common p_k^j, each term log1p((P - p_k)/p_k) (the
-quotient, log1p, j - 1 sums, difference), with size 2 j T where T bounds
+per caller: the G window j + 3 for two products of j window primes P less
+their common p_k^j, each term log1p((P - p_k)/p_k) (the quotient, log1p,
+j - 1 sums, difference), with size 2 j T where T bounds
 |log1p((P - p_k)/p_k)| and |P - p_k|/P over the window: log1p passes the
 quotient's rounding on scaled by |P - p_k|/P, up to p_k/P_1 at the smallest
 window prime P_1, which can exceed the term itself; D(B') and estimate_B as
 below; the event table's slopes (q^j - q^{j-1})/log q, an exact integer
-over a float log, 5 at 53 bits for each slope in their order (log, quotient,
+over a float log, 5 for each slope in their order (log, quotient,
 difference, and the mpf slopes they must order alike), and its p/log p < rho
 8 (log and quotient on each side, difference, and the mpf test's own
-rounding); a champion's log, which check_bounds and
-the digit budgets compare with an mpf bound, k + R + 5 at 53 bits for k
-primes in R exponent runs (np.log, the product by the run's exponent, at
-most k + R additions in any order, counting each run's and the total's
-start at 0.0, the difference, and one more as the size is the computed
-log itself), and log g(n) adds two for the float copy of the correction's
-mpf log and its sum with the champion's.  guarded_sign is the comparison
-these callers make, and guarded_order their sort.
+rounding); a champion's log, which check_bounds and the digit budgets
+compare with an mpf bound, k + R + 5 for k primes in R exponent runs
+(np.log, the product by the run's exponent, at most k + R additions in any
+order, counting each run's and the total's start at 0.0, the difference,
+and one more as the size is the computed log itself), and log g(n) adds two
+for the float copy of the correction's mpf log and its sum with the
+champion's.  guarded_sign is the comparison these callers make, and
+guarded_order their sort.
 
 Sorting.  guarded_order takes floats v_i, each within its bound e_i of an
 exact value, e_i counting the difference of two floats as one more step.
@@ -60,7 +55,7 @@ term reaches it through at most f + 4 steps; its size is the running sum of
 the c_i's sizes.  The admission excess (ben + c) - B' for one more c adds
 two steps to those (c's own terms take 7, the float copy of B' 2), one
 covers the mpf test's roundings (at most f + 6 at mp.prec, within one
-53-bit step while f + 6 <= 2^(mp.prec - 53), that is f < 2^17 - 6 at the
+float64 step while f + 6 <= 2^(mp.prec - 53), that is f < 2^17 - 6 at the
 70 bits of MIN_PRECISION), and one the float size, itself a rounded sum:
 f + 9 steps (9 for the member 1), size ben's + c's + B'.  The row filter
 in front of it doubles the layer's largest such bound to cover its own
@@ -69,9 +64,9 @@ counting 8 steps (its 5, the mpf benp, the copy of B', the difference).  A membe
 log, the sum of g*log p over its factors, reaches its value through f + 2
 steps (log, product, f - 1 additions); the mpf log the exact sort reads
 adds one and the float size one, so each float log lies within
-rounding_error(S, f + 4, 53) of it, for S and f the layer's largest log
+rounding_error(S, f + 4) of it, for S and f the layer's largest log
 size and factor count; with the rounding of their difference,
-rounding_error(S, f + 5, 53) is each log's bound in guarded_order.
+rounding_error(S, f + 5) is each log's bound in guarded_order.
 estimate_B values a witness as (ben + walk) + slack from
 float copies of the mpf ben and walk sum and an exact integer slack: 3
 steps, one for the mpf sum it stands for, two for adding and subtracting
@@ -80,6 +75,7 @@ the bound before comparing, and one for the float size: 7.
 
 import math
 import re
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -109,12 +105,12 @@ def log_int(n):
     return mp.log(n)
 
 
-def rounding_error(size, steps, bits):
-    """Bound on |computed - exact| for a value whose terms have absolute
-    values summing to at most `size`, each passing through at most `steps`
-    roundings at `bits` significant bits; derived in the module docstring.
-    `size` is a float or float array for bits = 53, an mpf for mp.prec."""
-    return size * (2 * steps) / 2**bits
+def rounding_error(size, steps):
+    """Bound on |computed - exact| for a float64 value whose terms have
+    absolute values summing to at most `size` (a float or float array), each
+    passing through at most `steps` roundings; derived in the module
+    docstring."""
+    return size * (2 * steps) / 2**53
 
 
 def guarded_sign(d, err, exact_d):
@@ -258,8 +254,9 @@ class PrimeFraction:
     def denominator(self):
         return _tree_product(p ** (-e) for p, e in self.factors if e < 0)
 
-    def max_prime(self):
-        return self.factors[-1][0] if self.factors else 1
+    def fraction(self):
+        """The value as a fractions.Fraction, the type exact rationals compare in."""
+        return Fraction(self.numerator(), self.denominator())
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -289,17 +286,6 @@ class PrimeFraction:
         return PrimeFraction(tuple(out))
 
     # -- comparison --------------------------------------------------------------
-
-    def cmp(self, other):
-        """-1, 0 or +1; exact even when the logs nearly tie."""
-        if self.factors == other.factors:
-            return 0
-        exps = sum(abs(e) for _, e in self.factors + other.factors)
-        size = exps * log_int(max(self.max_prime(), other.max_prime()))
-        return guarded_sign(
-            self.log - other.log, rounding_error(size, 5, mp.prec),
-            lambda: self.numerator() * other.denominator()
-            - other.numerator() * self.denominator())
 
     def __eq__(self, other):
         return isinstance(other, PrimeFraction) and self.factors == other.factors

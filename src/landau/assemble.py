@@ -93,9 +93,7 @@ def normalized_candidates(ctx, bound, d_set, n, tables):
                 )
             Pi = _walk_fraction(ctx, cand.delta, w)
             base = t.prime(i)
-            num, den = Pi.numerator(), Pi.denominator()
-            fu, fd = g_floor(t, base, next_p, m_suffix)
-            cu, cd = g_ceiling(next_p, m_suffix)
+            pi = Pi.fraction()
             out.append(
                 NormalizedCandidate(
                     plain=cand,
@@ -105,8 +103,8 @@ def normalized_candidates(ctx, bound, d_set, n, tables):
                     ben_Pi=ben_pi,
                     m_suffix=m_suffix,
                     base_prime=base,
-                    lower=Fraction(num * fu, den * fd),
-                    upper=Fraction(num * cu, den * cd),
+                    lower=pi * g_floor(t, base, next_p, m_suffix),
+                    upper=pi * g_ceiling(next_p, m_suffix),
                 )
             )
     if not out:
@@ -149,11 +147,11 @@ class LandauResult:
         error bound, log_g() inside it."""
         c = float(self.correction.log)
         v, err = self.champion.approx_log() if self.champion is not None else (0.0, 0.0)
-        err += arith.rounding_error(abs(v) + abs(c), 2, 53)
+        err += arith.rounding_error(abs(v) + abs(c), 2)
         return arith.guarded_sign(mpf(v + c) - bound, err, lambda: self.log_g() - bound)
 
     def max_prime_factor(self):
-        best = self.correction.max_prime() if self.correction.factors else 1
+        best = max((p for p, e in self.correction.factors if e > 0), default=1)
         if self.champion is not None:
             t = self.champion.table
             idx = self.champion.k
@@ -179,16 +177,17 @@ class LandauResult:
     def check_bounds(self):
         """The effective two-sided bounds on log g(n) and its largest prime."""
         n = self.n
-        if n >= 4:
-            root = mp.sqrt(n * mp.log(n))
-            if n >= 906 and self._log_g_sign(root) < 0:
-                raise InvariantViolation("log g(n) below sqrt(n log n) at n=%d" % n)
-            maj = root * (1 + (mp.log(mp.log(n)) - mpf("0.975")) / (2 * mp.log(n)))
-            if self._log_g_sign(maj) > 0:
-                raise InvariantViolation("log g(n) above its effective majorant at n=%d" % n)
-        if n >= 5:
-            if not self.max_prime_factor() <= mpf("1.328") * mp.sqrt(n * mp.log(n)):
-                raise InvariantViolation("largest prime factor bound violated at n=%d" % n)
+        if n < 4:
+            return
+        log_n = mp.log(n)
+        root = mp.sqrt(n * log_n)
+        if n >= 906 and self._log_g_sign(root) < 0:
+            raise InvariantViolation("log g(n) below sqrt(n log n) at n=%d" % n)
+        maj = root * (1 + (mp.log(log_n) - mpf("0.975")) / (2 * log_n))
+        if self._log_g_sign(maj) > 0:
+            raise InvariantViolation("log g(n) above its effective majorant at n=%d" % n)
+        if n >= 5 and not self.max_prime_factor() <= mpf("1.328") * root:
+            raise InvariantViolation("largest prime factor bound violated at n=%d" % n)
 
 
 @dataclass
@@ -341,11 +340,9 @@ class Solver:
             if ctx.ellN + cand.dell_Pi + frac.ell > n:
                 raise InvariantViolation("evaluated candidate exceeds the cost budget")
             value = cand.Pi.mul(frac)
-            if best is None or value.cmp(best) > 0:
-                best = value
-                best_f = Fraction(value.numerator(), value.denominator())
-                best_cand = cand
-                best_cost = frac.ell
+            value_f = value.fraction()
+            if best is None or value_f > best_f:
+                best, best_f, best_cand, best_cost = value, value_f, cand, frac.ell
         if not best_cand.ben_Pi <= bound.B:
             raise InvariantViolation("winning candidate exceeds the benefit bound")
         res = LandauResult(

@@ -214,7 +214,7 @@ class BenefitTables:
     def _over(self, p, entry, b_prime, b_f):
         """benp(p, gamma) > B' for a float column entry."""
         gamma, cost, size = entry[:3]
-        return arith.guarded_sign(cost - b_f, arith.rounding_error(size + b_f, 8, 53),
+        return arith.guarded_sign(cost - b_f, arith.rounding_error(size + b_f, 8),
                                   lambda: self.benp(p, gamma) - b_prime) > 0
 
     def _float_benp(self, p, gamma):
@@ -292,7 +292,7 @@ def build_prefix_sets(ctx, b_prime, tables):
         # nothing; twice the pair bound covers the roundings of this filter
         first = cols.first
         slack = 2 * arith.rounding_error(
-            ben_size_max + cols.size[first].max() + b_f, nf_max + 9, 53)
+            ben_size_max + cols.size[first].max() + b_f, nf_max + 9)
         rows = np.flatnonzero(ben_f <= b_f - cols.cost[first].min() + slack)
         if not rows.size:
             continue
@@ -328,7 +328,7 @@ def build_prefix_sets(ctx, b_prime, tables):
         # the exact loop appends each member's extensions after it
         appended = lambda i: (i, 0) if i < m else (int(par[i - m]), 1 + int(j[i - m]))
         order = arith.guarded_order(
-            log_f, arith.rounding_error(log_size_max, nf_max + 5, 53),
+            log_f, arith.rounding_error(log_size_max, nf_max + 5),
             lambda i: (PrimeFraction(fac[i]).log, appended(i)))
         order = order[_undominated(dell[order])]
         fac, dell, nf = fac[order], dell[order], nf[order]
@@ -346,7 +346,7 @@ def _admitted(p, cols, rows, fac, ben_f, ben_size, nf, b_prime, b_f, tables):
     bound, the mpf test inside it."""
     excess = ben_f[rows, None] + cols.cost - b_f
     err = arith.rounding_error(
-        ben_size[rows, None] + cols.size + abs(b_f), nf[rows, None] + 9, 53)
+        ben_size[rows, None] + cols.size + abs(b_f), nf[rows, None] + 9)
     ok = excess < -err
     starts = (0, cols.n_neg)
     for i, k in zip(*np.nonzero(np.abs(excess) <= err)):  # row-major: ok[i, k-1] is final
@@ -423,7 +423,7 @@ def estimate_B(ctx, d_set, n, tables):
     ben_f = d_set.ben_f[keep]
     walk_f = tables.walk_ben_f(omega)
     value = ben_f + walk_f + slack
-    err = arith.rounding_error(np.abs(ben_f) + np.abs(walk_f) + np.abs(slack), 7, 53)
+    err = arith.rounding_error(np.abs(ben_f) + np.abs(walk_f) + np.abs(slack), 7)
     best = None
     for i in np.flatnonzero(value - err <= np.min(value + err)).tolist():
         w = int(omega[i])

@@ -21,6 +21,7 @@ guaranteed, and both algorithms agree on an overlap band of m.
 
 import math
 from bisect import bisect_right
+from fractions import Fraction
 
 import numpy as np
 
@@ -51,16 +52,15 @@ def check_fraction(frac, p_k, m):
 
 
 def g_floor(table, p_k, pk1, m):
-    """G(p_k, m) >= p_{k+1}/q, as (p_{k+1}, q): the single swap of q, the
-    least prime >= p_{k+1} - m, for p_{k+1} when q <= p_k; else (1, 1)."""
+    """G(p_k, m) >= p_{k+1}/q, a Fraction: the single swap of q, the least
+    prime >= p_{k+1} - m, for p_{k+1} when q <= p_k; else 1."""
     q = table.next_prime(pk1 - m - 1)
-    return (pk1, q) if q <= p_k else (1, 1)
+    return Fraction(pk1, q) if q <= p_k else Fraction(1)
 
 
 def g_ceiling(pk1, m):
-    """G(p_k, m) <= p_{k+1}/(p_{k+1} - m), as (p_{k+1}, p_{k+1} - m), for
-    m < p_{k+1}."""
-    return pk1, pk1 - m
+    """G(p_k, m) <= p_{k+1}/(p_{k+1} - m), a Fraction, for m < p_{k+1}."""
+    return Fraction(pk1, pk1 - m)
 
 
 class _UptoEntry:
@@ -162,7 +162,7 @@ class GEngine:
                 np.minimum(run[o], cand[o], out=run[o + 1])
             row, left = run[1:], run[:-1]
             taken = cand < left
-            guard = arith.rounding_error(2 * j * T, j + 3, 53)
+            guard = arith.rounding_error(2 * j * T, j + 3)
             with np.errstate(invalid="ignore"):  # inf - inf: both infeasible
                 near = np.abs(cand - left) <= guard
             if near.any():
@@ -200,7 +200,7 @@ class GEngine:
             frac = PrimeFraction(
                 tuple((p, -1) for p in chain if p <= pk)
                 + tuple((p, 1) for p in tops if p not in tops_used))
-            check_fraction(frac, pk, entry.ms[i + 1] - 1 if i + 1 < len(entry.ms) else entry.cap)
+            check_fraction(frac, pk, entry.ms[i])  # optimal from ms[i] on
             entry.fracs[i] = frac
         return frac
 
@@ -285,12 +285,10 @@ class GEngine:
         return m >= SMALL_M_CUTOFF and 2 * m >= 9 * self.delta1(self.table.next_prime(p_k))
 
     def _check_sandwich(self, p_k, pk1, m, frac):
-        num, den = frac.numerator(), frac.denominator()
-        up, down = g_floor(self.table, p_k, pk1, m)
-        if num * down < den * up:
+        value = frac.fraction()
+        if value < g_floor(self.table, p_k, pk1, m):
             raise InvariantViolation("G below its single-swap floor")
-        up, down = g_ceiling(pk1, m)
-        if num * down > den * up:
+        if value > g_ceiling(pk1, m):
             raise InvariantViolation("G above p_{k+1}/(p_{k+1}-m)")
         if frac.ell > m:
             raise InvariantViolation("G cost exceeds budget")
@@ -319,10 +317,8 @@ class GEngine:
         while True:
             if d > entry.cap:
                 entry = self._g_upto(p_idx, min(d + 256, ceiling + 2))
-            frac = self._extract(entry, d)
-            # G(p, d) >= 1 + d/p, exactly
-            if frac.numerator() * p < frac.denominator() * (p + d):
-                last_bad = d
+            if self._extract(entry, d).fraction() < Fraction(p + d, p):
+                last_bad = d  # G(p, d) < 1 + d/p
             if d >= delta and d - gap + 2 > last_bad:
                 self._delta1[p] = d
                 return d
@@ -357,8 +353,7 @@ class GEngine:
             if d == 0:
                 delta = 0
                 break
-            frac = self._extract(probe, d)
-            if frac.numerator() * pk1 >= frac.denominator() * (pk1 + d):
+            if self._extract(probe, d).fraction() >= Fraction(pk1 + d, pk1):
                 delta = d
                 break
         if delta is None:
@@ -370,21 +365,12 @@ class GEngine:
         if q_hat < q_lo + delta:
             raise InvariantViolation("empty denominator range in the large-m reduction")
         inner = self._g_upto(pk1_idx, m - pk1 + q_hat)
-        best = None
-        best_num = best_den = None
-        q_idx = t.rank(t.next_prime(q_lo - 1))
-        while True:
-            q = t.prime(q_idx)
-            if q > q_hat:
-                break
-            inner_frac = self._extract(inner, m - pk1 + q)
-            num = pk1 * inner_frac.numerator()
-            den = q * inner_frac.denominator()
-            if best is None or num * best_den > best_num * den:
-                best = (q, inner_frac)
-                best_num, best_den = num, den
-            q_idx += 1
-        q, inner_frac = best
+        qs = t.primes[t.count_upto(q_lo - 1) : t.count_upto(q_hat)].tolist()
+        # the best p_{k+1}/q * G(p_{k+1}, m - p_{k+1} + q); max keeps the
+        # first of equal values, the smallest q
+        q, inner_frac = max(
+            ((q, self._extract(inner, m - pk1 + q)) for q in qs),
+            key=lambda pair: pair[1].fraction() / pair[0])
         # p_{k+1}/q times G(p_{k+1}, m - p_{k+1} + q): a p_{k+1} below cancels,
         # and a q already below would show as q^-2
         out = inner_frac.mul(PrimeFraction(((q, -1), (pk1, 1))))

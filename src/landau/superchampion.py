@@ -214,7 +214,7 @@ class Champion:
                 for a in range(lo - 1, hi, LOG_CHUNK):  # bounded float temporaries
                     run += float(np.log(self.table.primes[a : min(a + LOG_CHUNK, hi)]).sum())
                 v += j * run
-            self._approx = (v, arith.rounding_error(v, self.k + len(self.runs) + 5, 53))
+            self._approx = (v, arith.rounding_error(v, self.k + len(self.runs) + 5))
         return self._approx
 
     def to_int(self, digit_budget=10**7):
@@ -308,7 +308,7 @@ def _sorted_slopes(table, bound):
     the slopes: q, j, the cost q^j - q^{j-1} and the float slope, arrays.
 
     The cost, below 2^53, converts exactly, so each float slope r lies within
-    rounding_error(r, 5, 53) of its mpf slope (arith's docstring), the bound
+    rounding_error(r, 5) of its mpf slope (arith's docstring), the bound
     guarded_order reads.  A run of closer neighbours is sorted by its mpf
     slopes, then by (q, j)."""
     qs, js, costs = [], [], []
@@ -326,7 +326,7 @@ def _sorted_slopes(table, bound):
     q, j, cost = np.concatenate(qs), np.concatenate(js), np.concatenate(costs)
     r = cost / np.log(q.astype(np.float64))
     logs = {}
-    order = arith.guarded_order(r, arith.rounding_error(r, 5, 53), lambda i: (
+    order = arith.guarded_order(r, arith.rounding_error(r, 5), lambda i: (
         _mpf_slope(int(q[i]), int(cost[i]), logs), int(q[i]), int(j[i])))
     return q[order], j[order], cost[order], r[order]
 
@@ -380,7 +380,7 @@ def _ratio_excess(p, r):
     """p / log p - r in floats for float slopes r of _sorted_slopes, and its
     rounding bound (8 steps, arith's docstring)."""
     v = p / np.log(p)
-    return v - r, arith.rounding_error(v + r, 8, 53)
+    return v - r, arith.rounding_error(v + r, 8)
 
 
 def _ratio_below(p, rv):

@@ -27,4 +27,4 @@ def table1m():
 def forced_exact(monkeypatch):
     """Every fast comparison undecided: with an infinite rounding bound each
     caller of arith.rounding_error takes its exact fallback."""
-    monkeypatch.setattr(arith, "rounding_error", lambda size, steps, bits: math.inf)
+    monkeypatch.setattr(arith, "rounding_error", lambda size, steps: math.inf)

@@ -228,7 +228,7 @@ def _ratio_below(p, r, rf):
     """p / log p < r, rf the float copy of r: floats decide beyond their
     rounding error, mp.log the rest."""
     q = p / math.log(p)
-    return arith.guarded_sign(q - rf, arith.rounding_error(q + rf, 6, 53),
+    return arith.guarded_sign(q - rf, arith.rounding_error(q + rf, 6),
                               lambda: mpf(p) / mp.log(p) - r) < 0
 
 
@@ -405,8 +405,8 @@ def _try_candidate(ctx, bound, tables, out, cand, w, s_w, hi, denom):
             ben_Pi=ben_pi,
             m_suffix=m_suffix,
             base_prime=base,
-            lower=pi_f * Fraction(*g_floor(t, base, next_p, m_suffix)),
-            upper=pi_f * Fraction(*g_ceiling(next_p, m_suffix)),
+            lower=pi_f * g_floor(t, base, next_p, m_suffix),
+            upper=pi_f * g_ceiling(next_p, m_suffix),
         )
     )
 

@@ -130,7 +130,7 @@ def _jump_check(solver, n):
         step = rho.q if rho.j == 1 else rho.q**rho.j - rho.q ** (rho.j - 1)
         assert below.context.ell_nplus == ctx.ellN == below.context.ellN + step, n
         q = PrimeFraction.from_int(rho.q)
-    assert below.correction.cmp(res.correction.mul(q)) < 0, n
+    assert below.correction.fraction() < res.correction.mul(q).fraction(), n
     return res, at_m, below
 
 

@@ -53,42 +53,30 @@ def test_mul_examples():
     assert d.mul(PrimeFraction.from_int(3847)).factors == ((43, 1), (3947, 1))
 
 
-def test_cmp_examples():
+def test_fraction_examples():
     a = PrimeFraction.from_factors({107: 1, 113: 1, 97: -1, 101: -1})
     b = PrimeFraction.from_factors({109: 1, 97: -1})
-    assert a.cmp(b) > 0
-    assert a.cmp(a) == 0
+    assert a.fraction() == Fraction(107 * 113, 97 * 101) > b.fraction() == Fraction(109, 97)
     c = PrimeFraction.from_factors({11: 1, 10: 0, 2: -1, 5: -1})
     d = PrimeFraction.from_factors({43: 1, 41: -1})
-    assert c.cmp(d) > 0  # 11*41 = 451 > 430 = 10*43
+    assert c.fraction() > d.fraction()  # 11*41 = 451 > 430 = 10*43
+    assert PrimeFraction.one().fraction() == 1
+    # 2048/2047 against 2049/2048: logs ~2.4e-7 apart
+    e = PrimeFraction.from_factors({2: 11, 23: -1, 89: -1})
+    f = PrimeFraction.from_factors({3: 1, 683: 1, 2: -11})
+    assert (e.fraction(), f.fraction()) == (Fraction(2048, 2047), Fraction(2049, 2048))
+    assert e.fraction() > f.fraction()
 
 
-def test_cmp_exact_fallback_near_tie(forced_exact):
-    # 2048/2047 vs 2049/2048: a log gap of ~2.4e-7 that the logs alone
-    # would settle, so the switch sends it down the exact route
-    a = PrimeFraction.from_factors({2: 11, 23: -1, 89: -1})
-    b = PrimeFraction.from_factors({3: 1, 683: 1, 2: -11})
-    assert a.cmp(b) == (1 if Fraction(2048, 2047) > Fraction(2049, 2048) else -1)
-
-
-def test_cmp_total_order_random():
-    _check_cmp_against_fractions(random.Random(7))
-
-
-def test_cmp_total_order_forced_exact(forced_exact):
-    _check_cmp_against_fractions(random.Random(7))
-
-
-def _check_cmp_against_fractions(rng):
+def test_fraction_random():
+    # in lowest terms, with a product's value the product of the values
+    rng = random.Random(7)
     fs = [rand_fraction(rng) for _ in range(200)]
     for _ in range(10**4):
         a, b = rng.choice(fs), rng.choice(fs)
-        want = (Fraction(a.numerator(), a.denominator())
-                > Fraction(b.numerator(), b.denominator())) - (
-            Fraction(a.numerator(), a.denominator())
-            < Fraction(b.numerator(), b.denominator())
-        )
-        assert a.cmp(b) == want
+        want = Fraction(a.numerator(), a.denominator())
+        assert a.fraction() == want and a.fraction().denominator == a.denominator()
+        assert a.mul(b).fraction() == want * b.fraction()
 
 
 def _order(values, err, exact):

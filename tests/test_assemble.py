@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from mpmath import mp, mpf
 
-from landau.arith import DEFAULT_PRECISION, set_precision
+from landau.arith import DEFAULT_PRECISION, PrimeFraction, set_precision
 from landau.assemble import Solver, fight, normalized_candidates
 from landau.benefit import BoundResult, PrefixCandidate, PrefixSet
 from landau.errors import CapacityError, InvariantViolation, PrefixGapError
@@ -74,6 +74,13 @@ def test_result_consistency(solver):
             assert abs(res.log10_g - want) < mpf(10) ** (-24) * max(1, want)
 
 
+def test_max_prime_factor_skips_a_prime_the_correction_removes(solver):
+    res = solver.compute(10**6)  # p_k = 3923
+    assert res.max_prime_factor() == 3947
+    removed = replace(res, correction=PrimeFraction.from_factors({2: 1, 3923: -1}))
+    assert removed.max_prime_factor() == 3919
+
+
 def test_champion_fixed_points(table1m):
     solver = Solver(limit_hint=10**6)
     from landau.superchampion import build_e2_table
@@ -125,7 +132,7 @@ def _check_survivors_exactly(det):
     for c in det.candidates:
         pi = Fraction(c.Pi.numerator(), c.Pi.denominator())
         pk1 = t.next_prime(c.base_prime)
-        assert c.lower == pi * Fraction(*g_floor(t, c.base_prime, pk1, c.m_suffix))
+        assert c.lower == pi * g_floor(t, c.base_prime, pk1, c.m_suffix)
         assert c.upper == pi * Fraction(pk1, pk1 - c.m_suffix) >= c.lower
     best = max(c.lower for c in det.candidates)
     assert det.survivors == [c for c in det.candidates if c.upper >= best]
@@ -322,6 +329,25 @@ def test_g_cache_stays_within_its_cap(monkeypatch, lst_1e5):
         assert solver.compute(n).to_int() == lst_1e5.query(n)
         assert len(solver.engine._upto) <= gfunction.UPTO_ENTRIES
     assert len(built) > gfunction.UPTO_ENTRIES
+
+
+def _outcome(res, det):
+    return (res.correction, res.ell_g, det.evaluated,
+            [(c.Pi, c.m_suffix, c.lower, c.upper) for c in det.survivors])
+
+
+def test_results_do_not_depend_on_call_history(lst_1e5):
+    # n out of order through one Solver: far more brackets and per-prime G
+    # tables than its caches keep, so both evict; each answer equals the
+    # oracle's, and a fresh Solver's candidates and evaluations
+    rng = random.Random(15)
+    ns = rng.sample(range(2485, 10**5 + 1), 400)
+    solver = Solver()
+    for i, n in enumerate(ns):
+        res, det = solver.compute(n, details=True)
+        assert res.to_int() == lst_1e5.query(n), n
+        if i % 8 == 0:
+            assert _outcome(res, det) == _outcome(*Solver().compute(n, details=True)), n
 
 
 def test_short_sieve_grows_to_the_default_answer(monkeypatch):

@@ -291,7 +291,7 @@ def test_pair_inside_the_ben_guard_goes_exact(ctx1e6):
         size += real(q, e)[2]
     _, _, size_p, d, glog = real(p, gamma)
     b_f = float(cand.ben)
-    err = arith.rounding_error(size + size_p + b_f, len(parent) + 9, 53)
+    err = arith.rounding_error(size + size_p + b_f, len(parent) + 9)
     placed = b_f - ben_f + err / 2
     assert 0 < ben_f + placed - b_f <= err
     stub = BenefitTables(ctx1e6)

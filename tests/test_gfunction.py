@@ -129,6 +129,19 @@ def test_widen_example_uses_narrow_window():
     assert eng.g_fraction(150989, 1200) == full[1200]
 
 
+def test_extract_checks_the_cost_against_the_segment_start(table1m):
+    # segment i's set is optimal from ms[i] on, and costs exactly ms[i]; with
+    # ms[i] lowered by 2 that set no longer fits its first budget
+    eng = GEngine(table1m)
+    entry = eng._g_upto(table1m.rank(150989), 1200)
+    assert [eng._extract(entry, m).ell for m in entry.ms] == entry.ms
+    i = len(entry.ms) // 2
+    entry.ms[i] -= 2
+    entry.fracs.clear()
+    with pytest.raises(InvariantViolation):
+        eng._extract(entry, entry.ms[i])
+
+
 def _same_on_every_even_m(got, want, M):
     # breakpoints, then the prime set at each even m
     assert got[0] == want[0]

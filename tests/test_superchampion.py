@@ -197,7 +197,7 @@ def test_event_table_leaves_probe_logs_out_of_the_cache(table1m, monkeypatch):
     # probe is decided by mp.log
     e2 = build_e2_table(10**9, table1m)
     seeded = table1m.count_upto(max(e.q for e in e2)) + 1  # one seeded beyond
-    monkeypatch.setattr(arith, "rounding_error", lambda size, steps, bits: math.inf)
+    monkeypatch.setattr(arith, "rounding_error", lambda size, steps: math.inf)
     log_int.cache_clear()
     assert build_e2_table(10**9, table1m) == e2
     assert log_int.cache_info().currsize <= seeded < 100
