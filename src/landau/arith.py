@@ -8,8 +8,8 @@ coprime parts.  Two exact rationals compare as fractions.Fraction values
 (PrimeFraction.fraction()); the comparisons below are of float64 logs.
 
 Rounding error.  Each fast comparison (the G window's float logs, the float
-build of D(B') and estimate_B, the event table's slope order and prime
-probes) trusts a computed difference only beyond rounding_error and settles
+build of D(B'), estimate_B and the trim of D(B'), the event table's slope
+order and prime probes) trusts a computed difference only beyond rounding_error and settles
 the rest exactly.  Every one is in float64: rounding to nearest multiplies
 by 1 + d, |d| <= u = 2^-53.  If each term t_i of v = sum t_i reaches the
 computed value through at most s roundings (a library log, good to one ulp,
@@ -23,8 +23,8 @@ their common p_k^j, each term log1p((P - p_k)/p_k) (the quotient, log1p,
 j - 1 sums, difference), with size 2 j T where T bounds
 |log1p((P - p_k)/p_k)| and |P - p_k|/P over the window: log1p passes the
 quotient's rounding on scaled by |P - p_k|/P, up to p_k/P_1 at the smallest
-window prime P_1, which can exceed the term itself; D(B') and estimate_B as
-below; the event table's slopes (q^j - q^{j-1})/log q, an exact integer
+window prime P_1, which can exceed the term itself; D(B'), estimate_B and
+the trim as below; the event table's slopes (q^j - q^{j-1})/log q, an exact integer
 over a float log, 5 for each slope in their order (log, quotient,
 difference, and the mpf slopes they must order alike), and its p/log p < rho
 8 (log and quotient on each side, difference, and the mpf test's own
@@ -67,10 +67,17 @@ adds one and the float size one, so each float log lies within
 rounding_error(S, f + 4) of it, for S and f the layer's largest log
 size and factor count; with the rounding of their difference,
 rounding_error(S, f + 5) is each log's bound in guarded_order.
-estimate_B values a witness as (ben + walk) + slack from
-float copies of the mpf ben and walk sum and an exact integer slack: 3
-steps, one for the mpf sum it stands for, two for adding and subtracting
-the bound before comparing, and one for the float size: 7.
+A member of D(B') keeps its running ben, the size of its terms and f, and
+its mpf ben is the fold of the mpf benp over its factors.  bound_loop's
+trim compares ben - B for the mpf bound B: the running sum's f + 4 steps,
+one for the difference (the float copy of B takes 2), one for the mpf
+fold's roundings and one for the float size: f + 7, size ben's + B.
+estimate_B values a witness as (ben + walk) + slack from the running ben, a
+float copy of the mpf walk sum and an exact integer slack: the running
+sum's f + 4 steps, two for the additions, one for the mpf sums the value
+stands for, two for adding and subtracting the bound before comparing, and
+one for the float size: f + 10 (the walk sum's terms take 7), size ben's +
+|walk| + |slack|.
 """
 
 import math

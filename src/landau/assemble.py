@@ -18,7 +18,7 @@ from mpmath import mp, mpf
 
 from . import arith
 from .arith import PrimeFraction, log_int
-from .benefit import BenefitTables, BoundResult, _walk_fraction, bound_loop
+from .benefit import BenefitTables, BoundResult, PrefixSet, _walk_fraction, bound_loop
 from .errors import (
     BoundFailureError,
     CapacityError,
@@ -37,7 +37,7 @@ ORACLE_FALLBACK_MAX_N = 2485
 
 @dataclass
 class NormalizedCandidate:
-    plain: object                 # the PrefixCandidate it came from
+    delta: PrimeFraction          # the plain prefix it came from
     omega: int
     Pi: PrimeFraction
     dell_Pi: int                  # l(N*Pi) - l(N)
@@ -77,11 +77,12 @@ def normalized_candidates(ctx, bound, d_set, n, tables):
     low = np.maximum(np.searchsorted(cs, s_k + hi - weak, side="left") + 1, r1)
     out = []
     for j in np.flatnonzero(low <= top).tolist():
-        cand, c = d_set[j], int(hi[j])
+        delta, c = PrimeFraction(d_set.fac[j]), int(hi[j])
+        ben = tables.ben_of(delta.factors)
         for i in range(int(top[j]), int(low[j]) - 1, -1):
             w = i - k
             m_suffix = c - (int(cs[i - 1]) - s_k)
-            ben_pi = cand.ben + (tables.up_ben(w) if w >= 0 else tables.down_ben(-w))
+            ben_pi = ben + (tables.up_ben(w) if w >= 0 else tables.down_ben(-w))
             # sharpened window: hi - S_w <= (B - ben(N*Pi)) / (1 - rho/t1)
             if m_suffix > (bound.B - ben_pi) / denom:
                 continue
@@ -91,15 +92,15 @@ def normalized_candidates(ctx, bound, d_set, n, tables):
                     "candidate at omega=%d has p_{k+w+1}-m = %d below sqrt(x1)=%s"
                     % (w, next_p - m_suffix, mp.nstr(ctx.sqrt_x1, 10))
                 )
-            Pi = _walk_fraction(ctx, cand.delta, w)
+            Pi = _walk_fraction(ctx, delta, w)
             base = t.prime(i)
             pi = Pi.fraction()
             out.append(
                 NormalizedCandidate(
-                    plain=cand,
+                    delta=delta,
                     omega=w,
                     Pi=Pi,
-                    dell_Pi=cand.dell + c - m_suffix,
+                    dell_Pi=int(d_set.dell[j]) + c - m_suffix,
                     ben_Pi=ben_pi,
                     m_suffix=m_suffix,
                     base_prime=base,
@@ -194,7 +195,7 @@ class LandauResult:
 class ComputeDetails:
     ctx: SuperchampionContext
     bound: BoundResult
-    d_set: list
+    d_set: PrefixSet
     candidates: list
     survivors: list
     evaluated: int

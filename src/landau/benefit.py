@@ -20,11 +20,14 @@ of that member.  In each direction a member's gammas end at the first one
 refused, as in the exact loop.  A layer is sorted by arith.guarded_order:
 by its float logs, and by the mpf logs where the floats are too close to
 tell (the rule is in arith's docstring).  Domination compares dell exactly
-(every |dell| stays below B' + rho*|log delta|, far from 2^63).  Only the
-members of the last layer get an mpf ben: the left fold of
-BenefitTables.benp over their factors in ascending prime order, which is
-the exact loop's chain cand.ben + cost bit for bit.  So D(B') is the exact
-loop's set, entry for entry.
+(every |dell| stays below B' + rho*|log delta|, far from 2^63).  D(B') is
+the last layer's arrays, a PrefixSet, and the exact loop's set entry for
+entry.  A member's mpf ben is formed only where a float cannot decide: at a
+near tie of the admission test, of estimate_B's minimum or of bound_loop's
+trim, for a member normalized_candidates walks, and for landau prefixes.
+It is BenefitTables.ben_of, the left fold of benp over the member's factors
+in ascending prime order, which is the exact loop's chain cand.ben + cost
+bit for bit.
 
 A gamma list stops at the first gamma whose benp exceeds B' (the float
 decides beyond its bound, the mpf value inside it).  N is an
@@ -51,36 +54,32 @@ from .errors import BoundFailureError, CapacityError, InvariantViolation
 from .superchampion import newton_from_above
 
 
-class PrefixCandidate:
-    __slots__ = ("delta", "ben", "dell")
-
-    def __init__(self, delta, ben, dell):
-        self.delta = delta
-        self.ben = ben    # ben(N*delta), high precision
-        self.dell = dell  # l(N*delta) - l(N), exact
-
-    def __repr__(self):
-        return "PrefixCandidate(%r, ben=%s, dell=%d)" % (
-            self.delta.render(), mp.nstr(self.ben, 8), self.dell)
-
-
 def dell_pp(p, alpha, gamma):
     """l(p^(alpha+gamma)) - l(p^alpha)."""
     return ell_pp(p, alpha + gamma) - ell_pp(p, alpha)
 
 
-class PrefixSet(list):
-    """D(B') in ascending value: its PrefixCandidates, with their dell as
-    int64 and float copies of their mpf ben, the arrays estimate_B reads."""
+@dataclass(eq=False)
+class PrefixSet:
+    """D(B') in ascending value, one array entry per member: its factor
+    tuple, its dell as int64, and the build's running float ben with the
+    size and factor count that bound its rounding (arith's docstring).  The
+    member's mpf ben is BenefitTables.ben_of(fac[i]), formed where read."""
 
-    def __init__(self, cands, dell):
-        super().__init__(cands)
-        self.dell = dell
-        self.ben_f = np.array([float(c.ben) for c in cands])
+    fac: np.ndarray       # object array of factor tuples
+    dell: np.ndarray
+    ben: np.ndarray
+    ben_size: np.ndarray
+    nf: np.ndarray
+
+    def __len__(self):
+        return len(self.dell)
+
+    def arrays(self):
+        return self.fac, self.dell, self.ben, self.ben_size, self.nf
 
     def select(self, keep):
-        idx = np.flatnonzero(keep)
-        return PrefixSet([self[i] for i in idx.tolist()], self.dell[idx])
+        return PrefixSet(*(a[keep] for a in self.arrays()))
 
 
 class GammaColumns:
@@ -128,7 +127,7 @@ class GammaColumns:
 
 class BenefitTables:
     """Per-context cache: small-prime benefits ben(N p^gamma), exact and in
-    float, the mpf ben of prefix fractions, the prefix sums of single-prime
+    float, the prefix sums of single-prime
     benefits along the walk above/below p_k, and the candidate sets D(B')
     built for a first-round budget, by budget."""
 
@@ -141,7 +140,6 @@ class BenefitTables:
         self._benp = {}
         self._gamma = {}       # p -> [GammaColumns, the largest budget both lists cover]
         self._rho_f = float(ctx.rho.value)
-        self._ben = {(): mpf(0)}  # factor tuple -> mpf ben, every prefix of a tuple asked for
         self._up = [mpf(0)]    # partial sums of ben(N p_{k+i}), i = 1..
         self._down = [mpf(0)]  # partial sums of ben(N / p_{k-i}), i = 0..
         self._up_f = self._down_f = np.zeros(1)  # their float copies
@@ -168,17 +166,9 @@ class BenefitTables:
 
     def ben_of(self, factors):
         """ben(N*delta) in mpf for delta's factor tuple: benp summed in
-        ascending prime order from mpf(0), as the exact loop chains it."""
-        v = self._ben.get(factors)
-        if v is None:
-            i = len(factors) - 1
-            while factors[:i] not in self._ben:
-                i -= 1
-            v = self._ben[factors[:i]]
-            for i in range(i, len(factors)):
-                v = v + self.benp(*factors[i])
-                self._ben[factors[: i + 1]] = v
-        return v
+        ascending prime order from mpf(0), the exact loop's chain
+        cand.ben + cost bit for bit."""
+        return sum((self.benp(p, g) for p, g in factors), mpf(0))
 
     def gamma_columns(self, p, b_prime, b_f):
         """p's float benp columns for the budget B' (b_f its float copy): each
@@ -266,10 +256,7 @@ class BenefitTables:
 def build_prefix_sets(ctx, b_prime, tables):
     """The candidate set D(B'): all undominated prefix fractions with benefit
     at most B', built one prime at a time with pruning at each step, as a
-    PrefixSet.
-
-    A layer is a set of parallel arrays, one row per member; only the rows
-    that survive the last layer become PrefixCandidates.
+    PrefixSet: the last layer's arrays, one row per member.
     """
     if b_prime >= ctx.B1:
         raise BoundFailureError(
@@ -278,12 +265,9 @@ def build_prefix_sets(ctx, b_prime, tables):
     if b_prime < 0:
         raise ValueError("budget must be non-negative")
     b_f = float(b_prime)
-    fac = np.empty(1, dtype=object)
-    fac[0] = ()
-    dell = np.zeros(1, dtype=np.int64)
-    ben_f, ben_size = np.zeros(1), np.zeros(1)  # running float sums, size of their terms
-    log_f, log_size = np.zeros(1), np.zeros(1)
-    nf = np.zeros(1, dtype=np.int64)           # factors per member
+    d = PrefixSet(np.fromiter([()], dtype=object, count=1), np.zeros(1, dtype=np.int64),
+                  np.zeros(1), np.zeros(1), np.zeros(1, dtype=np.int64))
+    log_f, log_size = np.zeros(1), np.zeros(1)  # running float logs, size of their terms
     ben_size_max = log_size_max = 0.0
     nf_max = 0
     for p in tables.sp_primes:
@@ -293,11 +277,11 @@ def build_prefix_sets(ctx, b_prime, tables):
         first = cols.first
         slack = 2 * arith.rounding_error(
             ben_size_max + cols.size[first].max() + b_f, nf_max + 9)
-        rows = np.flatnonzero(ben_f <= b_f - cols.cost[first].min() + slack)
+        rows = np.flatnonzero(d.ben <= b_f - cols.cost[first].min() + slack)
         if not rows.size:
             continue
         while True:
-            ok = _admitted(p, cols, rows, fac, ben_f, ben_size, nf, b_prime, b_f, tables)
+            ok = _admitted(p, cols, d.select(rows), b_prime, b_f, tables)
             signs = cols.open_ends(ok, tables.alphas[p])
             if not signs:
                 break
@@ -308,50 +292,44 @@ def build_prefix_sets(ctx, b_prime, tables):
         if not at.size:
             continue
         par = rows[at]
-        m = len(fac)
-        new_fac = np.fromiter(
-            (fac[i] + ((p, g),) for i, g in zip(par.tolist(), cols.gammas[j].tolist())),
-            dtype=object, count=len(par))
-        new_ben_size = ben_size[par] + cols.size[j]
+        m = len(d)
+        new = PrefixSet(
+            np.fromiter((d.fac[i] + ((p, g),)
+                         for i, g in zip(par.tolist(), cols.gammas[j].tolist())),
+                        dtype=object, count=len(par)),
+            d.dell[par] + cols.dell[j], d.ben[par] + cols.cost[j],
+            d.ben_size[par] + cols.size[j], d.nf[par] + 1)
         new_log_size = log_size[par] + np.abs(cols.glog[j])
-        new_nf = nf[par] + 1
-        ben_size_max = max(ben_size_max, float(new_ben_size.max()))
+        ben_size_max = max(ben_size_max, float(new.ben_size.max()))
         log_size_max = max(log_size_max, float(new_log_size.max()))
-        nf_max = max(nf_max, int(new_nf.max()))
-        fac = np.concatenate((fac, new_fac))
-        dell = np.concatenate((dell, dell[par] + cols.dell[j]))
-        ben_f = np.concatenate((ben_f, ben_f[par] + cols.cost[j]))
-        ben_size = np.concatenate((ben_size, new_ben_size))
+        nf_max = max(nf_max, int(new.nf.max()))
+        d = PrefixSet(*map(np.concatenate, zip(d.arrays(), new.arrays())))
         log_f = np.concatenate((log_f, log_f[par] + cols.glog[j]))
         log_size = np.concatenate((log_size, new_log_size))
-        nf = np.concatenate((nf, new_nf))
         # the exact loop appends each member's extensions after it
         appended = lambda i: (i, 0) if i < m else (int(par[i - m]), 1 + int(j[i - m]))
         order = arith.guarded_order(
             log_f, arith.rounding_error(log_size_max, nf_max + 5),
-            lambda i: (PrimeFraction(fac[i]).log, appended(i)))
-        order = order[_undominated(dell[order])]
-        fac, dell, nf = fac[order], dell[order], nf[order]
-        ben_f, ben_size = ben_f[order], ben_size[order]
+            lambda i: (PrimeFraction(d.fac[i]).log, appended(i)))
+        order = order[_undominated(d.dell[order])]
+        d = d.select(order)
         log_f, log_size = log_f[order], log_size[order]
-    cands = [PrefixCandidate(PrimeFraction(f), tables.ben_of(f), d)
-             for f, d in zip(fac.tolist(), dell.tolist())]
-    return PrefixSet(cands, dell)
+    return d
 
 
-def _admitted(p, cols, rows, fac, ben_f, ben_size, nf, b_prime, b_f, tables):
-    """Mask over rows x cols of the (member, gamma) pairs the exact loop
-    admits: in each direction the gammas before the first whose benp exceeds
-    B' - ben.  The float excess ben + benp - B' decides beyond its rounding
-    bound, the mpf test inside it."""
-    excess = ben_f[rows, None] + cols.cost - b_f
-    err = arith.rounding_error(
-        ben_size[rows, None] + cols.size + abs(b_f), nf[rows, None] + 9)
+def _admitted(p, cols, d, b_prime, b_f, tables):
+    """Mask over d x cols, for the members d of a layer that may extend, of
+    the (member, gamma) pairs the exact loop admits: in each direction the
+    gammas before the first whose benp exceeds B' - ben.  The float excess
+    ben + benp - B' decides beyond its rounding bound, the mpf test inside
+    it."""
+    excess = d.ben[:, None] + cols.cost - b_f
+    err = arith.rounding_error(d.ben_size[:, None] + cols.size + abs(b_f), d.nf[:, None] + 9)
     ok = excess < -err
     starts = (0, cols.n_neg)
     for i, k in zip(*np.nonzero(np.abs(excess) <= err)):  # row-major: ok[i, k-1] is final
         if k in starts or ok[i, k - 1]:
-            ben = tables.ben_of(fac[rows[i]])
+            ben = tables.ben_of(d.fac[i])
             ok[i, k] = not tables.benp(p, int(cols.gammas[k])) > b_prime - ben
     n = cols.n_neg
     ok[:, :n] = np.logical_and.accumulate(ok[:, :n], axis=1)
@@ -396,9 +374,9 @@ def estimate_B(ctx, d_set, n, tables):
     N*delta_omega with the candidates' primes extended along the champion walk.
 
     d_set is a PrefixSet.  Every walk is found at once and every witness
-    valued in float; the mpf value, which is the bound, is computed for the
-    candidates within the rounding bound of the float minimum, and the first
-    exact minimum wins.
+    valued in float from the member's running float ben; the mpf value,
+    which is the bound, is computed for the candidates within the rounding
+    bound of the float minimum, and the first exact minimum wins.
     """
     if not d_set:
         raise InvariantViolation("empty candidate set")
@@ -420,15 +398,15 @@ def estimate_B(ctx, d_set, n, tables):
     idx = idx[keep]
     omega = idx - k
     slack = c[keep] - (cs[idx - 1] - s_k)  # n - l(N delta_omega)
-    ben_f = d_set.ben_f[keep]
     walk_f = tables.walk_ben_f(omega)
-    value = ben_f + walk_f + slack
-    err = arith.rounding_error(np.abs(ben_f) + np.abs(walk_f) + np.abs(slack), 7)
+    value = d_set.ben[keep] + walk_f + slack
+    err = arith.rounding_error(d_set.ben_size[keep] + np.abs(walk_f) + np.abs(slack),
+                               d_set.nf[keep] + 10)
     best = None
     for i in np.flatnonzero(value - err <= np.min(value + err)).tolist():
         w = int(omega[i])
-        v = d_set[keep[i]].ben + (tables.up_ben(w) if w >= 0 else tables.down_ben(-w)) \
-            + int(slack[i])
+        v = tables.ben_of(d_set.fac[keep[i]]) \
+            + (tables.up_ben(w) if w >= 0 else tables.down_ben(-w)) + int(slack[i])
         if best is None or v < best:
             best, best_i = v, i
     if best >= ctx.B1:
@@ -436,7 +414,7 @@ def estimate_B(ctx, d_set, n, tables):
             "benefit bound %s reached B1=%s" % (mp.nstr(best, 10), mp.nstr(ctx.B1, 10))
         )
     w = int(omega[best_i])
-    return Estimate(B=best, witness=_walk_fraction(ctx, d_set[keep[best_i]].delta, w))
+    return Estimate(B=best, witness=_walk_fraction(ctx, PrimeFraction(d_set.fac[keep[best_i]]), w))
 
 
 def _walk_fraction(ctx, delta, omega):
@@ -459,7 +437,8 @@ def initial_budget(ctx, n):
 
 def bound_loop(ctx, n, tables):
     """Iterate D(B') -> B until B <= B', then trim D to benefit <= B and
-    solve t1 for that B.
+    solve t1 for that B.  The trim reads each member's running float ben,
+    and its mpf ben only within the float's rounding bound of B.
 
     B is always a valid bound; a second round only enlarges the candidate
     pool, so the loop settles after at most one restart in practice.  The
@@ -481,7 +460,19 @@ def bound_loop(ctx, n, tables):
         res = estimate_B(ctx, d_set, n, tables)
         if res.B <= b_prime:
             if res.B < b_prime:
-                d_set = d_set.select([c.ben <= res.B for c in d_set])
+                d_set = _trim(d_set, res.B, tables)
             return BoundResult(res.B, res.witness, _solve_t1(ctx, res.B)), d_set
         b_prime = res.B
     raise InvariantViolation("benefit bound loop failed to settle")
+
+
+def _trim(d_set, B, tables):
+    """The members with ben <= B: the float difference ben - B decides
+    beyond its rounding bound (arith's docstring), the mpf ben inside it."""
+    b_f = float(B)
+    d = d_set.ben - b_f
+    err = arith.rounding_error(d_set.ben_size + abs(b_f), d_set.nf + 7)
+    keep = d < -err
+    for i in np.flatnonzero(np.abs(d) <= err).tolist():
+        keep[i] = tables.ben_of(d_set.fac[i]) <= B
+    return d_set.select(keep)

@@ -170,10 +170,11 @@ def cmd_superchampion(args):
 def cmd_prefixes(args):
     solver = Solver(limit_hint=args.n, cache_dir=args.cache_dir, sieve_limit=args.sieve_limit)
     bound, d_set = solver.prefixes(args.n)
+    _, tables = solver.context(args.n)
     print("# n = %d  B = %s  t1 = %s  count = %d"
           % (args.n, mp.nstr(bound.B, 15), mp.nstr(bound.t1, 15), len(d_set)))
-    for cand in d_set:
-        print("%s %s %d" % (cand.delta.render() or "1", mp.nstr(cand.ben, 15), cand.dell))
+    for fac, dell in zip(d_set.fac.tolist(), d_set.dell.tolist()):
+        print("%s %s %d" % (arith.render_factored(fac), mp.nstr(tables.ben_of(fac), 15), dell))
     return EXIT_OK
 
 

@@ -178,14 +178,12 @@ class Champion:
         return self.table.prime(self.k)
 
     def alpha(self, p):
-        """Exponent of p in the champion (0 when p >= x_1)."""
-        n = 0
-        for x in self.xs:
-            if x.greater_than_int(p):
-                n += 1
-            else:
-                break
-        return n
+        """Exponent of the prime p in the champion (0 past p_k): the exponent
+        of the run that holds p's index."""
+        if p > self.p_k:
+            return 0
+        i = self.table.rank(p)
+        return self.runs[bisect_right(self.runs, i, key=lambda r: r[1]) - 1][0]
 
     @property
     def log(self):

@@ -4,8 +4,9 @@ tiny exhaustive search.  Together with the package's merge-and-prune list
 compute g(n) at small scale.
 
 `prefix_sets_mpf` is the reference for `landau.benefit.build_prefix_sets`:
-the candidate set D(B') built in mpf alone, with no float filter, and `ben`
-is ben(N*delta) for a prefix fraction delta, summed prime by prime.
+the candidate set D(B') built in mpf alone, with no float filter, as a list
+of `Prefix` records, and `ben` is ben(N*delta) for a prefix fraction delta,
+summed prime by prime.  `members` reads a `PrefixSet` as such a list.
 `estimate_B_mpf` is the reference for `landau.benefit.estimate_B`: every
 candidate's witness valued in mpf, one candidate at a time.
 `normalized_candidates_loop` is the reference for
@@ -27,6 +28,7 @@ recursion, the reference for the confirmed window.
 
 import heapq
 import math
+from collections import namedtuple
 from fractions import Fraction
 
 import numpy as np
@@ -37,7 +39,6 @@ from landau.arith import PrimeFraction, log_int
 from landau.assemble import NormalizedCandidate
 from landau.benefit import (
     BoundResult,
-    PrefixCandidate,
     _solve_t1,
     _walk_fraction,
     dell_pp,
@@ -242,10 +243,21 @@ def ben(delta, tables):
     return total
 
 
+# a member of D(B'): its prefix fraction, its mpf ben and its dell
+Prefix = namedtuple("Prefix", "delta ben dell")
+
+
+def members(d_set, tables):
+    """A PrefixSet's members as Prefix records, each mpf ben read through
+    tables.ben_of (which a test may stub)."""
+    return [Prefix(PrimeFraction(f), tables.ben_of(f), d)
+            for f, d in zip(d_set.fac.tolist(), d_set.dell.tolist())]
+
+
 def prefix_sets_mpf(ctx, b_prime, tables):
     """D(B') prime by prime in mpf: extend every candidate by each p^gamma
     the budget admits, sort by the mpf log, prune the dominated."""
-    d_set = [PrefixCandidate(PrimeFraction.one(), mpf(0), 0)]
+    d_set = [Prefix(PrimeFraction.one(), mpf(0), 0)]
     for p in tables.sp_primes:
         alpha = tables.alphas[p]
         extended = []
@@ -270,7 +282,7 @@ def prefix_sets_mpf(ctx, b_prime, tables):
 
 
 def _extend_mpf(cand, p, alpha, gamma, cost):
-    return PrefixCandidate(
+    return Prefix(
         cand.delta.mul(PrimeFraction(((p, gamma),))),
         cand.ben + cost,
         cand.dell + dell_pp(p, alpha, gamma),
@@ -306,7 +318,7 @@ def estimate_B_mpf(ctx, d_set, n, tables):
     k = ctx.k
     s_k = int(cs[k - 1])
     best = best_parts = None
-    for cand in d_set:
+    for cand in members(d_set, tables):
         c = n - ctx.ellN - cand.dell
         if c >= 0:
             omega = walk_up(cs, k, c)
@@ -347,7 +359,7 @@ def normalized_candidates_loop(ctx, bound, d_set, n, tables):
         raise InvariantViolation("t1 at or below rho")
     width = bound.B / denom
     out = []
-    for cand in d_set:
+    for cand in members(d_set, tables):
         hi = n - ctx.ellN - cand.dell
         weak_lo = hi - width
         # omega >= 0: S_w = p_{k+1} + ... + p_{k+w}
@@ -398,7 +410,7 @@ def _try_candidate(ctx, bound, tables, out, cand, w, s_w, hi, denom):
     pi_f = Fraction(Pi.numerator(), Pi.denominator())
     out.append(
         NormalizedCandidate(
-            plain=cand,
+            delta=cand.delta,
             omega=w,
             Pi=Pi,
             dell_Pi=cand.dell + s_w,

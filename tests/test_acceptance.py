@@ -30,7 +30,7 @@ from landau.primes import PrimeTable
 from landau.superchampion import build_e2_table, find_context
 
 from conftest import EXTENDED, extended
-from oracles import g_bruteforce, g_small, g_table_dp
+from oracles import g_bruteforce, g_small, g_table_dp, members
 
 
 @pytest.fixture(scope="module")
@@ -252,7 +252,7 @@ def _crit7_pairs(ctx, bound, d_set, n):
     t, k, rho = ctx.table, ctx.k, ctx.rho
     denom = 1 - rho.value / bound.t1
     pairs = set()
-    for cand in d_set:
+    for cand in members(d_set, BenefitTables(ctx)):
         hi = n - ctx.ellN - cand.dell  # S_omega <= n - l(N) - dell(delta)
 
         def below_window(s, walk):
@@ -288,7 +288,7 @@ def _crit7_program_pairs(solver):
     runs = {}
     for n in CRIT7_WINDOW:
         _, det = solver.compute(n, details=True)
-        runs[n] = det, {(c.plain.delta, c.omega) for c in det.candidates}
+        runs[n] = det, {(c.delta, c.omega) for c in det.candidates}
     return runs
 
 
@@ -354,11 +354,11 @@ def test_criterion_9_property_suite(table1m, solver1e5):
         for gamma in range(-tables.alphas[p], 4):
             assert tables.benp(p, gamma) >= 0
     d = build_prefix_sets(ctx, ctx.rho.value, tables)
-    for cand in rng.sample(d, 25):
+    for cand in rng.sample(members(d, tables), 25):
         recomputed = cand.dell - ctx.rho.value * cand.delta.log
         assert abs(recomputed - cand.ben) <= mpf(10) ** (-mp.dps + 6) * max(1, abs(cand.ben))
     for i in range(len(d) - 1):
-        assert d[i].dell < d[i + 1].dell
+        assert d.dell[i] < d.dell[i + 1]
     # sandwich bound on every computed G over random arguments
     for _ in range(40):
         pk = table1m.prime(rng.randint(3, 500))

@@ -2,13 +2,12 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from mpmath import mp, mpf
 
 from landau.arith import DEFAULT_PRECISION, PrimeFraction, set_precision
 from landau.assemble import Solver, fight, normalized_candidates
-from landau.benefit import BoundResult, PrefixCandidate, PrefixSet
+from landau.benefit import BenefitTables, BoundResult
 from landau.errors import CapacityError, InvariantViolation, PrefixGapError
 from landau.gfunction import g_floor
 from landau.oracle import g_list_merge_prune
@@ -147,7 +146,7 @@ def test_normalized_candidates_examples(solver):
 def _pairs(walk, ctx, bound, d_set, n, tables):
     """walk's (delta, omega, m_suffix, Pi) list, or the type of its error."""
     try:
-        return [(c.plain.delta, c.omega, c.m_suffix, c.Pi)
+        return [(c.delta, c.omega, c.m_suffix, c.Pi)
                 for c in walk(ctx, bound, d_set, n, tables)]
     except (CapacityError, InvariantViolation, PrefixGapError) as e:
         return type(e)
@@ -213,17 +212,18 @@ def test_normalized_candidates_match_the_loop_at_the_weak_window_edge(crit7_runs
                 stub = BoundResult((c.m_suffix + mpf(1) / 2) * denom + c.ben_Pi,
                                    bound.witness, bound.t1)
                 got = _same_pairs(ctx, stub, d_set, n, tables)
-                assert (c.plain.delta, c.omega, c.m_suffix, c.Pi) in got
+                assert (c.delta, c.omega, c.m_suffix, c.Pi) in got
                 edges += 1
     assert edges > 0
     # a member whose ben is far below zero, which no D(B) holds: the
     # sharpened window is then wider than the weak one, which decides alone
     kept = 0
     for ctx, bound, d_set, n, tables in crit7_runs[::20]:
-        top = d_set[-1]
-        low = PrefixCandidate(top.delta, top.ben - 10 * ctx.p_k, top.dell)
-        stub_set = PrefixSet([low], np.array([top.dell], dtype=np.int64))
-        kept += isinstance(_same_pairs(ctx, bound, stub_set, n, tables), list)
+        top = d_set.select([-1])
+        low = tables.ben_of(top.fac[0]) - 10 * ctx.p_k
+        stub = BenefitTables(ctx)
+        stub.ben_of = lambda f: low
+        kept += isinstance(_same_pairs(ctx, bound, top, n, stub), list)
     assert kept > 0
 
 

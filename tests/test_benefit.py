@@ -8,7 +8,6 @@ from landau import arith, benefit
 from landau.arith import PrimeFraction
 from landau.benefit import (
     BenefitTables,
-    PrefixCandidate,
     _solve_t1,
     bound_loop,
     build_prefix_sets,
@@ -20,7 +19,15 @@ from landau.errors import BoundFailureError, CapacityError, InvariantViolation
 from landau.primes import PrimeTable, auto_limit
 from landau.superchampion import build_e2_table, find_context
 
-from oracles import _prune_mpf, ben, estimate_B_mpf, g_table_dp, prefix_sets_mpf
+from oracles import (
+    Prefix,
+    _prune_mpf,
+    ben,
+    estimate_B_mpf,
+    g_table_dp,
+    members,
+    prefix_sets_mpf,
+)
 
 
 @pytest.fixture(scope="module")
@@ -76,7 +83,7 @@ def test_ben_rejects_deep_division(ctx1e6, tables1e6):
 
 def test_zero_budget_keeps_only_identity(ctx1e6, tables1e6):
     d = build_prefix_sets(ctx1e6, mpf(0), tables1e6)
-    assert len(d) == 1 and d[0].delta.is_one()
+    assert len(d) == 1 and d.fac[0] == ()
 
 
 def test_budget_at_b1_refused(ctx1e6, tables1e6):
@@ -85,16 +92,16 @@ def test_budget_at_b1_refused(ctx1e6, tables1e6):
 
 
 def test_prune_soundness(ctx1e6, tables1e6):
-    d = build_prefix_sets(ctx1e6, ctx1e6.rho.value, tables1e6)
-    for i in range(len(d)):
-        for j in range(i + 1, len(d)):
-            assert d[i].dell < d[j].dell  # larger value must cost strictly more
+    dell = build_prefix_sets(ctx1e6, ctx1e6.rho.value, tables1e6).dell.tolist()
+    for i in range(len(dell)):
+        for j in range(i + 1, len(dell)):
+            assert dell[i] < dell[j]  # larger value must cost strictly more
 
 
 def test_dell_matches_direct_recomputation(ctx1e6, tables1e6):
     d = build_prefix_sets(ctx1e6, ctx1e6.rho.value, tables1e6)
     rng = random.Random(37)
-    for cand in rng.sample(d, 20):
+    for cand in rng.sample(members(d, tables1e6), 20):
         dell = sum(dell_pp(p, ctx1e6.N.alpha(p), e) for p, e in cand.delta.factors)
         assert dell == cand.dell
         recomputed = cand.dell - ctx1e6.rho.value * cand.delta.log
@@ -183,7 +190,7 @@ def test_candidate_set_contains_true_prefix():
             if e:
                 prefix[p] = e
         want = tuple(sorted(prefix.items()))
-        assert any(c.delta.factors == want for c in det.d_set), (
+        assert want in det.d_set.fac.tolist(), (
             "true prefix %r missing from D(B) at n=%d" % (want, n))
 
 
@@ -211,13 +218,21 @@ def _context(n):
     return ctx, BenefitTables(ctx)
 
 
+def _entries(cands):
+    return [(c.delta.factors, c.dell, c.ben) for c in cands]
+
+
 def _same_as_mpf_reference(ctx, b_prime, tables):
     """build_prefix_sets equals the mpf-only reference entry by entry, in
-    order, with bit-identical benefits; returns the reference set."""
+    order, with bit-identical benefits, and each member's running float ben
+    lies within its stated bound of its mpf ben; returns the reference set."""
     got = build_prefix_sets(ctx, b_prime, tables)
     want = prefix_sets_mpf(ctx, b_prime, tables)
-    assert [(c.delta.factors, c.dell, c.ben) for c in got] == [
-        (c.delta.factors, c.dell, c.ben) for c in want], "D(B') differs from the mpf reference"
+    assert _entries(members(got, tables)) == _entries(want), "D(B') differs from the mpf reference"
+    # f + 4 steps for the running sum, one for the mpf fold, one for the
+    # float size, and two for the float copy of the mpf ben and the difference
+    assert np.all(np.abs(got.ben - [float(c.ben) for c in want])
+                  <= arith.rounding_error(got.ben_size, got.nf + 8))
     return want
 
 
@@ -297,7 +312,9 @@ def test_pair_inside_the_ben_guard_goes_exact(ctx1e6):
     stub = BenefitTables(ctx1e6)
     stub._float_benp = lambda q, e: (
         (e, placed, size_p, d, glog) if (q, e) == (p, gamma) else real(q, e))
-    got = _same_as_mpf_reference(ctx1e6, cand.ben, stub)
+    # the placed cost is off its bound, so only the entries are compared
+    got = members(build_prefix_sets(ctx1e6, cand.ben, stub), stub)
+    assert _entries(got) == _entries(prefix_sets_mpf(ctx1e6, cand.ben, stub))
     assert any(c.delta == cand.delta for c in got)
 
 
@@ -363,12 +380,34 @@ def test_witness_inside_the_guard_goes_exact(ctx1e6, tables1e6):
     d = build_prefix_sets(ctx1e6, initial_budget(ctx1e6, n), tables1e6)
     want = estimate_B_mpf(ctx1e6, d, n, tables1e6)
     small = tuple(f for f in want.witness.factors if f[0] in tables1e6.alphas)
-    win = next(c for c in d if c.delta.factors == small)
-    clone = PrefixCandidate(win.delta, win.ben + mpf(2) ** -80 * (1 + abs(win.ben)), win.dell)
-    pair = benefit.PrefixSet([clone, win], np.array([win.dell] * 2, dtype=np.int64))
-    pair.ben_f[0] = pair.ben_f[1] - 4 * float(want.B) / 2**53
-    got = estimate_B(ctx1e6, pair, n, tables1e6)
+    fac = d.fac.tolist()
+    win = fac.index(small)
+    # the clone is another member given the winner's dell, size and count
+    pair = d.select([win - 1 if win else 1, win])
+    for a in (pair.dell, pair.ben_size, pair.nf):
+        a[0] = a[1]
+    pair.ben[0] = pair.ben[1] - 4 * float(want.B) / 2**53
+    win_ben = tables1e6.ben_of(small)
+    clone_ben = win_ben + mpf(2) ** -80 * (1 + abs(win_ben))
+    stub = BenefitTables(ctx1e6)
+    stub.ben_of = lambda f: clone_ben if f == pair.fac[0] else tables1e6.ben_of(f)
+    got = estimate_B(ctx1e6, pair, n, stub)
     assert (got.B, got.witness) == (want.B, want.witness)
+
+
+def test_trim_inside_the_guard_goes_exact(ctx1e6, tables1e6):
+    # two members whose float ben is the float of B, one just above B in
+    # mpf and one just below: only the exact path keeps exactly the second
+    B = ctx1e6.rho.value
+    eps = mpf(2) ** -80 * B
+    pair = build_prefix_sets(ctx1e6, B, tables1e6).select([1, 2])
+    pair.ben[:] = pair.ben_size[:] = float(B)
+    pair.nf[:] = 1
+    assert float(B + eps) == float(B - eps) == pair.ben[0]
+    above, below = pair.fac.tolist()
+    stub = BenefitTables(ctx1e6)
+    stub.ben_of = {above: B + eps, below: B - eps}.__getitem__
+    assert benefit._trim(pair, B, stub).fac.tolist() == [below]
 
 
 def test_undominated_matches_stack_prune():
@@ -376,7 +415,8 @@ def test_undominated_matches_stack_prune():
     rng = random.Random(61)
     for size in range(1, 40):
         dell = [rng.randrange(-6, 6) for _ in range(size)]
-        cands = [PrefixCandidate(PrimeFraction.one(), mpf(0), v) for v in dell]
+        # distinct bens tell apart the entries of equal dell
+        cands = [Prefix(PrimeFraction.one(), mpf(i), v) for i, v in enumerate(dell)]
         keep = benefit._undominated(np.array(dell, dtype=np.int64))
         assert [c for c, k in zip(cands, keep) if k] == _prune_mpf(cands)
 
@@ -450,8 +490,8 @@ def test_walk_to_the_last_prime_raises_capacity_error(ctx1e6, tables1e6):
     res, d_set = bound_loop(ctx, n, tables1e6)
     cs = ctx.table.cumulative
     s_k = int(cs[ctx.k - 1])
-    end = max(int(np.searchsorted(cs, n - ctx.ellN - c.dell + s_k, side="right"))
-              for c in d_set if n - ctx.ellN - c.dell >= 0)
+    end = max(int(np.searchsorted(cs, n - ctx.ellN - dell + s_k, side="right"))
+              for dell in d_set.dell.tolist() if n - ctx.ellN - dell >= 0)
     short = PrimeTable.build(ctx.table.prime(end))
     assert len(short) == end
     cut = replace(ctx, N=Champion(short, ctx.xs))

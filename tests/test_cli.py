@@ -7,6 +7,8 @@ from landau.arith import PrimeFraction, parse_factored
 from landau.errors import CapacityError
 from landau.primes import PrimeTable
 
+from oracles import prefix_sets_mpf
+
 
 def run_cli(capsys, *argv):
     rc = cli.main(list(argv))
@@ -135,11 +137,24 @@ def test_superchampion_cmd(capsys):
 
 
 def test_prefixes_cmd(capsys):
-    rc, out, _ = run_cli(capsys, "prefixes", "1000366")
-    assert rc == 0
-    lines = out.strip().splitlines()
-    assert lines[0].startswith("# n = 1000366")
-    assert any(line.startswith("1 ") for line in lines[1:])
+    # each line after the header is a member of the mpf reference D(B'),
+    # at the first round's budget and trimmed to ben <= B, in order
+    from landau.assemble import Solver
+    from landau.benefit import initial_budget
+
+    for n in (998555, 1000366):
+        rc, out, _ = run_cli(capsys, "prefixes", str(n))
+        assert rc == 0
+        lines = out.strip().splitlines()
+        assert lines[0].startswith("# n = %d " % n)
+        solver = Solver(limit_hint=n)
+        bound, _ = solver.prefixes(n)
+        ctx, tables = solver.context(n)
+        b_prime = initial_budget(ctx, n)
+        assert bound.B <= b_prime  # the first round settles
+        want = ["%s %s %d" % (c.delta.render(), mp.nstr(c.ben, 15), c.dell)
+                for c in prefix_sets_mpf(ctx, b_prime, tables) if c.ben <= bound.B]
+        assert lines[1:] == want and "1 0.0 0" in want
 
 
 def test_prefixes_grow_a_short_sieve(capsys, monkeypatch):

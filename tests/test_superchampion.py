@@ -81,14 +81,27 @@ def test_champion_bracket_invariants(table1m, e2_1e5):
         assert ctx.p_k < ctx.x1 <= table1m.next_prime(ctx.p_k)
         assert 2 < ctx.x2 < ctx.sqrt_x1 < ctx.rho.value < ctx.x1
         assert ctx.B1 > 0
-        # exponents match the threshold formula for random primes
-        for p in rng.sample(range(2, ctx.p_k + 1), 20):
-            while not table1m.is_prime(p):
-                p += 1
-                if p > ctx.p_k:
-                    p = 2
-            a = ctx.N.alpha(p)
-            assert a == sum(1 for x in ctx.xs if x.greater_than_int(p))
+        _alpha_matches_thresholds(ctx)
+
+
+def _alpha_matches_thresholds(ctx):
+    """Every prime up to the first past x_1 has the exponent the threshold
+    formula gives: the number of x_j above it."""
+    t = ctx.N.table
+    for p in t.primes[: ctx.k + 1].tolist():
+        assert ctx.N.alpha(p) == sum(x.greater_than_int(p) for x in ctx.xs), p
+
+
+def test_alpha_matches_thresholds_at_scale(table1m):
+    e2 = build_e2_table(10**9, table1m)
+    for n in (10**6, 10**9):
+        _alpha_matches_thresholds(find_context(n, table1m, e2))
+    table = PrimeTable.build(auto_limit(10**12))
+    _alpha_matches_thresholds(find_context(10**12, table, build_e2_table(10**12, table)))
+    # a power-event slope: rho = (q^j - q^(j-1))/log q with j >= 2
+    ctx = next(c for c in (find_context(e.ell, table1m, e2) for e in e2[1:] if e.j >= 2)
+               if c.rho.j >= 2)
+    _alpha_matches_thresholds(ctx)
 
 
 def test_xj_thresholds():
