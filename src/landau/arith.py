@@ -9,8 +9,9 @@ coprime parts.  Two exact rationals compare as fractions.Fraction values
 
 Rounding error.  Each fast comparison (the G window's float logs, the float
 build of D(B'), estimate_B and the trim of D(B'), the event table's slope
-order and prime probes) trusts a computed difference only beyond rounding_error and settles
-the rest exactly.  Every one is in float64: rounding to nearest multiplies
+order and prime probes, check_bounds, the reads of t1 and the budget
+ladder) trusts a computed difference only beyond rounding_error and
+settles the rest exactly.  Every one is in float64: rounding to nearest multiplies
 by 1 + d, |d| <= u = 2^-53.  If each term t_i of v = sum t_i reaches the
 computed value through at most s roundings (a library log, good to one ulp,
 counts as two; each sum, difference, product or copy as one), then
@@ -32,10 +33,39 @@ rounding); a champion's log, which check_bounds and the digit budgets
 compare with an mpf bound, k + R + 5 for k primes in R exponent runs
 (np.log, the product by the run's exponent, at most k + R additions in any
 order, counting each run's and the total's start at 0.0, the difference,
-and one more as the size is the computed log itself), and log g(n) adds two
-for the float copy of the correction's mpf log and its sum with the
-champion's.  guarded_sign is the comparison these callers make, and
-guarded_order their sort.
+and one more as the size is the computed log itself), and log g(n) adds the
+correction's sum of e*log p over its f factors, each term through f + 5
+(log, product, at most f - 1 sums, the sum with the champion's log, the
+difference, the float size), which counts one more step for the champion's
+terms too; check_bounds and the budget checks below.  guarded_sign is the
+comparison these callers make, and guarded_order their sort.
+
+Bounds that depend on n alone.  check_bounds forms its bounds in float and
+an mpf one only inside the comparison's guard, the float's error being
+added to that of log g(n).  sqrt(n log n): the float of n, log, product
+and square root (which halves the relative error it inherits), with the
+difference, 6 steps.  1.328*sqrt(n log n) adds the copy of 1.328 and the
+product: 8.  The majorant r*(1 + (log L - 0.975)/(2L)), L = log n,
+r = sqrt(n log n): log L inherits log n's relative error, at most 3u, as
+an absolute error, which the 1 in the size r*(1 + (|log L| + 1.975)/(2L))
+covers; the errors sum to at most 15u times that size, difference
+included: 9 steps (rounding_error counts 2u a step).
+The digit budget d*log 10 of to_int: log, product, difference and the
+mpf bound's rounding, 5.
+
+t1, the root of f(t) = t - rho*log t + B (benefit._t1_bracket).  f at a
+float t: the copy of rho, log, product, the copy of B, two sums, the mpf
+sign's rounding and the float size, 8 steps of size t + rho*|log t| + B.
+normalized_candidates reads t1 at its bracket's ends lo and hi through
+q = rho/t, two steps (the copy of rho, the quotient).  The weak window's
+w*(1 - rho/hi) <= B and (w + 1)*(1 - rho/lo) > B, as B - w + w*q and
+(w + 1) - (w + 1)*q - B: q, the product, the copy of B and two sums, 5,
+and the float size, 6.  The sharpened window's m - m*q + (ben - B) for an
+mpf ben: q and the product, the copies of ben and B, three sums, the mpf
+ben's own rounding and the float size, 8.  bound_loop's ladder takes the
+ceiling of x = 4*log2(b/rho): the copies of b and rho and their quotient
+move log2 by at most 4.4u, and log2 adds 2u*|log2|, so |x - 4*log2(b/rho)|
+<= rounding_error(4 + |x|, 3).
 
 Sorting.  guarded_order takes floats v_i, each within its bound e_i of an
 exact value, e_i counting the difference of two floats as one more step.

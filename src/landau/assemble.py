@@ -8,6 +8,7 @@ sums pin w to at most a couple of values per delta; cheap two-sided bounds
 on G then eliminate most candidates before the expensive exact evaluation.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -59,16 +60,15 @@ def normalized_candidates(ctx, bound, d_set, n, tables):
     low on the weak window hi - S_omega <= B/(1 - rho/t1) and p_{i+1} >= t1,
     which holds from i = pi(ceil(t1) - 1) on.  Every sum and prime is an
     integer, so the floor or ceiling of each bound decides its test exactly.
+    t1 is read through _T1Reads.
     """
     t = ctx.table
     cs = t.cumulative
     k = ctx.k
     s_k = int(cs[k - 1])
-    denom = 1 - ctx.rho.value / bound.t1
-    if denom <= 0:
-        raise InvariantViolation("t1 at or below rho")
-    weak = int(mp.floor(bound.B / denom))
-    r1 = t.count_upto(int(mp.ceil(bound.t1)) - 1)  # >= 2, as t1 > rho > 3
+    reads = _T1Reads(ctx, bound)
+    weak = reads.weak()
+    r1 = t.count_upto(reads.ceil() - 1)  # >= 2, as t1 > rho > 3
     gap_min = int(mp.ceil(ctx.sqrt_x1))
     hi = (n - ctx.ellN) - d_set.dell
     top = np.searchsorted(cs, s_k + hi, side="right")
@@ -84,7 +84,7 @@ def normalized_candidates(ctx, bound, d_set, n, tables):
             m_suffix = c - (int(cs[i - 1]) - s_k)
             ben_pi = ben + (tables.up_ben(w) if w >= 0 else tables.down_ben(-w))
             # sharpened window: hi - S_w <= (B - ben(N*Pi)) / (1 - rho/t1)
-            if m_suffix > (bound.B - ben_pi) / denom:
+            if reads.outside(m_suffix, ben_pi):
                 continue
             next_p = t.prime(i + 1)
             if next_p - m_suffix < gap_min:
@@ -115,6 +115,63 @@ def normalized_candidates(ctx, bound, d_set, n, tables):
     return out
 
 
+class _T1Reads:
+    """The reads of t1 that normalized_candidates makes: ceil(t1), the weak
+    window's floor(B/(1 - rho/t1)) and the sharpened window's test.  t1
+    lies strictly inside its bracket (lo, hi), and 1 - rho/t increases
+    with t, so a read whose float values at lo and hi agree beyond their
+    rounding bounds (arith's docstring) is decided; the others read the mpf
+    t1, and so does every read of a bound with no bracket."""
+
+    def __init__(self, ctx, bound):
+        self.rho, self.bound = ctx.rho.value, bound
+        self.b_f = float(bound.B)
+        if bound.bracket:
+            self.q_lo, self.q_hi = (float(self.rho) / x for x in bound.bracket)
+        self._denom = None
+
+    def denom(self):
+        """1 - rho/t1 in mpf."""
+        if self._denom is None:
+            self._denom = 1 - self.rho / self.bound.t1
+            if self._denom <= 0:
+                raise InvariantViolation("t1 at or below rho")
+        return self._denom
+
+    def ceil(self):
+        if self.bound.bracket:
+            lo, hi = map(math.ceil, self.bound.bracket)
+            if lo == hi:
+                return lo
+        return int(mp.ceil(self.bound.t1))
+
+    def weak(self):
+        """floor(B/(1 - rho/t1)): the w with w*(1 - rho/hi) <= B and
+        (w + 1)*(1 - rho/lo) > B."""
+        if self.bound.bracket:
+            b_f, q_lo, q_hi = self.b_f, self.q_lo, self.q_hi
+            w = math.floor(b_f / (1 - q_hi))
+            under = b_f - w + w * q_hi
+            over = (w + 1) - (w + 1) * q_lo - b_f
+            if (under > arith.rounding_error(b_f + w + w * q_hi, 6)
+                    and over > arith.rounding_error((w + 1) * (1 + q_lo) + b_f, 6)):
+                return w
+        return int(mp.floor(self.bound.B / self.denom()))
+
+    def outside(self, m, ben):
+        """m*(1 - rho/t1) + ben - B > 0, for an integer m >= 0 and an mpf
+        ben: the pair lies outside the sharpened window."""
+        if m == 0:  # the witness's own pair among them, at ben == B
+            return ben > self.bound.B
+        if self.bound.bracket:
+            ben_f = float(ben)
+            for q, sign in ((self.q_lo, 1), (self.q_hi, -1)):
+                g = m - m * q + (ben_f - self.b_f)
+                if sign * g > arith.rounding_error(m + m * q + abs(ben_f) + self.b_f, 8):
+                    return sign > 0
+        return m > (self.bound.B - ben) / self.denom()
+
+
 def fight(cands, ctx):
     """Keep only candidates whose upper sandwich bound reaches the best lower
     bound, both exact fractions."""
@@ -143,13 +200,22 @@ class LandauResult:
             return self.correction.log
         return self.champion.log + self.correction.log
 
-    def _log_g_sign(self, bound):
-        """Sign of log g(n) - bound, an mpf: the float log decides beyond its
-        error bound, log_g() inside it."""
-        c = float(self.correction.log)
+    @cached_property
+    def _approx_log(self):
+        """(v, err): log g(n) as a float, the champion's float log plus the
+        correction's sum of e*log p, with |v - log g(n)| <= err counting
+        the difference its caller compares v by (arith's docstring)."""
         v, err = self.champion.approx_log() if self.champion is not None else (0.0, 0.0)
-        err += arith.rounding_error(abs(v) + abs(c), 2)
-        return arith.guarded_sign(mpf(v + c) - bound, err, lambda: self.log_g() - bound)
+        terms = [e * math.log(p) for p, e in self.correction.factors]
+        size = abs(v) + sum(map(abs, terms))
+        return v + sum(terms), err + arith.rounding_error(size, len(terms) + 5)
+
+    def _log_g_sign(self, bound_f, bound_err, bound):
+        """Sign of log g(n) - b for a bound b given as a float bound_f within
+        bound_err of it and as bound(), its mpf value: the floats decide
+        beyond their errors, log_g() - bound() inside them."""
+        v, err = self._approx_log
+        return arith.guarded_sign(v - bound_f, err + bound_err, lambda: self.log_g() - bound())
 
     def max_prime_factor(self):
         best = max((p for p, e in self.correction.factors if e > 0), default=1)
@@ -165,7 +231,9 @@ class LandauResult:
         return best
 
     def to_int(self, digit_budget=10**7):
-        if self._log_g_sign(digit_budget * log_int(10)) > 0:
+        budget = digit_budget * math.log(10)
+        if self._log_g_sign(budget, arith.rounding_error(budget, 5),
+                            lambda: digit_budget * log_int(10)) > 0:
             raise CapacityError("g(n) has more than %d digits" % digit_budget)
         num = self.correction.numerator()
         den = self.correction.denominator()
@@ -176,19 +244,36 @@ class LandauResult:
         return num // den
 
     def check_bounds(self):
-        """The effective two-sided bounds on log g(n) and its largest prime."""
+        """The effective two-sided bounds on log g(n) and its largest prime,
+        each formed in float with its rounding bound (arith's docstring) and
+        in mpf only where a comparison falls inside it."""
         n = self.n
         if n < 4:
             return
-        log_n = mp.log(n)
-        root = mp.sqrt(n * log_n)
-        if n >= 906 and self._log_g_sign(root) < 0:
+        log_n = math.log(n)
+        log_log = math.log(log_n)
+        root = math.sqrt(n * log_n)
+        if n >= 906 and self._log_g_sign(
+                root, arith.rounding_error(root, 6), lambda: _bounds_mpf(n)[0]) < 0:
             raise InvariantViolation("log g(n) below sqrt(n log n) at n=%d" % n)
-        maj = root * (1 + (mp.log(log_n) - mpf("0.975")) / (2 * log_n))
-        if self._log_g_sign(maj) > 0:
+        maj = root * (1 + (log_log - 0.975) / (2 * log_n))
+        maj_size = root * (1 + (abs(log_log) + 1.975) / (2 * log_n))
+        if self._log_g_sign(maj, arith.rounding_error(maj_size, 9),
+                            lambda: _bounds_mpf(n)[1]) > 0:
             raise InvariantViolation("log g(n) above its effective majorant at n=%d" % n)
-        if n >= 5 and not self.max_prime_factor() <= mpf("1.328") * root:
-            raise InvariantViolation("largest prime factor bound violated at n=%d" % n)
+        if n >= 5:
+            p = self.max_prime_factor()
+            cap = 1.328 * root
+            if arith.guarded_sign(p - cap, arith.rounding_error(cap, 8),
+                                  lambda: p - mpf("1.328") * _bounds_mpf(n)[0]) > 0:
+                raise InvariantViolation("largest prime factor bound violated at n=%d" % n)
+
+
+def _bounds_mpf(n):
+    """sqrt(n log n) and the majorant of log g(n), in mpf."""
+    log_n = mp.log(n)
+    root = mp.sqrt(n * log_n)
+    return root, root * (1 + (mp.log(log_n) - mpf("0.975")) / (2 * log_n))
 
 
 @dataclass

@@ -40,6 +40,24 @@ and its minimum is benp(p, 0) = 0, so it does not fall as |gamma| grows
 in either direction.  The build does not rest on this: should a member still be
 admitted at a list's last gamma, the list grows by one gamma and the layer
 is tested again.
+
+bound_loop's budget ladder.  A restart's budget B is rounded up to the
+least rung rho*2^(i/4) at or above it that lies below B1 (where there is
+none, the budget stays B), and each rung's D(R) is kept in
+BenefitTables.dsets, so the n of a bracket share a few sets.  The first
+round's budget, rho up to n = 10^10 and rho/2 beyond, is a rung itself, so
+a context keeps at most ceil(4*log2(B1/rho)) + 4 sets; B1/rho is about 3
+near 10^5.  Domination does not depend on the budget, and that makes the
+ladder sound.  A round that settles, B <= R, finds the least witness value
+over all prefixes, whatever R is: a witness's value is its member's ben
+plus a walk benefit and a slack that are >= 0, so a prefix of smaller value
+has ben below B and lies in D(R), unless a larger prefix of no greater l
+beats it; that one's witness, with at least as much cost left for its
+walk, is larger and of smaller value still.  So B and its witness are
+those of the exact-budget loop.  D(R) trimmed to ben <= B is D(B) less the
+members that a larger prefix of no greater l, of ben in (B, R], beats, and
+none of those can be the prefix of g(n).  Every member it keeps is in D(B):
+its partial prefixes have ben <= B too, as benp >= 0.
 """
 
 import math
@@ -104,12 +122,6 @@ class GammaColumns:
     gammas = property(lambda self: self._i[0])
     dell = property(lambda self: self._i[1])
 
-    @property
-    def first(self):
-        """The first column of each direction."""
-        n_neg, n_pos = self.lengths()
-        return ([0] if n_neg else []) + ([n_neg] if n_pos else [])
-
     def lengths(self):
         return self.n_neg, len(self._i[0]) - self.n_neg
 
@@ -129,7 +141,8 @@ class BenefitTables:
     """Per-context cache: small-prime benefits ben(N p^gamma), exact and in
     float, the prefix sums of single-prime
     benefits along the walk above/below p_k, and the candidate sets D(B')
-    built for a first-round budget, by budget."""
+    built for a first-round budget or a rung of bound_loop's ladder, by
+    budget."""
 
     def __init__(self, ctx):
         self.ctx = ctx
@@ -185,6 +198,13 @@ class BenefitTables:
         cols = GammaColumns(neg, pos)
         self._gamma[p] = [cols, b_f]
         return cols
+
+    def first_step(self, p):
+        """The least float cost and the largest size of benp(p, -1) and
+        benp(p, 1): a member whose ben leaves less than that cost extends by
+        no gamma of p (N holds every prime below sqrt(x1), so -1 is open)."""
+        ends = [self._float_benp(p, g) for g in (-1, 1)]
+        return min(e[1] for e in ends), max(e[2] for e in ends)
 
     def grow_gamma_columns(self, p, signs):
         """p's columns with one more gamma in each direction of signs."""
@@ -271,15 +291,14 @@ def build_prefix_sets(ctx, b_prime, tables):
     ben_size_max = log_size_max = 0.0
     nf_max = 0
     for p in tables.sp_primes:
-        cols = tables.gamma_columns(p, b_prime, b_f)
         # rows whose cheapest first step is clearly over budget extend by
         # nothing; twice the pair bound covers the roundings of this filter
-        first = cols.first
-        slack = 2 * arith.rounding_error(
-            ben_size_max + cols.size[first].max() + b_f, nf_max + 9)
-        rows = np.flatnonzero(d.ben <= b_f - cols.cost[first].min() + slack)
+        cost, size = tables.first_step(p)
+        slack = 2 * arith.rounding_error(ben_size_max + size + b_f, nf_max + 9)
+        rows = np.flatnonzero(d.ben <= b_f - cost + slack)
         if not rows.size:
             continue
+        cols = tables.gamma_columns(p, b_prime, b_f)
         while True:
             ok = _admitted(p, cols, d.select(rows), b_prime, b_f, tables)
             signs = cols.open_ends(ok, tables.alphas[p])
@@ -355,9 +374,46 @@ class Estimate:
     witness: PrimeFraction  # the correction M/N achieving the bound
 
 
-@dataclass
 class BoundResult(Estimate):
-    t1: mpf  # root of t - rho*log t + B, solved once B settles
+    """The settled B and its witness, with t1, the root of t - rho*log t + B
+    in (rho, x1].  bound_loop's result carries bracket, floats lo < hi
+    with t1 strictly between them (or None), and solves the mpf t1 for
+    ctx on its first read; a result built with t1 has no bracket."""
+
+    def __init__(self, B, witness, t1=None, bracket=None, ctx=None):
+        super().__init__(B, witness)
+        self._t1, self.bracket, self._ctx = t1, bracket, ctx
+
+    @property
+    def t1(self):
+        if self._t1 is None:
+            self._t1 = _solve_t1(self._ctx, self.B)
+        return self._t1
+
+
+def _t1_bracket(ctx, B):
+    """Floats lo < hi with f(lo) < 0 < f(hi) for f(t) = t - rho*log t + B,
+    or None.  f is negative exactly between its two roots, t1 the larger,
+    so t1 lies strictly between lo and hi.  Newton's method in float from
+    x1 finds t1 to a few ulps, the ends lie 2^-40 of it to either side, and
+    arith.guarded_sign decides the sign of f at each (arith's docstring)."""
+    rho = ctx.rho.value
+    rho_f, b_f = float(rho), float(B)
+    t = float(ctx.x1)
+    for _ in range(50):
+        step = (t - rho_f * math.log(t) + b_f) / (1 - rho_f / t)
+        t -= step
+        if abs(step) <= t * 2**-50:
+            break
+
+    def sign(x):
+        log_x = math.log(x)
+        return arith.guarded_sign(
+            x - rho_f * log_x + b_f, arith.rounding_error(x + rho_f * abs(log_x) + b_f, 8),
+            lambda: x - rho * mp.log(x) + B)
+
+    lo, hi = t * (1 - 2**-40), t * (1 + 2**-40)
+    return (lo, hi) if sign(lo) < 0 < sign(hi) else None
 
 
 def _solve_t1(ctx, B):
@@ -437,17 +493,17 @@ def initial_budget(ctx, n):
 
 def bound_loop(ctx, n, tables):
     """Iterate D(B') -> B until B <= B', then trim D to benefit <= B and
-    solve t1 for that B.  The trim reads each member's running float ben,
+    bracket t1 for that B.  The trim reads each member's running float ben,
     and its mpf ben only within the float's rounding bound of B.
 
     B is always a valid bound; a second round only enlarges the candidate
-    pool, so the loop settles after at most one restart in practice.  The
-    first round's D(B') is kept in tables.dsets for the next n of the
-    bracket; a restart's budget is B itself, which differs for each n, so
-    its set serves this n alone.
+    pool, so the loop settles after at most one restart in practice.  A
+    restart's budget is the least rung of the ladder at or above B (the
+    module docstring); the first round's D(B') and each rung's are kept in
+    tables.dsets for the other n of the bracket.
     """
-    b_prime = initial_budget(ctx, n)
-    for i in range(8):
+    b_prime, keep = initial_budget(ctx, n), True
+    for _ in range(8):
         if b_prime >= ctx.B1:
             raise BoundFailureError(
                 "budget %s reached B1=%s" % (mp.nstr(b_prime, 10), mp.nstr(ctx.B1, 10))
@@ -455,15 +511,34 @@ def bound_loop(ctx, n, tables):
         d_set = tables.dsets.get(b_prime)
         if d_set is None:
             d_set = build_prefix_sets(ctx, b_prime, tables)
-            if i == 0:
+            if keep:
                 tables.dsets[b_prime] = d_set
         res = estimate_B(ctx, d_set, n, tables)
         if res.B <= b_prime:
             if res.B < b_prime:
                 d_set = _trim(d_set, res.B, tables)
-            return BoundResult(res.B, res.witness, _solve_t1(ctx, res.B)), d_set
-        b_prime = res.B
+            return BoundResult(res.B, res.witness, bracket=_t1_bracket(ctx, res.B), ctx=ctx), d_set
+        rung = _rung(ctx, res.B)
+        b_prime, keep = (res.B, False) if rung is None else (rung, True)
     raise InvariantViolation("benefit bound loop failed to settle")
+
+
+def _rung(ctx, b):
+    """The least rung rho*2^(i/4) >= b, for b > 0, or None when it is not
+    below B1.  i is the ceiling of x = 4*log2(b/rho), read off the float x
+    beyond its rounding bound (arith's docstring) and settled on mpf rungs
+    inside it."""
+    rho = ctx.rho.value
+    rung = lambda i: rho * mpf(2) ** (mpf(i) / 4)
+    x = 4 * math.log2(float(b) / float(rho))
+    i = math.ceil(x)
+    if min(i - x, x + 1 - i) <= arith.rounding_error(4 + abs(x), 3):
+        while rung(i - 1) >= b:
+            i -= 1
+        while rung(i) < b:
+            i += 1
+    r = rung(i)
+    return r if r < ctx.B1 else None
 
 
 def _trim(d_set, B, tables):

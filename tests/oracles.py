@@ -9,6 +9,9 @@ of `Prefix` records, and `ben` is ben(N*delta) for a prefix fraction delta,
 summed prime by prime.  `members` reads a `PrefixSet` as such a list.
 `estimate_B_mpf` is the reference for `landau.benefit.estimate_B`: every
 candidate's witness valued in mpf, one candidate at a time.
+`bound_loop_exact` is the reference for `landau.benefit.bound_loop`: each
+restart builds D(B) at the bound B itself, with no budget ladder, keeps
+only the first round's set, and solves t1 in mpf.
 `normalized_candidates_loop` is the reference for
 `landau.assemble.normalized_candidates`: the walk up and the peel down,
 step by step, each step testing its mpf bounds.
@@ -40,8 +43,12 @@ from landau.assemble import NormalizedCandidate
 from landau.benefit import (
     BoundResult,
     _solve_t1,
+    _trim,
     _walk_fraction,
+    build_prefix_sets,
     dell_pp,
+    estimate_B,
+    initial_budget,
 )
 from landau.errors import (
     BoundFailureError,
@@ -343,6 +350,27 @@ def estimate_B_mpf(ctx, d_set, n, tables):
     cand, omega = best_parts
     return BoundResult(B=best, t1=_solve_t1(ctx, best),
                        witness=_walk_fraction(ctx, cand.delta, omega))
+
+
+def bound_loop_exact(ctx, n, tables):
+    """bound_loop with each restart's budget the bound B itself: iterate
+    D(B') -> B until B <= B', trim D to ben <= B and solve t1 in mpf."""
+    b_prime = initial_budget(ctx, n)
+    for i in range(8):
+        if b_prime >= ctx.B1:
+            raise BoundFailureError("budget reached B1")
+        d_set = tables.dsets.get(b_prime)
+        if d_set is None:
+            d_set = build_prefix_sets(ctx, b_prime, tables)
+            if i == 0:
+                tables.dsets[b_prime] = d_set
+        res = estimate_B(ctx, d_set, n, tables)
+        if res.B <= b_prime:
+            if res.B < b_prime:
+                d_set = _trim(d_set, res.B, tables)
+            return BoundResult(res.B, res.witness, _solve_t1(ctx, res.B)), d_set
+        b_prime = res.B
+    raise InvariantViolation("benefit bound loop failed to settle")
 
 
 def normalized_candidates_loop(ctx, bound, d_set, n, tables):

@@ -1,3 +1,4 @@
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -6,8 +7,9 @@ import pytest
 from mpmath import mp, mpf
 
 from landau.arith import DEFAULT_PRECISION, PrimeFraction, set_precision
-from landau.assemble import Solver, fight, normalized_candidates
-from landau.benefit import BenefitTables, BoundResult
+from landau import assemble, benefit
+from landau.assemble import Solver, _T1Reads, fight, normalized_candidates
+from landau.benefit import BenefitTables, BoundResult, _solve_t1, _t1_bracket, initial_budget
 from landau.errors import CapacityError, InvariantViolation, PrefixGapError
 from landau.gfunction import g_floor
 from landau.oracle import g_list_merge_prune
@@ -457,12 +459,139 @@ def test_result_inside_the_guard_of_the_majorant_goes_exact():
     assert placed.exact_reads == 0
 
 
-def test_warm_sweep_keeps_one_candidate_set_per_context():
-    # restarts build D(B') at a budget B of their own n; only the
-    # first-round set is stored for the rest of the bracket
+@pytest.fixture(scope="module")
+def t1_contexts(solver):
+    """The contexts of 10^6, 10^9 and 10^12."""
+    out = [solver.context(10**6)[0]]
+    for n in (10**9, 10**12):
+        out.append(Solver(limit_hint=n).context(n)[0])
+    return out
+
+
+def _t1_cases(t1_contexts):
+    """(ctx, B, the float-bracketed bound, the bound holding the mpf t1) for
+    a spread of B in [rho/2, B1)."""
+    for ctx in t1_contexts:
+        lo = ctx.rho.value / 2
+        for i in range(12):
+            B = lo + (ctx.B1 - lo) * mpf(i) / 12
+            yield (ctx, B, BoundResult(B, None, bracket=_t1_bracket(ctx, B), ctx=ctx),
+                   BoundResult(B, None, _solve_t1(ctx, B)))
+
+
+def test_t1_bracket_holds_the_mpf_root(t1_contexts):
+    for ctx, B, fast, slow in _t1_cases(t1_contexts):
+        lo, hi = fast.bracket
+        assert lo < slow.t1 < hi
+        assert fast._t1 is None
+
+
+def test_t1_reads_from_the_bracket_match_the_mpf_root(t1_contexts):
+    # ceil(t1), the weak window and the sharpened window's verdict on pairs
+    # placed about its edge m*(1 - rho/t1) + ben - B = 0: the bracket
+    # decides them all but the nearest, and agrees with the mpf t1
+    near = 0
+    for ctx, B, fast, slow in _t1_cases(t1_contexts):
+        got, want = _T1Reads(ctx, fast), _T1Reads(ctx, slow)
+        assert (got.ceil(), got.weak()) == (want.ceil(), want.weak())
+        denom = want.denom()
+        for m in (1, 2, 17, 400, want.weak()):
+            for off in (-1, -mpf(10) ** -6, mpf(10) ** -6, 1):
+                ben = B - m * denom + off * B
+                assert got.outside(m, ben) == want.outside(m, ben) == (off > 0)
+        assert fast._t1 is None
+        for m in (1, want.weak()):
+            for off in (-mpf(2) ** -70, mpf(2) ** -70):
+                ben = B - m * denom + off * B
+                assert got.outside(m, ben) == want.outside(m, ben)
+                near += fast._t1 is not None
+    assert near > 0
+
+
+def test_t1_bracket_straddling_its_ceiling_goes_exact(solver, monkeypatch):
+    # a bracket around t1 that holds the integer ceil(t1): the number of
+    # primes below t1 is left to the mpf t1, solved once for every read
+    n = 10**6
+    bound, d_set = solver.prefixes(n)
+    ctx, tables = solver.context(n)
+    t1 = _solve_t1(ctx, bound.B)
+    top = int(mp.ceil(t1))
+    planted = BoundResult(bound.B, bound.witness, bracket=(float(t1) - 1, top + 0.5), ctx=ctx)
+    assert math.ceil(planted.bracket[0]) != math.ceil(planted.bracket[1])
+    solves = []
+    solve = benefit._solve_t1
+    monkeypatch.setattr(benefit, "_solve_t1", lambda c, B: solves.append(B) or solve(c, B))
+    got = normalized_candidates(ctx, planted, d_set, n, tables)
+    want = normalized_candidates(ctx, BoundResult(bound.B, bound.witness, t1), d_set, n, tables)
+    assert [(c.delta, c.omega, c.m_suffix) for c in got] == [
+        (c.delta, c.omega, c.m_suffix) for c in want]
+    assert solves == [bound.B]
+
+
+def test_result_inside_the_guard_of_the_minorant_goes_exact():
+    # the float log of g(n) sits half its error above sqrt(n log n) and the
+    # exact log a quarter below it: only the exact path sees the violation
+    n = 10**6
+    res = Solver(limit_hint=n).compute(n)
+    root = mp.sqrt(n * mp.log(n))
+    corr = res.correction.log
+    err = 1e-6 * float(root)
+    placed = _Placed(res.champion, float(root - corr) + err / 2, err,
+                     root - corr - mpf(err) / 4)
+    with pytest.raises(InvariantViolation, match="below sqrt"):
+        replace(res, champion=placed).check_bounds()
+    assert placed.exact_reads == 1
+    # outside the guard the float decides alone
+    placed = _Placed(res.champion, float(root - corr) + 2 * err, err, root - corr - err)
+    replace(res, champion=placed).check_bounds()
+    assert placed.exact_reads == 0
+
+
+def test_largest_prime_inside_the_guard_goes_exact(monkeypatch):
+    # a largest prime factor planted on the floats next to 1.328*sqrt(n log n):
+    # its float difference with the float bound is a few ulps, inside the
+    # guard, and the mpf bound decides; a planted value further off is
+    # decided by the float alone
+    n = 10**6
+    res = Solver(limit_hint=n).compute(n)
+    cap = mpf("1.328") * mp.sqrt(n * mp.log(n))
+    c = float(cap)
+    above = c if mpf(c) > cap else math.nextafter(c, math.inf)
+    below = c if mpf(c) < cap else math.nextafter(c, -math.inf)
+    reads = []
+    exact = assemble._bounds_mpf
+    monkeypatch.setattr(assemble, "_bounds_mpf", lambda n: reads.append(n) or exact(n))
+
+    def check(p):
+        planted = replace(res)
+        planted.max_prime_factor = lambda: p
+        reads.clear()
+        try:
+            planted.check_bounds()
+        except InvariantViolation as e:
+            assert "largest prime" in str(e)
+            return True, len(reads)
+        return False, len(reads)
+
+    assert check(above) == (True, 1)
+    assert check(below) == (False, 1)
+    assert check(c * (1 + 1e-9)) == (True, 0)
+    assert check(c * (1 - 1e-9)) == (False, 0)
+
+
+def test_warm_sweep_keeps_one_candidate_set_per_rung():
+    # restarts build D(B') at the rung of the ladder above their own B;
+    # the first-round set and the rung sets are stored for the rest of the
+    # bracket, at most one per rung below B1
     solver = Solver(limit_hint=151000)
     lst = g_list_merge_prune(151000)
     for n in range(150001, 151001):
         assert solver.compute(n).to_int() == lst.query(n)
     assert solver._ctx_cache
-    assert all(len(tables.dsets) == 1 for tables in solver._ctx_cache)
+    for tables in solver._ctx_cache:
+        ctx = tables.ctx
+        rho = ctx.rho.value
+        first = {initial_budget(ctx, n) for n in range(150001, 151001) if ctx.covers(n)}
+        rungs = {rho * mpf(2) ** (mpf(i) / 4) for i in range(-4, 40)}
+        assert all(b in first or (b in rungs and b < ctx.B1) for b in tables.dsets)
+        assert 1 < len(tables.dsets) <= math.ceil(4 * math.log2(ctx.B1 / rho)) + 1

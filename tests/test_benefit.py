@@ -23,6 +23,7 @@ from oracles import (
     Prefix,
     _prune_mpf,
     ben,
+    bound_loop_exact,
     estimate_B_mpf,
     g_table_dp,
     members,
@@ -453,12 +454,18 @@ def test_t1_newton_from_x1(ctx1e6, monkeypatch):
 
 
 def test_t1_solved_once_per_n(monkeypatch):
-    # bound_loop solves t1 for the round that settles, not for every round
+    # bound_loop brackets t1 in float for the round that settles, not for
+    # every round, and the mpf t1 is solved only for a read the bracket
+    # leaves open
     from landau.assemble import Solver
 
     solver = Solver(limit_hint=151000)
-    solves, rounds = [], []
-    solve, estimate = benefit._solve_t1, benefit.estimate_B
+    brackets, solves, rounds = [], [], []
+    bracket, solve, estimate = benefit._t1_bracket, benefit._solve_t1, benefit.estimate_B
+
+    def counting_bracket(ctx, B):
+        brackets.append(B)
+        return bracket(ctx, B)
 
     def counting_solve(ctx, B):
         solves.append(B)
@@ -468,13 +475,49 @@ def test_t1_solved_once_per_n(monkeypatch):
         rounds.append(n)
         return estimate(ctx, d_set, n, tables)
 
+    monkeypatch.setattr(benefit, "_t1_bracket", counting_bracket)
     monkeypatch.setattr(benefit, "_solve_t1", counting_solve)
     monkeypatch.setattr(benefit, "estimate_B", counting_estimate)
     window = range(150001, 151001)
     for n in window:
         solver.compute(n)
-    # some n need a second round, and still one solve
-    assert len(solves) == len(window) < len(rounds)
+    # some n need a second round, and still one bracket
+    assert len(brackets) == len(window) < len(rounds)
+    assert len(solves) < len(window) // 100
+
+
+def _run(solver, n):
+    """What compute hands on for n: B, the witness, D(B), the normalized
+    candidates, the survivors and the evaluation count."""
+    res, det = solver.compute(n, details=True)
+    cand = lambda c: (c.delta, c.omega, c.m_suffix, c.Pi, c.ben_Pi, c.lower, c.upper)
+    return (res.correction, det.bound.B, det.bound.witness, det.d_set.fac.tolist(),
+            [cand(c) for c in det.candidates], [cand(c) for c in det.survivors],
+            det.evaluated)
+
+
+def test_ladder_matches_the_exact_budget_loop(monkeypatch):
+    # a window that restarts often: the rung sets, trimmed to ben <= B,
+    # hand on what D(B) built at B itself does
+    import oracles
+    from landau import assemble
+    from landau.assemble import Solver
+
+    build = benefit.build_prefix_sets
+    window = range(150001, 150401)
+    ref_builds, builds = [], []
+    with monkeypatch.context() as m:
+        m.setattr(assemble, "bound_loop", bound_loop_exact)
+        m.setattr(oracles, "build_prefix_sets", lambda *a: ref_builds.append(a[1]) or build(*a))
+        ref = Solver(limit_hint=window[-1])
+        want = [_run(ref, n) for n in window]
+    monkeypatch.setattr(benefit, "build_prefix_sets",
+                        lambda *a: builds.append(a[1]) or build(*a))
+    solver = Solver(limit_hint=window[-1])
+    for n, w in zip(window, want):
+        assert _run(solver, n) == w, n
+    # each rung is built once; the reference builds a set per restart
+    assert len(builds) == len(set(builds)) < 10 < 100 < len(ref_builds)
 
 
 def test_walk_to_the_last_prime_raises_capacity_error(ctx1e6, tables1e6):
