@@ -22,9 +22,10 @@ one more step; beyond the bound that difference has its exact sign.  Steps
 per caller: the G window j + 3 for two products of j window primes P less
 their common p_k^j, each term log1p((P - p_k)/p_k) (the quotient, log1p,
 j - 1 sums, difference), with size 2 j T where T bounds
-|log1p((P - p_k)/p_k)| and |P - p_k|/P over the window: log1p passes the
-quotient's rounding on scaled by |P - p_k|/P, up to p_k/P_1 at the smallest
-window prime P_1, which can exceed the term itself; D(B'), estimate_B and
+|log1p((P - p_k)/p_k)| and |P - p_k|/P over the primes P_1..P_{K+j} that
+row j reads: log1p passes the quotient's rounding on scaled by
+|P - p_k|/P, up to p_k/P_1 at the smallest window prime P_1, which can
+exceed the term itself; D(B'), estimate_B and
 the trim as below; the event table's slopes (q^j - q^{j-1})/log q, an exact integer
 over a float log, 5 for each slope in their order (log, quotient,
 difference, and the mpf slopes they must order alike), and its p/log p < rho

@@ -12,6 +12,15 @@ over r a running minimum, and one packed bit per (j, r, m) records whether
 P_r was taken.  A backward walk over those bits rebuilds the prime sets,
 and settles exactly the comparisons the floats cannot.
 
+Few cells of a window are feasible, and GEngine._run_h does only their
+work.  Band: a row is inf below its first finite offset lo_j, which
+never falls as j grows, so each row runs over [lo_j, K] alone.
+Continuation: a row reads nothing above its own top prime, so the trial
+window's rows are the first rows of the widened one, which appends to them.
+Guard: row j's float comparisons are guarded by T_j, the largest term over
+the primes it reads, which a wider window leaves as it is.  _run_h's
+docstring gives the three arguments.
+
 For large m the recursion over windows is replaced by a reduction to
 G(p_{k+1}, m') for small m', valid as soon as an even budget delta with
 p_{k+1}+delta-m prime and G(p_{k+1}, delta) >= 1 + delta/p_{k+1} exists
@@ -77,6 +86,119 @@ class _UptoEntry:
         self.fracs = {}
 
 
+class _Window:
+    """The rows of the window recursion over P_1..P_R, table indices
+    lo_idx..top_idx, around p_k = P_K, for even budgets up to M: rows are
+    appended on demand and kept, with their packed choice bits, so a
+    wider window continues from the last row (GEngine._run_h)."""
+
+    def __init__(self, table, pk_idx, lo_idx, top_idx, M):
+        K = self.K = pk_idx - lo_idx + 1
+        H = self.H = M // 2 + 1
+        self.pk_idx = pk_idx
+        P = self.P = table.primes[lo_idx - 1 : top_idx].astype(np.int64)  # P_1..P_R
+        p_k = int(P[K - 1])
+        self.L = np.log1p((P - p_k) / p_k)
+        # T[r - 1] bounds |L| and the quotient's rounding as log1p passes it
+        # on, over P_1..P_r
+        self.T = np.maximum.accumulate(np.maximum(np.abs(self.L), np.abs(P - p_k) / P))
+        self.Pl = P.tolist()
+        self.j, self.lo = 0, 0
+        self.row = np.zeros((K + 1, H))  # j = 0: the empty product, at every m
+        self.bits = np.zeros((top_idx - pk_idx + 1, K + 1, (H + 7) // 8), np.uint8)
+        self.memo = {}
+        self.cand = np.empty((K + 1, H))
+        self.diff = np.empty((K + 1, H))
+        self.taken = np.empty((K + 1, H), bool)
+        self.near = np.empty((K + 1, H), bool)
+        self.runs = np.full((2, K + 2, H), np.inf)  # run[o + 1]: minimum of cand[:o + 1]
+        self.clean = [K + 2, K + 2]  # run[:clean] is inf in each of runs
+
+    def _shift(self, j, o):  # half the cost of P_{j+o} as the j-th prime
+        return (self.Pl[self.K + j - 1] - self.Pl[j + o - 1]) // 2
+
+    def _exact(self, j, o, i):
+        """The product at [o, i] of a finished row j, walked from the bits."""
+        bits, memo = self.bits, self.memo
+        path = []
+        while j and (j, o, i) not in memo:
+            took = bits[j, o, i >> 3] >> (7 - (i & 7)) & 1
+            path.append(((j, o, i), self.Pl[j + o - 1] if took else 1))
+            j, o, i = (j - 1, o, i - self._shift(j, o)) if took else (j, o - 1, i)
+        v = memo.get((j, o, i), 1)
+        for cell, p in reversed(path):
+            v *= p
+            memo[cell] = v
+        return v
+
+    def _settle(self, i):
+        """Redo column i of the last row's running minimum over its band on
+        exact products, as two of its floats lie within the guard."""
+        j, cand, taken, row = self.j, self.cand, self.taken, self.row
+        best, best_v = -1, None
+        for o in range(self.lo, self.K + 1):
+            take = False
+            if cand[o, i] < np.inf:
+                v = self.Pl[j + o - 1] * self._exact(j - 1, o, i - self._shift(j, o))
+                take = best < 0 or v < best_v
+            taken[o, i] = take
+            if take:
+                best, best_v = o, v
+            row[o, i] = cand[best, i] if best >= 0 else np.inf
+
+    def _add_row(self):
+        j = self.j = self.j + 1
+        K, H, L, prev, lo = self.K, self.H, self.L, self.row, self.lo
+        shift = self._shift
+        # the first offset whose candidate reads a finite value of row j - 1
+        while lo < K and (shift(j, lo) >= H or not prev[lo, H - 1 - shift(j, lo)] < np.inf):
+            lo += 1
+        self.lo = lo
+        run, cand = self.runs[j & 1], self.cand
+        run[self.clean[j & 1] : lo + 1] = np.inf  # the row below lo_j, and left[lo_j]
+        self.clean[j & 1] = lo + 1
+        for o in range(lo, K + 1):
+            d = shift(j, o)
+            cand[o, :d] = np.inf
+            np.add(prev[o, : H - d], L[j + o - 1], out=cand[o, d:])
+            np.minimum(run[o], cand[o], out=run[o + 1])
+        self.row = run[1:]
+        diff, taken, near = self.diff[lo:], self.taken[lo:], self.near[lo:]
+        guard = arith.rounding_error(2 * j * self.T[K + j - 1], j + 3)
+        with np.errstate(invalid="ignore"):  # inf - inf: both infeasible
+            np.subtract(cand[lo:], run[lo:-1], out=diff)
+            np.less(diff, 0, out=taken)  # cand < left, inf included
+            np.less_equal(np.abs(diff, out=diff), guard, out=near)
+        # a finite guard holds only pairs of finite values; an infinite one
+        # settles every column holding a finite candidate
+        if near.any():
+            for i in np.flatnonzero(near.any(axis=0)).tolist():
+                self._settle(i)
+        self.bits[j, lo:] = np.packbits(taken, axis=1)
+
+    def extend(self, rhat_idx):
+        """m -> H(R-K, P_Rhat; m) on [0, M] after appending rows up to
+        R - K = rhat_idx - pk_idx, as GEngine._run_h returns it."""
+        while self.j < rhat_idx - self.pk_idx:
+            self._add_row()
+        K, J, P = self.K, self.j, self.P[: self.K + self.j]
+        if not self.row[K, 0] < np.inf:
+            raise InvariantViolation("H has no feasible value at m=0")
+
+        # one backward walk over r rebuilds every column's prime set
+        jc = np.full(self.H, J)
+        ic = np.arange(self.H)
+        chosen = np.zeros((self.H, K + J), bool)
+        for r in range(K + J, 0, -1):
+            o = np.minimum(r - jc, K)  # columns done (jc = 0) read row 0's zeros
+            took = (self.bits[jc, o, ic >> 3] >> (7 - (ic & 7))) & 1
+            chosen[:, r - 1] = took
+            ic -= took * ((P[K + jc - 1] - P[r - 1]) // 2)
+            jc -= took
+        starts = np.flatnonzero(np.r_[True, (chosen[1:] != chosen[:-1]).any(axis=1)])
+        return (2 * starts).tolist(), [tuple(P[chosen[i]].tolist()) for i in starts.tolist()]
+
+
 class GEngine:
     """Computes G(p_k, m) exactly, caching the step functions of the last
     UPTO_ENTRIES primes and the delta1 table in memory."""
@@ -106,85 +228,35 @@ class GEngine:
 
         Row j holds H(j, P_{j+o}; 2i) at [o, i] for o = 0..K, the log of the
         product less j log p_k, so rows compare through log1p((P - p_k)/p_k).
+        Its candidate at o takes P_{j+o} as the j-th prime and reads row
+        j - 1 at the same o, shift(j, o) columns to the left; the row is the
+        running minimum of the candidates over o.
+
+        Band.  A row does not increase in o (a running minimum) nor in i
+        (more budget).  Below lo_{j-1}, row j - 1 is inf, so are row j's
+        candidates and its running minimum there: lo_j >= lo_{j-1}.  Row j
+        is finite somewhere at o exactly when it is finite at the last
+        column, so lo_j is the first o >= lo_{j-1} with shift(j, o) < H and
+        row j - 1 finite at [o, H - 1 - shift(j, o)].  Adds, minima, the
+        taken and near tests, settling and the packed bits run over
+        [lo_j, K] alone; below it the row stays inf and its bits zero, as
+        inf < inf leaves them.
+
+        Continuation.  Row j reads row j - 1, the logs and costs of
+        P_j..P_{K+j} against the top prime P_{K+j}, and its guard; nothing
+        above P_{K+j}.  So a window's J rows are the first J rows of every
+        wider window over the same P_1, K and M, and _g_upto widens its
+        trial window by appending rows to the one it keeps: every row and
+        bit equals a fresh wide run's.
+
+        Guard.  Row j compares two sums of j terms log1p((P - p_k)/p_k)
+        over primes among P_1..P_{K+j}.  arith's bound needs T to bound each
+        term and the quotient's rounding |P - p_k|/P that log1p passes on,
+        for every term compared; T_j, the larger of the two over
+        P_1..P_{K+j}, does, and it is never larger than the whole window's T
+        nor changed by widening.
         """
-        K = pk_idx - lo_idx + 1
-        J = rhat_idx - pk_idx
-        P = self.table.primes[lo_idx - 1 : rhat_idx].astype(np.int64)  # P_1..P_R
-        p_k = int(P[K - 1])
-        L = np.log1p((P - p_k) / p_k)
-        # bounds |L| and the quotient's rounding as log1p passes it on
-        T = max(np.abs(L).max(), (np.abs(P - p_k) / P).max())
-        Pl = P.tolist()
-        H = M // 2 + 1
-        row = np.zeros((K + 1, H))  # j = 0: the empty product, at every m
-        bits = np.zeros((J + 1, K + 1, (H + 7) // 8), np.uint8)
-        memo = {}
-
-        def shift(j, o):  # half the cost of P_{j+o} as the j-th prime
-            return (Pl[K + j - 1] - Pl[j + o - 1]) // 2
-
-        def exact(j, o, i):
-            """The product at [o, i] of a finished row j, walked from the bits."""
-            path = []
-            while j and (j, o, i) not in memo:
-                took = bits[j, o, i >> 3] >> (7 - (i & 7)) & 1
-                path.append(((j, o, i), Pl[j + o - 1] if took else 1))
-                j, o, i = (j - 1, o, i - shift(j, o)) if took else (j, o - 1, i)
-            v = memo.get((j, o, i), 1)
-            for cell, p in reversed(path):
-                v *= p
-                memo[cell] = v
-            return v
-
-        def settle(i):
-            """Redo column i of row j's running minimum over o on exact
-            products, as two of its floats lie within the guard."""
-            best, best_v = -1, None
-            for o in range(K + 1):
-                take = False
-                if cand[o, i] < np.inf:
-                    v = Pl[j + o - 1] * exact(j - 1, o, i - shift(j, o))
-                    take = best < 0 or v < best_v
-                taken[o, i] = take
-                if take:
-                    best, best_v = o, v
-                row[o, i] = cand[best, i] if best >= 0 else np.inf
-
-        cand = np.empty((K + 1, H))
-        runs = np.full((2, K + 2, H), np.inf)  # run[o + 1]: minimum of cand[:o + 1]
-        for j in range(1, J + 1):
-            prev, run = row, runs[j & 1]
-            cand.fill(np.inf)
-            for o in range(K + 1):
-                d = shift(j, o)
-                if d < H:
-                    np.add(prev[o, : H - d], L[j + o - 1], out=cand[o, d:])
-                np.minimum(run[o], cand[o], out=run[o + 1])
-            row, left = run[1:], run[:-1]
-            taken = cand < left
-            guard = arith.rounding_error(2 * j * T, j + 3)
-            with np.errstate(invalid="ignore"):  # inf - inf: both infeasible
-                near = np.abs(cand - left) <= guard
-            if near.any():
-                near &= np.isfinite(cand) & np.isfinite(left)
-                for i in np.flatnonzero(near.any(axis=0)).tolist():
-                    settle(i)
-            bits[j] = np.packbits(taken, axis=1)
-        if not row[K, 0] < np.inf:
-            raise InvariantViolation("H has no feasible value at m=0")
-
-        # one backward walk over r rebuilds every column's prime set
-        jc = np.full(H, J)
-        ic = np.arange(H)
-        chosen = np.zeros((H, K + J), bool)
-        for r in range(K + J, 0, -1):
-            o = np.minimum(r - jc, K)  # columns done (jc = 0) read row 0's zeros
-            took = (bits[jc, o, ic >> 3] >> (7 - (ic & 7))) & 1
-            chosen[:, r - 1] = took
-            ic -= took * ((P[K + jc - 1] - P[r - 1]) // 2)
-            jc -= took
-        starts = np.flatnonzero(np.r_[True, (chosen[1:] != chosen[:-1]).any(axis=1)])
-        return (2 * starts).tolist(), [tuple(P[chosen[i]].tolist()) for i in starts.tolist()]
+        return _Window(self.table, pk_idx, lo_idx, rhat_idx, M).extend(rhat_idx)
 
     def _extract(self, entry, m):
         """G(p_k, m) from a confirmed step-function entry: the window primes
@@ -246,8 +318,9 @@ class GEngine:
         lo_idx = self._low_idx(pk1, cap)
         full_top = self._full_top_idx(pk_idx, cap)
         rhat_idx = min(pk_idx + TRIAL_WIDTH, full_top)
+        window = _Window(t, pk_idx, lo_idx, full_top, cap)
         while True:
-            steps = self._run_h(pk_idx, lo_idx, rhat_idx, cap)
+            steps = window.extend(rhat_idx)
             if rhat_idx >= full_top:
                 break
             need = self._confirm_segments(pk_idx, steps, rhat_idx, cap)

@@ -25,13 +25,14 @@ binary search of guarded probes.
 
 `h_window_steps` is the reference for `landau.gfunction.GEngine._run_h`: the
 window recursion H(j, P_r; m) over breakpoint lists of linked prime chains,
-compared as exact integers.  `g_small` runs the full, uncertified window
-recursion, the reference for the confirmed window.
+compared as exact integers, whose rows `h_window_rows` yields one by one.
+`g_small` runs the full, uncertified window recursion, the reference for the
+confirmed window.
 """
 
 import heapq
 import math
-from collections import namedtuple
+from collections import deque, namedtuple
 from fractions import Fraction
 
 import numpy as np
@@ -518,10 +519,12 @@ def _merge_min(a, b):
     return out
 
 
-def h_window_steps(table, pk_idx, lo_idx, rhat_idx, M):
-    """H(R-K, P_R; m) on [0, M] for the window primes P_1 < ... < P_R,
-    table indices lo_idx..rhat_idx, around p_k = P_K: the breakpoints and
-    each segment's ascending prime tuple, as GEngine._run_h returns them."""
+def h_window_rows(table, pk_idx, lo_idx, rhat_idx, M):
+    """Rows j = 1..R-K of the window recursion over the window primes
+    P_1 < ... < P_R, table indices lo_idx..rhat_idx, around p_k = P_K, one at
+    a time: row[r] is the step list [(m, node), ...] of H(j, P_r; m) on
+    [0, M], empty where no m is feasible.  GEngine._run_h's offset o of row j
+    is r = j + o."""
     K = pk_idx - lo_idx + 1
     R = rhat_idx - lo_idx + 1
     P = [0] + [table.prime(lo_idx + i) for i in range(R)]
@@ -533,7 +536,15 @@ def h_window_steps(table, pk_idx, lo_idx, rhat_idx, M):
         for r in range(j, min(K + j, R) + 1):
             below = unit if j == 1 else prev[r - 1]
             row[r] = _merge_min(row[r - 1], _scale_shift(below, P[r], top - P[r], M))
+        yield row
         prev = row
-    steps = prev[R]
+
+
+def h_window_steps(table, pk_idx, lo_idx, rhat_idx, M):
+    """H(R-K, P_R; m) on [0, M] for the window primes P_1 < ... < P_R,
+    table indices lo_idx..rhat_idx, around p_k = P_K: the breakpoints and
+    each segment's ascending prime tuple, as GEngine._run_h returns them."""
+    last = deque(h_window_rows(table, pk_idx, lo_idx, rhat_idx, M), maxlen=1)[0]
+    steps = last[rhat_idx - lo_idx + 1]
     assert steps and steps[0][0] == 0, "H has no feasible value at m=0"
     return [m for m, _ in steps], [_node_primes(node) for _, node in steps]

@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 from mpmath import mp
 
+from landau import arith
 from landau.errors import InvariantViolation
 from landau.arith import PrimeFraction
 from landau.gfunction import GEngine, check_fraction
 from landau.primes import PrimeTable, _simple_sieve
 
-from oracles import g_small, h_window_steps
+from oracles import g_small, h_window_rows, h_window_steps
 
 
 @pytest.fixture(scope="module")
@@ -127,6 +128,43 @@ def test_widen_example_uses_narrow_window():
     full = g_small(eng, 150989, 1200)
     assert [eng._extract(entry, m) for m in range(1201)] == full
     assert eng.g_fraction(150989, 1200) == full[1200]
+
+
+def test_widening_continues_the_trial_rows(monkeypatch):
+    # the trial's 10 rows are the first 10 of the 35-row window, so widening
+    # appends 25 rows, one guard each, where starting over made 45
+    t = PrimeTable.build(200000)
+    eng = GEngine(t)
+    pk_idx = t.rank(150989)
+    guards = []
+    rounding_error = arith.rounding_error
+
+    def counted(size, steps):
+        guards.append(steps)
+        return rounding_error(size, steps)
+
+    monkeypatch.setattr(arith, "rounding_error", counted)
+    entry = eng._g_upto(pk_idx, 1200)
+    assert entry.cap == 1280 and entry.rhat_idx - pk_idx == 35
+    assert len(guards) == 35
+    lo_idx = eng._low_idx(t.next_prime(150989), 1280)
+    assert (entry.ms, entry.sets) == h_window_steps(t, pk_idx, lo_idx, pk_idx + 35, 1280)
+
+
+def test_band_matches_reference_under_forced_exact(table1m, forced_exact):
+    # with an infinite guard every column holding a finite candidate is
+    # settled on exact products over the band [lo_j, K]; here the band
+    # starts past offsets with no feasible value from row 2 on
+    t = table1m
+    eng = GEngine(t)
+    pk_idx = t.rank(7919)
+    lo_idx = eng._low_idx(t.next_prime(7919), 1200)
+    K = pk_idx - lo_idx + 1
+    empty = [sum(not row[j + o] for o in range(K + 1))
+             for j, row in enumerate(h_window_rows(t, pk_idx, lo_idx, pk_idx + 40, 1200), 1)]
+    assert empty[0] == 0 and all(e > 0 for e in empty[1:])
+    got = eng._run_h(pk_idx, lo_idx, pk_idx + 40, 1200)
+    _same_on_every_even_m(got, h_window_steps(t, pk_idx, lo_idx, pk_idx + 40, 1200), 1200)
 
 
 def test_extract_checks_the_cost_against_the_segment_start(table1m):
