@@ -25,7 +25,14 @@ j - 1 sums, difference), with size 2 j T where T bounds
 |log1p((P - p_k)/p_k)| and |P - p_k|/P over the primes P_1..P_{K+j} that
 row j reads: log1p passes the quotient's rounding on scaled by
 |P - p_k|/P, up to p_k/P_1 at the smallest window prime P_1, which can
-exceed the term itself; D(B'), estimate_B and
+exceed the term itself; the G window's widening (_Window.need) reads
+x = log(num/den) as the difference of two values of the last row J, so
+within that row's guard, and tests q(1 - e^-x) > m for an integer q > m as
+x > t = -log1p(-m/q): t takes the quotient m/q, whose rounding log1p passes
+on scaled by m/(q - m), and log1p, and the comparison the difference, 4
+steps of size |x| + t + m/(q - m), on top of row J's guard; the floor of
+m/(1 - e^-x) is read from floats and kept only where both of its ends
+pass that test; D(B'), estimate_B and
 the trim as below; the event table's slopes (q^j - q^{j-1})/log q, an exact integer
 over a float log, 5 for each slope in their order (log, quotient,
 difference, and the mpf slopes they must order alike), and its p/log p < rho

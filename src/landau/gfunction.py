@@ -9,8 +9,8 @@ satisfies a two-term recursion in (j, r).  Every swap cost is even, so each
 row j is a dense float array over r and even m holding the logs of its
 products less the common j log p_k; a shift in m is a slice, the minimum
 over r a running minimum, and one packed bit per (j, r, m) records whether
-P_r was taken.  A backward walk over those bits rebuilds the prime sets,
-and settles exactly the comparisons the floats cannot.
+P_r was taken, and comparisons the floats cannot decide are settled on
+exact products.
 
 Few cells of a window are feasible, and GEngine._run_h does only their
 work.  Band: a row is inf below its first finite offset lo_j, which
@@ -19,7 +19,10 @@ Continuation: a row reads nothing above its own top prime, so the trial
 window's rows are the first rows of the widened one, which appends to them.
 Guard: row j's float comparisons are guarded by T_j, the largest term over
 the primes it reads, which a wider window leaves as it is.  _run_h's
-docstring gives the three arguments.
+docstring gives the three arguments.  Widening: the last row's floats
+decide how far the window must reach (_Window.need), with exact products
+only at the columns they leave open, so the bits are walked back once per
+table, for the final window, to rebuild its prime sets.
 
 For large m the recursion over windows is replaced by a reduction to
 G(p_{k+1}, m') for small m', valid as soon as an even budget delta with
@@ -104,6 +107,7 @@ class _Window:
         self.T = np.maximum.accumulate(np.maximum(np.abs(self.L), np.abs(P - p_k) / P))
         self.Pl = P.tolist()
         self.j, self.lo = 0, 0
+        self.guard = None  # the last row's, from _add_row; need reads it
         self.row = np.zeros((K + 1, H))  # j = 0: the empty product, at every m
         self.bits = np.zeros((top_idx - pk_idx + 1, K + 1, (H + 7) // 8), np.uint8)
         self.memo = {}
@@ -164,7 +168,7 @@ class _Window:
             np.minimum(run[o], cand[o], out=run[o + 1])
         self.row = run[1:]
         diff, taken, near = self.diff[lo:], self.taken[lo:], self.near[lo:]
-        guard = arith.rounding_error(2 * j * self.T[K + j - 1], j + 3)
+        guard = self.guard = arith.rounding_error(2 * j * self.T[K + j - 1], j + 3)
         with np.errstate(invalid="ignore"):  # inf - inf: both infeasible
             np.subtract(cand[lo:], run[lo:-1], out=diff)
             np.less(diff, 0, out=taken)  # cand < left, inf included
@@ -176,27 +180,124 @@ class _Window:
                 self._settle(i)
         self.bits[j, lo:] = np.packbits(taken, axis=1)
 
+    def grow(self, rhat_idx):
+        """Append rows up to R - K = rhat_idx - pk_idx."""
+        while self.j < rhat_idx - self.pk_idx:
+            self._add_row()
+
+    def need(self, cap):
+        """Largest prime the window of the last row J must reach to be
+        provably exact on all of [0, cap], cap <= M; 0 when it already is.
+
+        Column c holds the set of budgets 2c and 2c + 1, so its last budget
+        is m = min(2c + 1, cap).  With num the product of the J top primes,
+        den that of the column's set and f = 1 - den/num = 1 - e^-x, the
+        window is exact up to m when P_Rhat > p_k + m or P_Rhat f > m; else
+        the column needs the least of p_k + m and floor(m/f) + 1.  For a
+        fixed set the need grows with m, so the largest over columns is the
+        largest over the walked segments at their last budgets.
+
+        Below the first gap p_{k+1} - p_k only the top set is feasible, so
+        den = num and the need is 0; from the gap on, the swap of p_k for
+        p_{k+1} is feasible, so den < num.  x is row[K, 0] - row[K, c], a
+        difference of two values of the last row, so within its guard.  A
+        test q f > m for q > m reads x > t(q) = -log1p(-m/q), decided beyond
+        that guard plus t's own rounding (arith's docstring); q <= m fails
+        it.  The columns the floats leave open take den from the bits, the
+        largest m first, while p_k + m, a bound on every column's need, can
+        still exceed the largest found."""
+        K, J, Pl = self.K, self.j, self.Pl
+        p_k, p_rhat = Pl[K - 1], Pl[K + J - 1]
+        cols = np.arange((Pl[K] - p_k) // 2, min(self.H - 1, cap // 2) + 1)
+        m = np.minimum(2 * cols + 1, cap).astype(float)
+        x = self.row[K, 0] - self.row[K, cols]
+        # rounding_error is linear in size and steps, so the row's guard,
+        # rounding_error(2 J T_J, J + 3), scales to t(q)'s own bound
+        scale = self.guard / ((J + 3) * 2 * J * self.T[K + J - 1])
+
+        def sign(q, i):  # sign of x - t(q) at columns i; 0 inside the bound
+            out = np.full(len(i), -1)  # q <= m: q f < q <= m
+            s = q > m[i]
+            mi, qi, xi = m[i][s], q[s], x[i][s]
+            t = -np.log1p(-(mi / qi))
+            d = xi - t
+            err = self.guard + scale * 4 * (np.abs(xi) + t + mi / (qi - mi))
+            out[s] = np.where(d > err, 1, np.where(d < -err, -1, 0))
+            return out
+
+        need = np.zeros(len(cols), np.int64)
+        undecided = []
+        i = np.flatnonzero(p_rhat <= p_k + m)  # elsewhere exact: P_Rhat > p_k + m
+        s = sign(np.full(len(i), float(p_rhat)), i)
+        undecided.append(i[s == 0])
+        i = i[s < 0]  # P_Rhat f <= m
+        s = sign(p_k + m[i], i)
+        undecided.append(i[s == 0])
+        at_bound = i[s < 0]  # (p_k + m) f <= m: the need is p_k + m
+        need[at_bound] = p_k + m[at_bound]
+        i = i[s > 0]  # floor(m/f) + 1, checked at both ends
+        N = np.floor(m[i] / -np.expm1(-x[i]))
+        ok = (sign(N, i) < 0) & (sign(N + 1, i) > 0)
+        need[i[ok]] = N[ok] + 1
+        undecided.append(i[~ok])
+
+        best = int(need.max(initial=0))
+        num = None
+        for i in sorted(np.concatenate(undecided).tolist(), reverse=True):
+            mi = int(m[i])
+            if p_k + mi <= best:
+                break
+            num = num or math.prod(Pl[K : K + J])
+            den = self._exact(J, K, int(cols[i]))
+            if num == den:
+                v = p_k + mi
+            elif p_rhat > p_k + mi or p_rhat * (num - den) > mi * num:
+                v = 0
+            elif (p_k + mi) * (num - den) > mi * num:
+                v = mi * num // (num - den) + 1
+            else:
+                v = p_k + mi
+            best = max(best, v)
+        return best
+
     def extend(self, rhat_idx):
         """m -> H(R-K, P_Rhat; m) on [0, M] after appending rows up to
         R - K = rhat_idx - pk_idx, as GEngine._run_h returns it."""
-        while self.j < rhat_idx - self.pk_idx:
-            self._add_row()
-        K, J, P = self.K, self.j, self.P[: self.K + self.j]
+        self.grow(rhat_idx)
+        K, J, H, P = self.K, self.j, self.H, self.P[: self.K + self.j]
         if not self.row[K, 0] < np.inf:
             raise InvariantViolation("H has no feasible value at m=0")
 
-        # one backward walk over r rebuilds every column's prime set
-        jc = np.full(self.H, J)
-        ic = np.arange(self.H)
-        chosen = np.zeros((self.H, K + J), bool)
+        # one backward walk over r rebuilds every column's prime set: step r
+        # writes row r - 1 of chosen, and a column leaves the walk once it
+        # has taken its J primes.  A column at step r with jc primes to take
+        # reads row jc at offset r - jc, that is bits[jc, r - jc] at
+        # (jc K + r) nb; one done (jc = 0) took its last prime at an offset
+        # r - 1 <= K, so until it leaves it reads row 0's zeros.
+        nb = self.bits.shape[2]
+        flat = self.bits.reshape(-1)
+        chosen = np.zeros((K + J, H), bool)
+        col = np.arange(H)
+        jc = np.full(H, J)
+        ic = col.copy()
+        half = (P - 1) >> 1  # shift(j, o) = half[K + j - 1] - half[j + o - 1]
+        top = half[K - 1 :]
         for r in range(K + J, 0, -1):
-            o = np.minimum(r - jc, K)  # columns done (jc = 0) read row 0's zeros
-            took = (self.bits[jc, o, ic >> 3] >> (7 - (ic & 7))) & 1
-            chosen[:, r - 1] = took
-            ic -= took * ((P[K + jc - 1] - P[r - 1]) // 2)
+            took = (flat[(jc * K + r) * nb + (ic >> 3)] >> (7 - (ic & 7))) & 1
+            chosen[r - 1, col] = took
+            ic -= took * (top[jc] - half[r - 1])
             jc -= took
-        starts = np.flatnonzero(np.r_[True, (chosen[1:] != chosen[:-1]).any(axis=1)])
-        return (2 * starts).tolist(), [tuple(P[chosen[i]].tolist()) for i in starts.tolist()]
+            if r % 8 == 0:
+                live = jc > 0
+                col, jc, ic = col[live], jc[live], ic[live]
+                if not len(col):
+                    break
+        starts = np.flatnonzero(np.r_[True, (chosen[:, 1:] != chosen[:, :-1]).any(axis=0)])
+        sel = chosen[:, starts].T
+        if (np.count_nonzero(sel, axis=1) != J).any():
+            raise InvariantViolation("a column of H holds other than %d primes" % J)
+        sets = P[np.nonzero(sel)[1]].reshape(len(starts), J)
+        return (2 * starts).tolist(), list(map(tuple, sets.tolist()))
 
 
 class GEngine:
@@ -276,39 +377,12 @@ class GEngine:
             entry.fracs[i] = frac
         return frac
 
-    def _confirm_segments(self, pk_idx, steps, rhat_idx, cap):
-        """Largest prime needed so that the truncated window is provably
-        exact on all of [0, cap]; 0 when already confirmed."""
-        t = self.table
-        p_k = t.prime(pk_idx)
-        pk1 = t.prime(pk_idx + 1)
-        p_rhat = t.prime(rhat_idx)
-        need = 0
-        ms, sets = steps
-        num = math.prod(t.primes[pk_idx:rhat_idx].tolist())
-        for i in range(len(ms)):
-            m_hi = min(ms[i + 1] - 1 if i + 1 < len(ms) else cap, cap)
-            if ms[i] > cap:
-                break
-            den = math.prod(sets[i])
-            if num == den:
-                # no beneficial swap seen: genuine only while m < first gap
-                if m_hi >= pk1 - p_k:
-                    need = max(need, p_k + m_hi)
-                continue
-            # exact: P_Rhat > min(p_k + m, m*num/(num - den)) must hold at m_hi
-            bound1 = p_k + m_hi
-            ok = p_rhat > bound1 or p_rhat * (num - den) > m_hi * num
-            if not ok:
-                if bound1 * (num - den) > m_hi * num:
-                    need_i = m_hi * num // (num - den) + 1
-                else:
-                    need_i = bound1
-                need = max(need, need_i)
-        return need
-
     def _g_upto(self, pk_idx, M):
-        """Confirmed-exact step function of G(p_k, .) on [0, max(M, cap)]."""
+        """Confirmed-exact step function of G(p_k, .) on [0, max(M, cap)].
+
+        The window starts TRIAL_WIDTH primes above p_k and widens by
+        appending rows until its last row's need is 0 or it reaches
+        p_k + cap; then one backward walk rebuilds the final window's sets."""
         entry = self._upto.get(pk_idx)
         if entry is not None and entry.cap >= M:
             return entry
@@ -320,14 +394,14 @@ class GEngine:
         rhat_idx = min(pk_idx + TRIAL_WIDTH, full_top)
         window = _Window(t, pk_idx, lo_idx, full_top, cap)
         while True:
-            steps = window.extend(rhat_idx)
+            window.grow(rhat_idx)
             if rhat_idx >= full_top:
                 break
-            need = self._confirm_segments(pk_idx, steps, rhat_idx, cap)
+            need = window.need(cap)
             if need == 0:
                 break
             rhat_idx = min(max(t.count_upto(need) + 1, rhat_idx + TRIAL_WIDTH), full_top)
-        entry = _UptoEntry(pk_idx, cap, rhat_idx, steps)
+        entry = _UptoEntry(pk_idx, cap, rhat_idx, window.extend(rhat_idx))
         self._upto.pop(pk_idx, None)
         self._upto[pk_idx] = entry
         if len(self._upto) > UPTO_ENTRIES:

@@ -26,6 +26,9 @@ binary search of guarded probes.
 `h_window_steps` is the reference for `landau.gfunction.GEngine._run_h`: the
 window recursion H(j, P_r; m) over breakpoint lists of linked prime chains,
 compared as exact integers, whose rows `h_window_rows` yields one by one.
+`confirm_segments` is the reference for `landau.gfunction._Window.need`: the
+largest prime a truncated window needs, from the exact product of every
+segment of its step function.
 `g_small` runs the full, uncertified window recursion, the reference for the
 confirmed window.
 """
@@ -548,3 +551,35 @@ def h_window_steps(table, pk_idx, lo_idx, rhat_idx, M):
     steps = last[rhat_idx - lo_idx + 1]
     assert steps and steps[0][0] == 0, "H has no feasible value at m=0"
     return [m for m, _ in steps], [_node_primes(node) for _, node in steps]
+
+
+def confirm_segments(table, pk_idx, steps, rhat_idx, cap):
+    """Largest prime needed so that the truncated window over the primes up
+    to table index rhat_idx, whose step function is steps, is provably exact
+    on all of [0, cap]; 0 when already confirmed."""
+    p_k = table.prime(pk_idx)
+    pk1 = table.prime(pk_idx + 1)
+    p_rhat = table.prime(rhat_idx)
+    need = 0
+    ms, sets = steps
+    num = math.prod(table.primes[pk_idx:rhat_idx].tolist())
+    for i in range(len(ms)):
+        m_hi = min(ms[i + 1] - 1 if i + 1 < len(ms) else cap, cap)
+        if ms[i] > cap:
+            break
+        den = math.prod(sets[i])
+        if num == den:
+            # no beneficial swap seen: genuine only while m < first gap
+            if m_hi >= pk1 - p_k:
+                need = max(need, p_k + m_hi)
+            continue
+        # exact: P_Rhat > min(p_k + m, m*num/(num - den)) must hold at m_hi
+        bound1 = p_k + m_hi
+        ok = p_rhat > bound1 or p_rhat * (num - den) > m_hi * num
+        if not ok:
+            if bound1 * (num - den) > m_hi * num:
+                need_i = m_hi * num // (num - den) + 1
+            else:
+                need_i = bound1
+            need = max(need, need_i)
+    return need

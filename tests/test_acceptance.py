@@ -24,13 +24,13 @@ from mpmath import mp, mpf
 from landau.arith import DEFAULT_PRECISION, PrimeFraction, set_precision
 from landau.assemble import Solver
 from landau.benefit import BenefitTables, bound_loop, build_prefix_sets, estimate_B
-from landau.gfunction import GEngine
+from landau.gfunction import GEngine, _Window
 from landau.oracle import g_list_merge_prune
 from landau.primes import PrimeTable
 from landau.superchampion import build_e2_table, find_context
 
 from conftest import EXTENDED, extended
-from oracles import g_bruteforce, g_small, g_table_dp, members
+from oracles import confirm_segments, g_bruteforce, g_small, g_table_dp, members
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +108,35 @@ def test_sandwich_exact_at_goldens(big_solver):
         assert res.correction in values, n
         assert 1 <= det.evaluated <= len(det.survivors), n
     print("PASS sandwich: exact survivors at 1e12, 1e15")
+
+
+@extended
+def test_need_matches_reference_at_goldens(big_solver, monkeypatch):
+    # every widening decision of the G windows the 10^12 and 10^15 goldens
+    # and their n - 1 evaluate, on a fresh engine, against the reference
+    # over the walked steps: the largest p_k the suite reaches (about
+    # 5.5*10^6 and 1.9*10^8), where window logs tie within their guard
+    # most often
+    table = big_solver.table
+    needs = []
+    need = _Window.need
+
+    def checked(self, cap):
+        got = need(self, cap)
+        rhat_idx = self.pk_idx + self.j
+        want = confirm_segments(table, self.pk_idx, self.extend(rhat_idx), rhat_idx, cap)
+        assert got == want, (table.prime(self.pk_idx), cap, self.j)
+        needs.append(got)
+        return got
+
+    monkeypatch.setattr(_Window, "need", checked)
+    for n in (10**12, 10**12 - 1, 10**15, 10**15 - 1):
+        res, det = big_solver.compute(n, details=True)
+        eng = GEngine(table)
+        assert res.correction in [
+            c.Pi.mul(eng.g_fraction(c.base_prime, c.m_suffix)) for c in det.survivors], n
+    assert any(needs), "no window widened"
+    print("PASS need: %d widening decisions at 1e12, 1e15" % len(needs))
 
 
 def _jump_check(solver, n):

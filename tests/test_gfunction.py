@@ -10,10 +10,10 @@ from mpmath import mp
 from landau import arith
 from landau.errors import InvariantViolation
 from landau.arith import PrimeFraction
-from landau.gfunction import GEngine, check_fraction
+from landau.gfunction import TRIAL_WIDTH, GEngine, _Window, check_fraction
 from landau.primes import PrimeTable, _simple_sieve
 
-from oracles import g_small, h_window_rows, h_window_steps
+from oracles import confirm_segments, g_small, h_window_rows, h_window_steps
 
 
 @pytest.fixture(scope="module")
@@ -149,6 +149,90 @@ def test_widening_continues_the_trial_rows(monkeypatch):
     assert len(guards) == 35
     lo_idx = eng._low_idx(t.next_prime(150989), 1280)
     assert (entry.ms, entry.sets) == h_window_steps(t, pk_idx, lo_idx, pk_idx + 35, 1280)
+
+
+def test_one_walk_per_table(monkeypatch):
+    # the rows decide the widening from 10 to 35 rows, and the bits are
+    # walked once, for the final window
+    t = PrimeTable.build(200000)
+    eng = GEngine(t)
+    pk_idx = t.rank(150989)
+    walks = []
+    extend = _Window.extend
+
+    def counted(self, rhat_idx):
+        walks.append(rhat_idx)
+        return extend(self, rhat_idx)
+
+    monkeypatch.setattr(_Window, "extend", counted)
+    entry = eng._g_upto(pk_idx, 1200)
+    assert walks == [pk_idx + 35]
+    lo_idx = eng._low_idx(t.next_prime(150989), 1280)
+    assert (entry.ms, entry.sets) == h_window_steps(t, pk_idx, lo_idx, pk_idx + 35, 1280)
+
+
+def _need_cases(table, count):
+    """(p_k index, cap, the trial and a wider top index, window) for seeded
+    p_k, each window over the primes up to p_k + cap."""
+    eng = GEngine(table)
+    rng = random.Random(59)
+    idx = range(table.count_upto(5000), table.count_upto(900000))
+    for pk_idx in rng.sample(idx, count):
+        cap = rng.randrange(256, 1281)
+        lo_idx = eng._low_idx(table.prime(pk_idx + 1), cap)
+        top = eng._full_top_idx(pk_idx, cap)
+        widths = (TRIAL_WIDTH, TRIAL_WIDTH + rng.randrange(5, 25))
+        yield pk_idx, cap, [min(pk_idx + w, top) for w in widths], _Window(
+            table, pk_idx, lo_idx, top, cap)
+
+
+def _check_need(table, count, monkeypatch):
+    """need against the reference over the walked steps at the trial and a
+    wider width; the number of columns need settled on exact products."""
+    exact_cols = []
+    exact = _Window._exact
+
+    def counted(self, j, o, i):
+        exact_cols.append(i)
+        return exact(self, j, o, i)
+
+    for pk_idx, cap, tops, window in _need_cases(table, count):
+        for rhat_idx in tops:
+            steps = window.extend(rhat_idx)
+            with monkeypatch.context() as m:
+                m.setattr(_Window, "_exact", counted)
+                got = window.need(cap)
+            assert got == confirm_segments(table, pk_idx, steps, rhat_idx, cap), (
+                table.prime(pk_idx), cap, rhat_idx - pk_idx)
+    return len(exact_cols)
+
+
+def test_need_matches_reference(table1m, monkeypatch):
+    # the widening decided from the last row's floats: the float path alone
+    # decides every column of these windows
+    assert _check_need(table1m, 30, monkeypatch) == 0
+
+
+def test_need_matches_reference_under_forced_exact(table1m, forced_exact, monkeypatch):
+    # with an infinite guard every column that can reach the largest need
+    # takes the exact path; the rows settle every column, so fewer p_k
+    assert _check_need(table1m, 8, monkeypatch) > 0
+
+
+def test_need_holds_within_the_guard(table1m, monkeypatch):
+    # need is the reference's value for any last row whose floats lie
+    # within its guard: under a coarse bound, every column of the last row
+    # but the top set's moves by up to 0.9 of that guard
+    monkeypatch.setattr(arith, "rounding_error", lambda size, steps: size * steps * 2.0**-30)
+    rng = np.random.default_rng(61)
+    for pk_idx, cap, tops, window in _need_cases(table1m, 10):
+        for rhat_idx in tops:
+            steps = window.extend(rhat_idx)
+            row = window.row[window.K]
+            kept = row.copy()
+            row[1:] += rng.uniform(-0.9, 0.9, len(row) - 1) * window.guard
+            assert window.need(cap) == confirm_segments(table1m, pk_idx, steps, rhat_idx, cap)
+            row[:] = kept
 
 
 def test_band_matches_reference_under_forced_exact(table1m, forced_exact):
