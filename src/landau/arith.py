@@ -61,19 +61,20 @@ included: 9 steps (rounding_error counts 2u a step).
 The digit budget d*log 10 of to_int: log, product, difference and the
 mpf bound's rounding, 5.
 
-t1, the root of f(t) = t - rho*log t + B (benefit._t1_bracket).  f at a
+t1, the root of f(t) = t - rho*log t + B (benefit.Bound.bracket).  f at a
 float t: the copy of rho, log, product, the copy of B, two sums, the mpf
 sign's rounding and the float size, 8 steps of size t + rho*|log t| + B.
-normalized_candidates reads t1 at its bracket's ends lo and hi through
-q = rho/t, two steps (the copy of rho, the quotient).  The weak window's
-w*(1 - rho/hi) <= B and (w + 1)*(1 - rho/lo) > B, as B - w + w*q and
-(w + 1) - (w + 1)*q - B: q, the product, the copy of B and two sums, 5,
-and the float size, 6.  The sharpened window's m - m*q + (ben - B) for an
-mpf ben: q and the product, the copies of ben and B, three sums, the mpf
-ben's own rounding and the float size, 8.  bound_loop's ladder takes the
-ceiling of x = 4*log2(b/rho): the copies of b and rho and their quotient
-move log2 by at most 4.4u, and log2 adds 2u*|log2|, so |x - 4*log2(b/rho)|
-<= rounding_error(4 + |x|, 3).
+Bound.fits decides m*(1 - rho/t1) <= b, for an integer m > 0 and an mpf b
+(B for the weak window, B less a pair's mpf ben for the sharpened one), as
+(m - m*q) - b at the bracket's ends lo and hi, q = rho/t: q takes two
+steps (the copy of rho, the quotient), the product one, b's float copy one
+and the mpf b's own rounding one, the two sums two and the float size one,
+8 steps of size m + m*q + |b|, where q = rho/lo, the larger, serves both
+ends.  Every read of either window is such a test, so one bound serves
+both; a guard wider than a read needs can only send it to mpf.
+bound_loop's ladder takes the ceiling of x = 4*log2(b/rho): the copies of
+b and rho and their quotient move log2 by at most 4.4u, and log2 adds
+2u*|log2|, so |x - 4*log2(b/rho)| <= rounding_error(4 + |x|, 3).
 
 Sorting.  guarded_order takes floats v_i, each within its bound e_i of an
 exact value, e_i counting the difference of two floats as one more step.

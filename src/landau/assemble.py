@@ -9,7 +9,7 @@ on G then eliminate most candidates before the expensive exact evaluation.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional
@@ -19,7 +19,7 @@ from mpmath import mp, mpf
 
 from . import arith
 from .arith import PrimeFraction, log_int
-from .benefit import BenefitTables, BoundResult, PrefixSet, _walk_fraction, bound_loop
+from .benefit import BenefitTables, Bound, PrefixSet, _walk_fraction, bound_loop
 from .errors import (
     BoundFailureError,
     CapacityError,
@@ -60,15 +60,16 @@ def normalized_candidates(ctx, bound, d_set, n, tables):
     low on the weak window hi - S_omega <= B/(1 - rho/t1) and p_{i+1} >= t1,
     which holds from i = pi(ceil(t1) - 1) on.  Every sum and prime is an
     integer, so the floor or ceiling of each bound decides its test exactly.
-    t1 is read through _T1Reads.
+    Both windows are read through bound.fits: hi - S_omega = m lies in the
+    weak window when fits(m, B), in the sharpened one when
+    fits(m, B - ben(N*Pi)).
     """
     t = ctx.table
     cs = t.cumulative
     k = ctx.k
     s_k = int(cs[k - 1])
-    reads = _T1Reads(ctx, bound)
-    weak = reads.weak()
-    r1 = t.count_upto(reads.ceil() - 1)  # >= 2, as t1 > rho > 3
+    weak = bound.weak_window()
+    r1 = bound.primes_below_t1()  # >= 2, as t1 > rho > 3
     gap_min = int(mp.ceil(ctx.sqrt_x1))
     hi = (n - ctx.ellN) - d_set.dell
     top = np.searchsorted(cs, s_k + hi, side="right")
@@ -83,8 +84,8 @@ def normalized_candidates(ctx, bound, d_set, n, tables):
             w = i - k
             m_suffix = c - (int(cs[i - 1]) - s_k)
             ben_pi = ben + (tables.up_ben(w) if w >= 0 else tables.down_ben(-w))
-            # sharpened window: hi - S_w <= (B - ben(N*Pi)) / (1 - rho/t1)
-            if reads.outside(m_suffix, ben_pi):
+            # sharpened window: (hi - S_w)*(1 - rho/t1) <= B - ben(N*Pi)
+            if not bound.fits(m_suffix, bound.B - ben_pi):
                 continue
             next_p = t.prime(i + 1)
             if next_p - m_suffix < gap_min:
@@ -115,63 +116,6 @@ def normalized_candidates(ctx, bound, d_set, n, tables):
     return out
 
 
-class _T1Reads:
-    """The reads of t1 that normalized_candidates makes: ceil(t1), the weak
-    window's floor(B/(1 - rho/t1)) and the sharpened window's test.  t1
-    lies strictly inside its bracket (lo, hi), and 1 - rho/t increases
-    with t, so a read whose float values at lo and hi agree beyond their
-    rounding bounds (arith's docstring) is decided; the others read the mpf
-    t1, and so does every read of a bound with no bracket."""
-
-    def __init__(self, ctx, bound):
-        self.rho, self.bound = ctx.rho.value, bound
-        self.b_f = float(bound.B)
-        if bound.bracket:
-            self.q_lo, self.q_hi = (float(self.rho) / x for x in bound.bracket)
-        self._denom = None
-
-    def denom(self):
-        """1 - rho/t1 in mpf."""
-        if self._denom is None:
-            self._denom = 1 - self.rho / self.bound.t1
-            if self._denom <= 0:
-                raise InvariantViolation("t1 at or below rho")
-        return self._denom
-
-    def ceil(self):
-        if self.bound.bracket:
-            lo, hi = map(math.ceil, self.bound.bracket)
-            if lo == hi:
-                return lo
-        return int(mp.ceil(self.bound.t1))
-
-    def weak(self):
-        """floor(B/(1 - rho/t1)): the w with w*(1 - rho/hi) <= B and
-        (w + 1)*(1 - rho/lo) > B."""
-        if self.bound.bracket:
-            b_f, q_lo, q_hi = self.b_f, self.q_lo, self.q_hi
-            w = math.floor(b_f / (1 - q_hi))
-            under = b_f - w + w * q_hi
-            over = (w + 1) - (w + 1) * q_lo - b_f
-            if (under > arith.rounding_error(b_f + w + w * q_hi, 6)
-                    and over > arith.rounding_error((w + 1) * (1 + q_lo) + b_f, 6)):
-                return w
-        return int(mp.floor(self.bound.B / self.denom()))
-
-    def outside(self, m, ben):
-        """m*(1 - rho/t1) + ben - B > 0, for an integer m >= 0 and an mpf
-        ben: the pair lies outside the sharpened window."""
-        if m == 0:  # the witness's own pair among them, at ben == B
-            return ben > self.bound.B
-        if self.bound.bracket:
-            ben_f = float(ben)
-            for q, sign in ((self.q_lo, 1), (self.q_hi, -1)):
-                g = m - m * q + (ben_f - self.b_f)
-                if sign * g > arith.rounding_error(m + m * q + abs(ben_f) + self.b_f, 8):
-                    return sign > 0
-        return m > (self.bound.B - ben) / self.denom()
-
-
 def fight(cands, ctx):
     """Keep only candidates whose upper sandwich bound reaches the best lower
     bound, both exact fractions."""
@@ -182,7 +126,11 @@ def fight(cands, ctx):
 @dataclass
 class LandauResult:
     """g(n) as champion times correction, with its exact cost; log10_g, to
-    30 digits, is computed on first access."""
+    30 digits, is computed on first access.  A result of the benefit method
+    also carries what each stage handed on: the settled Bound, D(B), the
+    normalized candidates, the survivors of fight and the number of
+    candidates evaluated; they are None for an n the oracle serves, and
+    results compare without them."""
 
     n: int
     correction: PrimeFraction
@@ -190,6 +138,11 @@ class LandauResult:
     champion: Optional[object] = None       # None when served by the oracle
     context: Optional[SuperchampionContext] = None
     from_oracle: bool = False
+    bound: Optional[Bound] = field(default=None, compare=False)
+    d_set: Optional[PrefixSet] = field(default=None, compare=False)
+    candidates: Optional[list] = field(default=None, compare=False)
+    survivors: Optional[list] = field(default=None, compare=False)
+    evaluated: Optional[int] = field(default=None, compare=False)
 
     @cached_property
     def log10_g(self):
@@ -276,16 +229,6 @@ def _bounds_mpf(n):
     return root, root * (1 + (mp.log(log_n) - mpf("0.975")) / (2 * log_n))
 
 
-@dataclass
-class ComputeDetails:
-    ctx: SuperchampionContext
-    bound: BoundResult
-    d_set: PrefixSet
-    candidates: list
-    survivors: list
-    evaluated: int
-
-
 class Solver:
     """Wires the prime table, event table, caches and the pipeline together.
 
@@ -367,22 +310,20 @@ class Solver:
 
     # -- the pipeline --------------------------------------------------------
 
-    def compute(self, n, details=False):
+    def compute(self, n):
         if n < 0:
             raise ValueError("n must be >= 0")
         if n < 7:
-            res = self._from_oracle(n)
-            return (res, None) if details else res
+            return self._from_oracle(n)
         try:
-            return self._growing(lambda: self._compute_fast(n, details))
+            return self._growing(lambda: self._compute_fast(n))
         except (BoundFailureError, PrefixGapError):
             if n < ORACLE_FALLBACK_MAX_N:
-                res = self._from_oracle(n)
-                return (res, None) if details else res
+                return self._from_oracle(n)
             raise
 
     def prefixes(self, n):
-        """bound_loop's (BoundResult, D(B)) for n, with the sieve grown as
+        """bound_loop's (Bound, D(B)) for n, with the sieve grown as
         compute grows it."""
         def step():
             ctx, tables = self.context(n)
@@ -410,7 +351,7 @@ class Solver:
         res.check_bounds()
         return res
 
-    def _compute_fast(self, n, details=False):
+    def _compute_fast(self, n):
         ctx, tables = self.context(n)
         bound, d_set = bound_loop(ctx, n, tables)
         cands = normalized_candidates(ctx, bound, d_set, n, tables)
@@ -437,9 +378,12 @@ class Solver:
             ell_g=ctx.ellN + best_cand.dell_Pi + best_cost,
             champion=ctx.N,
             context=ctx,
+            bound=bound,
+            d_set=d_set,
+            candidates=cands,
+            survivors=survivors,
+            evaluated=evaluated,
         )
         res.check_bounds()
-        if details:
-            return res, ComputeDetails(ctx, bound, d_set, cands, survivors, evaluated)
         return res
 

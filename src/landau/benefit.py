@@ -5,7 +5,8 @@ champion hull at slope rho; it is additive over coprime parts, so a
 candidate's benefit accumulates prime by prime.  The candidate set D(B')
 holds every fraction on primes < sqrt(x1) that could be the small-prime part
 of g(n) while ben g(n) <= B'; dominated candidates (smaller value, no
-cheaper cost) are pruned as in the champion-list oracle.
+cheaper cost) are pruned by the champion-list oracle's rule,
+oracle.undominated.
 
 D(B') is built on float64 arrays, one prime layer at a time.  A member
 of a layer is a row: its factor tuple (the only Python object), its dell as
@@ -62,6 +63,7 @@ its partial prefixes have ben <= B too, as benp >= 0.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from mpmath import mp, mpf
@@ -69,6 +71,7 @@ from mpmath import mp, mpf
 from . import arith
 from .arith import PrimeFraction, ell_pp, log_int
 from .errors import BoundFailureError, CapacityError, InvariantViolation
+from .oracle import undominated
 from .superchampion import newton_from_above
 
 
@@ -330,7 +333,7 @@ def build_prefix_sets(ctx, b_prime, tables):
         order = arith.guarded_order(
             log_f, arith.rounding_error(log_size_max, nf_max + 5),
             lambda i: (PrimeFraction(d.fac[i]).log, appended(i)))
-        order = order[_undominated(d.dell[order])]
+        order = order[undominated(d.dell[order])]
         d = d.select(order)
         log_f, log_size = log_f[order], log_size[order]
     return d
@@ -356,78 +359,113 @@ def _admitted(p, cols, d, b_prime, b_f, tables):
     return ok
 
 
-def _undominated(dell):
-    """Mask of the entries, in ascending value, that no larger entry beats.
+class Bound:
+    """A benefit bound B of one n, as estimate_B finds it, with its witness
+    and t1, the root of t - rho*log t + B in (rho, x1].
 
-    By the domination lemma delta1 cannot be the prefix of g(n) when some
-    delta2 > delta1 has l(N delta2) <= l(N delta1): entry i stays iff its
-    dell is below every later one.
-    """
-    keep = np.ones(len(dell), dtype=bool)
-    keep[:-1] = dell[:-1] < np.minimum.accumulate(dell[::-1])[::-1][1:]
-    return keep
+    The witness is N*delta_omega for the member delta of D(B'), given by its
+    factor tuple, and the walk omega; its PrimeFraction is built where read.
+    t1 is read through a float bracket (lo, hi), certified on its first
+    read, and the mpf t1 is solved on its first read, which only a read the
+    bracket leaves open makes: a round of bound_loop that does not settle
+    pays for neither.  f(t) = t - rho*log t + B is negative exactly between
+    its two roots, t1 the larger: Newton's method in float from x1 finds t1
+    to a few ulps, the ends lie 2^-40 of it to either side, and
+    arith.guarded_sign decides the sign of f at each (arith's docstring), so
+    f(lo) < 0 < f(hi) puts t1 strictly between them."""
 
+    def __init__(self, ctx, B, member, omega):
+        self.ctx, self.B, self.member, self.omega = ctx, B, member, omega
 
-@dataclass
-class Estimate:
-    B: mpf
-    witness: PrimeFraction  # the correction M/N achieving the bound
+    @cached_property
+    def witness(self):
+        """The correction M/N achieving the bound."""
+        return _walk_fraction(self.ctx, PrimeFraction(self.member), self.omega)
 
+    @cached_property
+    def bracket(self):
+        """Floats lo < hi with t1 strictly between them, or None."""
+        rho, B = self.ctx.rho.value, self.B
+        rho_f, b_f = float(rho), float(B)
+        t = float(self.ctx.x1)
+        for _ in range(50):
+            step = (t - rho_f * math.log(t) + b_f) / (1 - rho_f / t)
+            t -= step
+            if abs(step) <= t * 2**-50:
+                break
 
-class BoundResult(Estimate):
-    """The settled B and its witness, with t1, the root of t - rho*log t + B
-    in (rho, x1].  bound_loop's result carries bracket, floats lo < hi
-    with t1 strictly between them (or None), and solves the mpf t1 for
-    ctx on its first read; a result built with t1 has no bracket."""
+        def sign(x):
+            log_x = math.log(x)
+            return arith.guarded_sign(
+                x - rho_f * log_x + b_f, arith.rounding_error(x + rho_f * abs(log_x) + b_f, 8),
+                lambda: x - rho * mp.log(x) + B)
 
-    def __init__(self, B, witness, t1=None, bracket=None, ctx=None):
-        super().__init__(B, witness)
-        self._t1, self.bracket, self._ctx = t1, bracket, ctx
+        lo, hi = t * (1 - 2**-40), t * (1 + 2**-40)
+        return (lo, hi) if sign(lo) < 0 < sign(hi) else None
 
-    @property
+    @cached_property
     def t1(self):
-        if self._t1 is None:
-            self._t1 = _solve_t1(self._ctx, self.B)
-        return self._t1
+        """t1 in mpf.  x1 solves x = rho*log x, so f is B >= 0 at x1, and
+        it is convex and increasing on (rho, x1]: Newton's method from x1."""
+        rho = self.ctx.rho.value
+        return newton_from_above(lambda t: (t - rho * mp.log(t) + self.B, 1 - rho / t),
+                                 self.ctx.x1)
 
+    @cached_property
+    def _q(self):  # rho/t at the bracket's ends lo and hi
+        return tuple(float(self.ctx.rho.value) / x for x in self.bracket)
 
-def _t1_bracket(ctx, B):
-    """Floats lo < hi with f(lo) < 0 < f(hi) for f(t) = t - rho*log t + B,
-    or None.  f is negative exactly between its two roots, t1 the larger,
-    so t1 lies strictly between lo and hi.  Newton's method in float from
-    x1 finds t1 to a few ulps, the ends lie 2^-40 of it to either side, and
-    arith.guarded_sign decides the sign of f at each (arith's docstring)."""
-    rho = ctx.rho.value
-    rho_f, b_f = float(rho), float(B)
-    t = float(ctx.x1)
-    for _ in range(50):
-        step = (t - rho_f * math.log(t) + b_f) / (1 - rho_f / t)
-        t -= step
-        if abs(step) <= t * 2**-50:
-            break
+    @cached_property
+    def _denom(self):  # 1 - rho/t1 in mpf
+        d = 1 - self.ctx.rho.value / self.t1
+        if d <= 0:
+            raise InvariantViolation("t1 at or below rho")
+        return d
 
-    def sign(x):
-        log_x = math.log(x)
-        return arith.guarded_sign(
-            x - rho_f * log_x + b_f, arith.rounding_error(x + rho_f * abs(log_x) + b_f, 8),
-            lambda: x - rho * mp.log(x) + B)
+    def primes_below_t1(self):
+        """The number of primes p < t1, that is below ceil(t1): the
+        bracket's ends decide ceil(t1) when their ceilings agree."""
+        if self.bracket:
+            lo, hi = map(math.ceil, self.bracket)
+            if lo == hi:
+                return self.ctx.table.count_upto(lo - 1)
+        return self.ctx.table.count_upto(int(mp.ceil(self.t1)) - 1)
 
-    lo, hi = t * (1 - 2**-40), t * (1 + 2**-40)
-    return (lo, hi) if sign(lo) < 0 < sign(hi) else None
+    def fits(self, m, b):
+        """m*(1 - rho/t1) <= b, for an integer m >= 0 and an mpf b.
 
+        1 - rho/t grows with t, so m*(1 - rho/hi) <= b decides True and
+        m*(1 - rho/lo) > b decides False, each beyond its rounding bound
+        (arith's docstring); inside it, the mpf t1 decides.  m = 0 is
+        decided by the sign of b."""
+        if not m:
+            return b >= 0
+        if self.bracket:
+            q_lo, q_hi = self._q
+            b_f = float(b)
+            err = arith.rounding_error(m + m * q_lo + abs(b_f), 8)
+            if m - m * q_hi - b_f < -err:
+                return True
+            if m - m * q_lo - b_f > err:
+                return False
+        return m <= b / self._denom
 
-def _solve_t1(ctx, B):
-    """Root of t - rho*log t + B in (rho, x1].
-
-    x1 solves x = rho*log x, so the function is B >= 0 at x1, and it is
-    convex and increasing on (rho, x1]: Newton's method from x1."""
-    rho = ctx.rho.value
-    return newton_from_above(lambda t: (t - rho * mp.log(t) + B, 1 - rho / t), ctx.x1)
+    def weak_window(self):
+        """The largest m with fits(m, B): a float guess moved by fits, which
+        does not hold again once it fails as m grows."""
+        q = self._q[1] if self.bracket else float(self.ctx.rho.value / self.t1)
+        m = math.floor(float(self.B) / (1 - q))
+        while m and not self.fits(m, self.B):
+            m -= 1
+        while self.fits(m + 1, self.B):
+            m += 1
+        return m
 
 
 def estimate_B(ctx, d_set, n, tables):
     """Upper bound B >= ben g(n) + n - l(g(n)) from the best witness
-    N*delta_omega with the candidates' primes extended along the champion walk.
+    N*delta_omega with the candidates' primes extended along the champion
+    walk, as a Bound.
 
     d_set is a PrefixSet.  Every walk is found at once and every witness
     valued in float from the member's running float ben; the mpf value,
@@ -469,8 +507,7 @@ def estimate_B(ctx, d_set, n, tables):
         raise BoundFailureError(
             "benefit bound %s reached B1=%s" % (mp.nstr(best, 10), mp.nstr(ctx.B1, 10))
         )
-    w = int(omega[best_i])
-    return Estimate(B=best, witness=_walk_fraction(ctx, PrimeFraction(d_set.fac[keep[best_i]]), w))
+    return Bound(ctx, best, d_set.fac[keep[best_i]], int(omega[best_i]))
 
 
 def _walk_fraction(ctx, delta, omega):
@@ -492,8 +529,8 @@ def initial_budget(ctx, n):
 
 
 def bound_loop(ctx, n, tables):
-    """Iterate D(B') -> B until B <= B', then trim D to benefit <= B and
-    bracket t1 for that B.  The trim reads each member's running float ben,
+    """Iterate D(B') -> B until B <= B', then trim D to benefit <= B: the
+    settled Bound and D(B).  The trim reads each member's running float ben,
     and its mpf ben only within the float's rounding bound of B.
 
     B is always a valid bound; a second round only enlarges the candidate
@@ -517,7 +554,7 @@ def bound_loop(ctx, n, tables):
         if res.B <= b_prime:
             if res.B < b_prime:
                 d_set = _trim(d_set, res.B, tables)
-            return BoundResult(res.B, res.witness, bracket=_t1_bracket(ctx, res.B), ctx=ctx), d_set
+            return res, d_set
         rung = _rung(ctx, res.B)
         b_prime, keep = (res.B, False) if rung is None else (rung, True)
     raise InvariantViolation("benefit bound loop failed to settle")

@@ -94,8 +94,6 @@ def cmd_table(args):
     a, b = args.a, args.b
     if not 0 <= a <= b:
         raise ValueError("need 0 <= a <= b")
-    if b > 10**6:
-        raise CapacityError("table ranges beyond 10^6 are out of scope")
     if b - a > 200_000:
         raise CapacityError("range too large; stream at most 200000 rows")
     lst = g_list_merge_prune(b)

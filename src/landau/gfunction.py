@@ -12,13 +12,13 @@ over r a running minimum, and one packed bit per (j, r, m) records whether
 P_r was taken, and comparisons the floats cannot decide are settled on
 exact products.
 
-Few cells of a window are feasible, and GEngine._run_h does only their
-work.  Band: a row is inf below its first finite offset lo_j, which
-never falls as j grows, so each row runs over [lo_j, K] alone.
+Few cells of a window are feasible, and a _Window does only their work.
+Band: a row is inf below its first finite offset lo_j, which never falls
+as j grows, so each row runs over [lo_j, K] alone.
 Continuation: a row reads nothing above its own top prime, so the trial
 window's rows are the first rows of the widened one, which appends to them.
 Guard: row j's float comparisons are guarded by T_j, the largest term over
-the primes it reads, which a wider window leaves as it is.  _run_h's
+the primes it reads, which a wider window leaves as it is.  _Window's
 docstring gives the three arguments.  Widening: the last row's floats
 decide how far the window must reach (_Window.need), with exact products
 only at the columns they leave open, so the bits are walked back once per
@@ -45,6 +45,7 @@ SMALL_M_CUTOFF = 3000     # below this the window recursion, never the large-m r
 TRIAL_WIDTH = 10          # first truncated window: ten primes above p_k
 UPTO_GRANULARITY = 256    # cache capacity rounding for per-prime G tables
 UPTO_ENTRIES = 64         # per-prime G tables kept; the oldest goes first
+DELTA1_ENTRIES = 64       # delta1 values kept; the oldest goes first
 
 
 def check_fraction(frac, p_k, m):
@@ -93,7 +94,39 @@ class _Window:
     """The rows of the window recursion over P_1..P_R, table indices
     lo_idx..top_idx, around p_k = P_K, for even budgets up to M: rows are
     appended on demand and kept, with their packed choice bits, so a
-    wider window continues from the last row (GEngine._run_h)."""
+    wider window continues from the last row, and extend(rhat_idx) gives
+    m -> min product H(R-K, P_Rhat; m) on [0, M] as a step function.
+
+    Row j holds H(j, P_{j+o}; 2i) at [o, i] for o = 0..K, the log of the
+    product less j log p_k, so rows compare through log1p((P - p_k)/p_k).
+    Its candidate at o takes P_{j+o} as the j-th prime and reads row
+    j - 1 at the same o, shift(j, o) columns to the left; the row is the
+    running minimum of the candidates over o.
+
+    Band.  A row does not increase in o (a running minimum) nor in i
+    (more budget).  Below lo_{j-1}, row j - 1 is inf, so are row j's
+    candidates and its running minimum there: lo_j >= lo_{j-1}.  Row j
+    is finite somewhere at o exactly when it is finite at the last
+    column, so lo_j is the first o >= lo_{j-1} with shift(j, o) < H and
+    row j - 1 finite at [o, H - 1 - shift(j, o)].  Adds, minima, the
+    taken and near tests, settling and the packed bits run over
+    [lo_j, K] alone; below it the row stays inf and its bits zero, as
+    inf < inf leaves them.
+
+    Continuation.  Row j reads row j - 1, the logs and costs of
+    P_j..P_{K+j} against the top prime P_{K+j}, and its guard; nothing
+    above P_{K+j}.  So a window's J rows are the first J rows of every
+    wider window over the same P_1, K and M, and _g_upto widens its
+    trial window by appending rows to the one it keeps: every row and
+    bit equals a fresh wide run's.
+
+    Guard.  Row j compares two sums of j terms log1p((P - p_k)/p_k)
+    over primes among P_1..P_{K+j}.  arith's bound needs T to bound each
+    term and the quotient's rounding |P - p_k|/P that log1p passes on,
+    for every term compared; T_j, the larger of the two over
+    P_1..P_{K+j}, does, and it is never larger than the whole window's T
+    nor changed by widening.
+    """
 
     def __init__(self, table, pk_idx, lo_idx, top_idx, M):
         K = self.K = pk_idx - lo_idx + 1
@@ -262,7 +295,8 @@ class _Window:
 
     def extend(self, rhat_idx):
         """m -> H(R-K, P_Rhat; m) on [0, M] after appending rows up to
-        R - K = rhat_idx - pk_idx, as GEngine._run_h returns it."""
+        R - K = rhat_idx - pk_idx: the breakpoints and each segment's
+        ascending prime tuple."""
         self.grow(rhat_idx)
         K, J, H, P = self.K, self.j, self.H, self.P[: self.K + self.j]
         if not self.row[K, 0] < np.inf:
@@ -300,9 +334,18 @@ class _Window:
         return (2 * starts).tolist(), list(map(tuple, sets.tolist()))
 
 
+def _keep(cache, key, value, entries):
+    """Store value as the newest entry of cache, dropping the oldest past
+    entries."""
+    cache.pop(key, None)
+    cache[key] = value
+    if len(cache) > entries:
+        del cache[next(iter(cache))]
+
+
 class GEngine:
-    """Computes G(p_k, m) exactly, caching the step functions of the last
-    UPTO_ENTRIES primes and the delta1 table in memory."""
+    """Computes G(p_k, m) exactly, caching in memory the step functions of
+    the last UPTO_ENTRIES primes and the last DELTA1_ENTRIES delta1 values."""
 
     def __init__(self, table):
         self.table = table
@@ -322,42 +365,6 @@ class GEngine:
                 "window for G(%d, %d) exceeds sieve limit %d" % (p_k, M, self.table.limit)
             )
         return self.table.count_upto(p_k + M)
-
-    def _run_h(self, pk_idx, lo_idx, rhat_idx, M):
-        """m -> min product H(R-K, P_Rhat; m) on [0, M] as a step function:
-        the breakpoints and each segment's ascending prime tuple.
-
-        Row j holds H(j, P_{j+o}; 2i) at [o, i] for o = 0..K, the log of the
-        product less j log p_k, so rows compare through log1p((P - p_k)/p_k).
-        Its candidate at o takes P_{j+o} as the j-th prime and reads row
-        j - 1 at the same o, shift(j, o) columns to the left; the row is the
-        running minimum of the candidates over o.
-
-        Band.  A row does not increase in o (a running minimum) nor in i
-        (more budget).  Below lo_{j-1}, row j - 1 is inf, so are row j's
-        candidates and its running minimum there: lo_j >= lo_{j-1}.  Row j
-        is finite somewhere at o exactly when it is finite at the last
-        column, so lo_j is the first o >= lo_{j-1} with shift(j, o) < H and
-        row j - 1 finite at [o, H - 1 - shift(j, o)].  Adds, minima, the
-        taken and near tests, settling and the packed bits run over
-        [lo_j, K] alone; below it the row stays inf and its bits zero, as
-        inf < inf leaves them.
-
-        Continuation.  Row j reads row j - 1, the logs and costs of
-        P_j..P_{K+j} against the top prime P_{K+j}, and its guard; nothing
-        above P_{K+j}.  So a window's J rows are the first J rows of every
-        wider window over the same P_1, K and M, and _g_upto widens its
-        trial window by appending rows to the one it keeps: every row and
-        bit equals a fresh wide run's.
-
-        Guard.  Row j compares two sums of j terms log1p((P - p_k)/p_k)
-        over primes among P_1..P_{K+j}.  arith's bound needs T to bound each
-        term and the quotient's rounding |P - p_k|/P that log1p passes on,
-        for every term compared; T_j, the larger of the two over
-        P_1..P_{K+j}, does, and it is never larger than the whole window's T
-        nor changed by widening.
-        """
-        return _Window(self.table, pk_idx, lo_idx, rhat_idx, M).extend(rhat_idx)
 
     def _extract(self, entry, m):
         """G(p_k, m) from a confirmed step-function entry: the window primes
@@ -402,10 +409,7 @@ class GEngine:
                 break
             rhat_idx = min(max(t.count_upto(need) + 1, rhat_idx + TRIAL_WIDTH), full_top)
         entry = _UptoEntry(pk_idx, cap, rhat_idx, window.extend(rhat_idx))
-        self._upto.pop(pk_idx, None)
-        self._upto[pk_idx] = entry
-        if len(self._upto) > UPTO_ENTRIES:
-            del self._upto[next(iter(self._upto))]
+        _keep(self._upto, pk_idx, entry, UPTO_ENTRIES)
         return entry
 
     # -- public operations ----------------------------------------------------------
@@ -467,7 +471,7 @@ class GEngine:
             if self._extract(entry, d).fraction() < Fraction(p + d, p):
                 last_bad = d  # G(p, d) < 1 + d/p
             if d >= delta and d - gap + 2 > last_bad:
-                self._delta1[p] = d
+                _keep(self._delta1, p, d, DELTA1_ENTRIES)
                 return d
             d += 2
             if d > ceiling:

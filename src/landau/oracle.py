@@ -9,10 +9,12 @@ import heapq
 import math
 from bisect import bisect_right
 
+import numpy as np
+
 from .errors import CapacityError, InvariantViolation
 from . import primes as primes_mod
 
-LIST_MAX_N = 2_000_000
+LIST_MAX_N = 10**6
 
 
 def _pmax(N):
@@ -48,14 +50,17 @@ class ChampionList:
         return len(self.values)
 
 
-def _prune(pairs):
-    # keep (M, l) only if every later (larger-M) entry has strictly larger l
-    out = []
-    for v, l in pairs:
-        while out and out[-1][1] >= l:
-            out.pop()
-        out.append((v, l))
-    return out
+def undominated(ell):
+    """Mask of the entries, in ascending value, that no larger entry beats.
+
+    A value M1 cannot be g(n) when some M2 > M1 has l(M2) <= l(M1), and by
+    the domination lemma delta1 cannot be the prefix of g(n) when some
+    delta2 > delta1 has l(N delta2) <= l(N delta1): entry i stays iff its
+    cost is below every later one.
+    """
+    keep = np.ones(len(ell), dtype=bool)
+    keep[:-1] = ell[:-1] < np.minimum.accumulate(ell[::-1])[::-1][1:]
+    return keep
 
 
 def g_list_merge_prune(N, max_prime=None):
@@ -78,8 +83,9 @@ def g_list_merge_prune(N, max_prime=None):
             streams.append([(v * q, l + q) for v, l in pairs if l + q <= N])
             q *= p
             k += 1
-        merged = heapq.merge(pairs, *streams)
-        pairs = _prune(merged)
+        merged = list(heapq.merge(pairs, *streams))
+        keep = undominated(np.array([l for _, l in merged], dtype=np.int64))
+        pairs = [pair for pair, k in zip(merged, keep.tolist()) if k]
     values, ells = zip(*pairs)
     lst = ChampionList(list(values), list(ells))
     lst.check()

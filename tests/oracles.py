@@ -11,7 +11,8 @@ summed prime by prime.  `members` reads a `PrefixSet` as such a list.
 candidate's witness valued in mpf, one candidate at a time.
 `bound_loop_exact` is the reference for `landau.benefit.bound_loop`: each
 restart builds D(B) at the bound B itself, with no budget ladder, keeps
-only the first round's set, and solves t1 in mpf.
+only the first round's set, and reads t1 in mpf alone: its `Bound` is an
+`mpf_bound`, with no float bracket, which may also hold a planted B or t1.
 `normalized_candidates_loop` is the reference for
 `landau.assemble.normalized_candidates`: the walk up and the peel down,
 step by step, each step testing its mpf bounds.
@@ -23,7 +24,7 @@ first multiple found by a division.  `e2_table_heap` is the reference for
 through a heap of mpf slopes, each event's prime found by an exponential and
 binary search of guarded probes.
 
-`h_window_steps` is the reference for `landau.gfunction.GEngine._run_h`: the
+`h_window_steps` is the reference for `landau.gfunction._Window.extend`: the
 window recursion H(j, P_r; m) over breakpoint lists of linked prime chains,
 compared as exact integers, whose rows `h_window_rows` yields one by one.
 `confirm_segments` is the reference for `landau.gfunction._Window.need`: the
@@ -45,8 +46,7 @@ from landau import arith
 from landau.arith import PrimeFraction, log_int
 from landau.assemble import NormalizedCandidate
 from landau.benefit import (
-    BoundResult,
-    _solve_t1,
+    Bound,
     _trim,
     _walk_fraction,
     build_prefix_sets,
@@ -60,7 +60,7 @@ from landau.errors import (
     InvariantViolation,
     PrefixGapError,
 )
-from landau.gfunction import _UptoEntry, g_ceiling, g_floor
+from landau.gfunction import _UptoEntry, _Window, g_ceiling, g_floor
 from landau.oracle import _pmax
 from landau.primes import _simple_sieve
 from landau.superchampion import E2Entry
@@ -352,13 +352,12 @@ def estimate_B_mpf(ctx, d_set, n, tables):
     if best >= ctx.B1:
         raise BoundFailureError("benefit bound reached B1")
     cand, omega = best_parts
-    return BoundResult(B=best, t1=_solve_t1(ctx, best),
-                       witness=_walk_fraction(ctx, cand.delta, omega))
+    return Bound(ctx, best, cand.delta.factors, omega)
 
 
 def bound_loop_exact(ctx, n, tables):
     """bound_loop with each restart's budget the bound B itself: iterate
-    D(B') -> B until B <= B', trim D to ben <= B and solve t1 in mpf."""
+    D(B') -> B until B <= B', trim D to ben <= B and read t1 in mpf."""
     b_prime = initial_budget(ctx, n)
     for i in range(8):
         if b_prime >= ctx.B1:
@@ -372,9 +371,20 @@ def bound_loop_exact(ctx, n, tables):
         if res.B <= b_prime:
             if res.B < b_prime:
                 d_set = _trim(d_set, res.B, tables)
-            return BoundResult(res.B, res.witness, _solve_t1(ctx, res.B)), d_set
+            return mpf_bound(res), d_set
         b_prime = res.B
     raise InvariantViolation("benefit bound loop failed to settle")
+
+
+def mpf_bound(bound, B=None, t1=None):
+    """A Bound with bound's witness and no float bracket, so that every read
+    of t1 is in mpf; B and t1 may be planted, and a planted t1 need not be
+    the root for B."""
+    out = Bound(bound.ctx, bound.B if B is None else B, bound.member, bound.omega)
+    out.bracket = None
+    if t1 is not None:
+        out.t1 = t1
+    return out
 
 
 def normalized_candidates_loop(ctx, bound, d_set, n, tables):
@@ -466,7 +476,8 @@ def g_small(engine, p_k, M):
     if not 0 <= M <= pk1 - 3:
         raise ValueError("M=%d outside [0, %d]" % (M, pk1 - 3))
     top_idx = max(engine._full_top_idx(pk_idx, M), pk_idx + 1)
-    steps = engine._run_h(pk_idx, engine._low_idx(pk1, M), top_idx, M)
+    window = _Window(engine.table, pk_idx, engine._low_idx(pk1, M), top_idx, M)
+    steps = window.extend(top_idx)
     entry = _UptoEntry(pk_idx, M, top_idx, steps)
     return [engine._extract(entry, m) for m in range(M + 1)]
 
@@ -526,8 +537,8 @@ def h_window_rows(table, pk_idx, lo_idx, rhat_idx, M):
     """Rows j = 1..R-K of the window recursion over the window primes
     P_1 < ... < P_R, table indices lo_idx..rhat_idx, around p_k = P_K, one at
     a time: row[r] is the step list [(m, node), ...] of H(j, P_r; m) on
-    [0, M], empty where no m is feasible.  GEngine._run_h's offset o of row j
-    is r = j + o."""
+    [0, M], empty where no m is feasible.  The offset o of row j of a
+    landau.gfunction._Window is r = j + o."""
     K = pk_idx - lo_idx + 1
     R = rhat_idx - lo_idx + 1
     P = [0] + [table.prime(lo_idx + i) for i in range(R)]
@@ -546,7 +557,7 @@ def h_window_rows(table, pk_idx, lo_idx, rhat_idx, M):
 def h_window_steps(table, pk_idx, lo_idx, rhat_idx, M):
     """H(R-K, P_R; m) on [0, M] for the window primes P_1 < ... < P_R,
     table indices lo_idx..rhat_idx, around p_k = P_K: the breakpoints and
-    each segment's ascending prime tuple, as GEngine._run_h returns them."""
+    each segment's ascending prime tuple, as _Window.extend returns them."""
     last = deque(h_window_rows(table, pk_idx, lo_idx, rhat_idx, M), maxlen=1)[0]
     steps = last[rhat_idx - lo_idx + 1]
     assert steps and steps[0][0] == 0, "H has no feasible value at m=0"

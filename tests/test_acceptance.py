@@ -97,16 +97,16 @@ def test_sandwich_exact_at_goldens(big_solver):
     # at each n - 1: the candidates whose upper bound reaches the best lower
     # bound; g(n)/N is one of their values, each within its own bounds
     for n in (10**12, 10**12 - 1, 10**15, 10**15 - 1):
-        res, det = big_solver.compute(n, details=True)
-        best = max(c.lower for c in det.candidates)
-        assert det.survivors == [c for c in det.candidates if c.upper >= best], n
+        res = big_solver.compute(n)
+        best = max(c.lower for c in res.candidates)
+        assert res.survivors == [c for c in res.candidates if c.upper >= best], n
         values = []
-        for c in det.survivors:
+        for c in res.survivors:
             v = c.Pi.mul(big_solver.engine.g_fraction(c.base_prime, c.m_suffix))
             assert c.lower <= Fraction(v.numerator(), v.denominator()) <= c.upper, n
             values.append(v)
         assert res.correction in values, n
-        assert 1 <= det.evaluated <= len(det.survivors), n
+        assert 1 <= res.evaluated <= len(res.survivors), n
     print("PASS sandwich: exact survivors at 1e12, 1e15")
 
 
@@ -131,10 +131,10 @@ def test_need_matches_reference_at_goldens(big_solver, monkeypatch):
 
     monkeypatch.setattr(_Window, "need", checked)
     for n in (10**12, 10**12 - 1, 10**15, 10**15 - 1):
-        res, det = big_solver.compute(n, details=True)
+        res = big_solver.compute(n)
         eng = GEngine(table)
         assert res.correction in [
-            c.Pi.mul(eng.g_fraction(c.base_prime, c.m_suffix)) for c in det.survivors], n
+            c.Pi.mul(eng.g_fraction(c.base_prime, c.m_suffix)) for c in res.survivors], n
     assert any(needs), "no window widened"
     print("PASS need: %d widening decisions at 1e12, 1e15" % len(needs))
 
@@ -253,9 +253,9 @@ def test_criterion_6_benefit_regression():
 
 def test_criterion_7_prefix_counts():
     s = Solver(limit_hint=2 * 10**6)
-    res, det = s.compute(10**6 + 366, details=True)
-    assert len(det.d_set) == 51
-    ratio = det.bound.B / det.ctx.rho.value
+    res = s.compute(10**6 + 366)
+    assert len(res.d_set) == 51
+    ratio = res.bound.B / res.context.rho.value
     assert abs(ratio - mpf("0.9186")) <= mpf("0.005") * mpf("0.9186")
     print("PASS criterion 7: worst-case candidate count at 1e6+366")
 
@@ -313,29 +313,30 @@ def _crit7_pairs(ctx, bound, d_set, n):
 
 
 def _crit7_program_pairs(solver):
-    """n -> (details, the program's (plain delta, omega) pairs) over the window."""
+    """n -> (the result, the program's (plain delta, omega) pairs) over the
+    window."""
     runs = {}
     for n in CRIT7_WINDOW:
-        _, det = solver.compute(n, details=True)
-        runs[n] = det, {(c.delta, c.omega) for c in det.candidates}
+        res = solver.compute(n)
+        runs[n] = res, {(c.delta, c.omega) for c in res.candidates}
     return runs
 
 
 def test_criterion_7_histogram():
     runs = _crit7_program_pairs(Solver(limit_hint=2 * 10**6))
-    for n, (det, pairs) in runs.items():
-        want = _crit7_pairs(det.ctx, det.bound, det.d_set, n)
+    for n, (res, pairs) in runs.items():
+        want = _crit7_pairs(res.context, res.bound, res.d_set, n)
         assert pairs == want, "candidate pairs differ from the enumeration at n=%d" % n
     hist = Counter(len(pairs) for _, pairs in runs.values())
     assert hist == CRIT7_HIST and sum(hist.values()) == len(CRIT7_WINDOW), hist
     # both edges are hit exactly: at 998003 the zero-slack witness has
     # S_omega = hi on the sharpened lower edge; at n = l(N) = 998093, B = 0
-    det, _ = runs[998003]
-    (cand,) = det.candidates
+    res, _ = runs[998003]
+    (cand,) = res.candidates
     assert cand.Pi.render() == "2^-1 * 41^-1 * 43 * 3923" and cand.omega == 1
-    assert cand.m_suffix == 0 and cand.ben_Pi == det.bound.B
-    det, pairs = runs[998093]
-    assert det.ctx.ellN == 998093 and det.bound.B == 0
+    assert cand.m_suffix == 0 and cand.ben_Pi == res.bound.B
+    res, pairs = runs[998093]
+    assert res.context.ellN == 998093 and res.bound.B == 0
     assert pairs == {(PrimeFraction.one(), 0)}
     # the same pairs, hence the same histogram, at 50 digits
     try:

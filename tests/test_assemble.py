@@ -7,15 +7,15 @@ import pytest
 from mpmath import mp, mpf
 
 from landau.arith import DEFAULT_PRECISION, PrimeFraction, set_precision
-from landau import assemble, benefit
-from landau.assemble import Solver, _T1Reads, fight, normalized_candidates
-from landau.benefit import BenefitTables, BoundResult, _solve_t1, _t1_bracket, initial_budget
+from landau import assemble
+from landau.assemble import Solver, fight, normalized_candidates
+from landau.benefit import BenefitTables, Bound, initial_budget
 from landau.errors import CapacityError, InvariantViolation, PrefixGapError
 from landau.gfunction import g_floor
 from landau.oracle import g_list_merge_prune
 from landau.superchampion import Champion
 
-from oracles import normalized_candidates_loop
+from oracles import mpf_bound, normalized_candidates_loop
 
 
 @pytest.fixture(scope="module")
@@ -107,41 +107,41 @@ def test_monotone_spot_check(solver):
 
 
 def test_fight_single_candidate_passthrough(solver):
-    res, det = solver.compute(10**6, details=True)
-    if len(det.candidates) == 1:
-        assert det.survivors == det.candidates
-    only = [det.candidates[0]]
-    assert fight(only, det.ctx) == only
+    res = solver.compute(10**6)
+    if len(res.candidates) == 1:
+        assert res.survivors == res.candidates
+    only = [res.candidates[0]]
+    assert fight(only, res.context) == only
 
 
 def test_fight_eliminates_strictly_dominated(solver):
     # across windows of n, every surviving candidate's upper bound reaches
     # the best lower bound, and the evaluated maximum is among survivors
     for n in list(range(999990, 10**6 + 10)) + list(range(998500, 998600)):
-        res, det = solver.compute(n, details=True)
-        assert 1 <= len(det.survivors) <= len(det.candidates)
-        best_low = max(c.lower for c in det.survivors)
-        for c in det.survivors:
+        res = solver.compute(n)
+        assert 1 <= len(res.survivors) <= len(res.candidates)
+        best_low = max(c.lower for c in res.survivors)
+        for c in res.survivors:
             assert c.upper >= best_low
-        _check_survivors_exactly(det)
+        _check_survivors_exactly(res)
 
 
-def _check_survivors_exactly(det):
+def _check_survivors_exactly(res):
     # each candidate's bounds are Pi * g_floor and Pi * g_ceiling, and a
     # candidate survives iff its upper bound reaches the best lower bound
-    t = det.ctx.table
-    for c in det.candidates:
+    t = res.context.table
+    for c in res.candidates:
         pi = Fraction(c.Pi.numerator(), c.Pi.denominator())
         pk1 = t.next_prime(c.base_prime)
         assert c.lower == pi * g_floor(t, c.base_prime, pk1, c.m_suffix)
         assert c.upper == pi * Fraction(pk1, pk1 - c.m_suffix) >= c.lower
-    best = max(c.lower for c in det.candidates)
-    assert det.survivors == [c for c in det.candidates if c.upper >= best]
+    best = max(c.lower for c in res.candidates)
+    assert res.survivors == [c for c in res.candidates if c.upper >= best]
 
 
 def test_normalized_candidates_examples(solver):
-    res, det = solver.compute(998555, details=True)
-    got = sorted(c.Pi.render() or "1" for c in det.candidates)
+    res = solver.compute(998555)
+    got = sorted(c.Pi.render() or "1" for c in res.candidates)
     assert got == sorted(["1", "41^-1 * 43", "2^-1 * 5^-1 * 11"])
 
 
@@ -197,7 +197,7 @@ def test_normalized_candidates_match_the_loop_where_t1_binds(crit7_runs):
         for i in range(ctx.k - 1, ctx.k + 3):
             p = ctx.table.prime(i)
             for t1 in (p - mpf(2) ** -60 * p, mpf(p), p + mpf(2) ** -60 * p):
-                stub = BoundResult(bound.B, bound.witness, t1)
+                stub = mpf_bound(bound, t1=t1)
                 got = _same_pairs(ctx, stub, d_set, n, tables)
                 binds += got != real
     assert binds > 0
@@ -211,8 +211,8 @@ def test_normalized_candidates_match_the_loop_at_the_weak_window_edge(crit7_runs
         denom = 1 - ctx.rho.value / bound.t1
         for c in normalized_candidates(ctx, bound, d_set, n, tables):
             if c.ben_Pi < denom / 2:
-                stub = BoundResult((c.m_suffix + mpf(1) / 2) * denom + c.ben_Pi,
-                                   bound.witness, bound.t1)
+                stub = mpf_bound(bound, B=(c.m_suffix + mpf(1) / 2) * denom + c.ben_Pi,
+                                 t1=bound.t1)
                 got = _same_pairs(ctx, stub, d_set, n, tables)
                 assert (c.delta, c.omega, c.m_suffix, c.Pi) in got
                 edges += 1
@@ -230,9 +230,9 @@ def test_normalized_candidates_match_the_loop_at_the_weak_window_edge(crit7_runs
 
 
 def test_candidate_count_fig4_row_1e6(solver):
-    res, det = solver.compute(10**6 + 366, details=True)
-    assert len(det.d_set) == 51
-    ratio = det.bound.B / det.ctx.rho.value
+    res = solver.compute(10**6 + 366)
+    assert len(res.d_set) == 51
+    ratio = res.bound.B / res.context.rho.value
     assert abs(ratio - mpf("0.9186")) < mpf("0.005") * mpf("0.9186")
 
 
@@ -309,7 +309,57 @@ def test_forced_exact_matches_oracle(forced_exact, lst_1e5):
         assert solver.compute(n).to_int() == lst_1e5.query(n)
     assert solver.compute(10**6).correction.factors == ((43, 1), (3847, -1), (3947, 1))
     for n in range(998500, 998600):  # 61 of these n have 2 or 3 candidates
-        _check_survivors_exactly(solver.compute(n, details=True)[1])
+        _check_survivors_exactly(solver.compute(n))
+
+
+# a warm window of sweep-1e5, and n near 10^6: 998093 = l(N) has B = 0, and
+# at 998003 the witness's own pair has m = 0 and ben(N*Pi) = B; then two n
+# of distinct-1e9, each on a fresh Solver
+FLOAT_EXACT_NS = list(range(150001, 151001)) + [998003, 998093, 10**6 - 1, 10**6, 10**6 + 366]
+FLOAT_EXACT_COLD = [10**9, 1000064448]
+
+
+def _choices():
+    """Per n of FLOAT_EXACT_NS, on one warm Solver, and of FLOAT_EXACT_COLD:
+    g(n), B, the witness, the (delta, omega, m_suffix) of the candidates and
+    of the survivors, and the number evaluated."""
+    warm = Solver(limit_hint=10**6 + 366)
+    runs = [(warm, n) for n in FLOAT_EXACT_NS] + [(Solver(limit_hint=n), n) for n in FLOAT_EXACT_COLD]
+    pairs = lambda cands: [(c.delta, c.omega, c.m_suffix) for c in cands]
+    out = []
+    for solver, n in runs:
+        res = solver.compute(n)
+        out.append((n, res.correction, res.bound.B, res.bound.witness,
+                    pairs(res.candidates), pairs(res.survivors), res.evaluated))
+    return out
+
+
+@pytest.fixture(scope="module")
+def float_choices():
+    """_choices on the float paths, and the verdicts that Bound.fits gave
+    for m > 0 on the bounds whose mpf t1 was never solved."""
+    verdicts = []
+    fits = Bound.fits
+
+    def recording(bound, m, b):
+        out = fits(bound, m, b)
+        if m:
+            verdicts.append((bound, out))
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Bound, "fits", recording)
+        choices = _choices()
+    return choices, {out for bound, out in verdicts if "t1" not in bound.__dict__}
+
+
+def test_float_paths_choose_what_the_exact_paths_choose(float_choices, forced_exact):
+    # with every rounding bound infinite, each read the floats decided (the
+    # D(B') build, estimate_B, the trim, the bracket's two ends in fits,
+    # check_bounds) is decided exactly, and every choice is the same
+    choices, float_verdicts = float_choices
+    assert float_verdicts == {True, False}  # both ends of fits decided in floats
+    assert _choices() == choices
 
 
 def test_g_cache_stays_within_its_cap(monkeypatch, lst_1e5):
@@ -333,9 +383,9 @@ def test_g_cache_stays_within_its_cap(monkeypatch, lst_1e5):
     assert len(built) > gfunction.UPTO_ENTRIES
 
 
-def _outcome(res, det):
-    return (res.correction, res.ell_g, det.evaluated,
-            [(c.Pi, c.m_suffix, c.lower, c.upper) for c in det.survivors])
+def _outcome(res):
+    return (res.correction, res.ell_g, res.evaluated,
+            [(c.Pi, c.m_suffix, c.lower, c.upper) for c in res.survivors])
 
 
 def test_results_do_not_depend_on_call_history(lst_1e5):
@@ -346,10 +396,10 @@ def test_results_do_not_depend_on_call_history(lst_1e5):
     ns = rng.sample(range(2485, 10**5 + 1), 400)
     solver = Solver()
     for i, n in enumerate(ns):
-        res, det = solver.compute(n, details=True)
+        res = solver.compute(n)
         assert res.to_int() == lst_1e5.query(n), n
         if i % 8 == 0:
-            assert _outcome(res, det) == _outcome(*Solver().compute(n, details=True)), n
+            assert _outcome(res) == _outcome(Solver().compute(n)), n
 
 
 def test_short_sieve_grows_to_the_default_answer(monkeypatch):
@@ -469,63 +519,82 @@ def t1_contexts(solver):
 
 
 def _t1_cases(t1_contexts):
-    """(ctx, B, the float-bracketed bound, the bound holding the mpf t1) for
+    """(ctx, B, the float-bracketed bound, the bound read in mpf alone) for
     a spread of B in [rho/2, B1)."""
     for ctx in t1_contexts:
         lo = ctx.rho.value / 2
         for i in range(12):
             B = lo + (ctx.B1 - lo) * mpf(i) / 12
-            yield (ctx, B, BoundResult(B, None, bracket=_t1_bracket(ctx, B), ctx=ctx),
-                   BoundResult(B, None, _solve_t1(ctx, B)))
+            fast = Bound(ctx, B, (), 0)
+            yield ctx, B, fast, mpf_bound(fast)
 
 
 def test_t1_bracket_holds_the_mpf_root(t1_contexts):
     for ctx, B, fast, slow in _t1_cases(t1_contexts):
         lo, hi = fast.bracket
         assert lo < slow.t1 < hi
-        assert fast._t1 is None
+        assert "t1" not in fast.__dict__
 
 
 def test_t1_reads_from_the_bracket_match_the_mpf_root(t1_contexts):
-    # ceil(t1), the weak window and the sharpened window's verdict on pairs
-    # placed about its edge m*(1 - rho/t1) + ben - B = 0: the bracket
-    # decides them all but the nearest, and agrees with the mpf t1
+    # the primes below t1, the weak window and fits(m, b) at both ends,
+    # for b placed about the edge m*(1 - rho/t1) = b: the bracket decides
+    # them all but the nearest, and agrees with the mpf t1
     near = 0
     for ctx, B, fast, slow in _t1_cases(t1_contexts):
-        got, want = _T1Reads(ctx, fast), _T1Reads(ctx, slow)
-        assert (got.ceil(), got.weak()) == (want.ceil(), want.weak())
-        denom = want.denom()
-        for m in (1, 2, 17, 400, want.weak()):
+        weak = slow.weak_window()
+        assert (fast.primes_below_t1(), fast.weak_window()) == (slow.primes_below_t1(), weak)
+        assert weak * (1 - ctx.rho.value / slow.t1) <= B < (weak + 1) * (1 - ctx.rho.value / slow.t1)
+        denom = 1 - ctx.rho.value / slow.t1
+        for m in (1, 2, 17, 400, weak):
             for off in (-1, -mpf(10) ** -6, mpf(10) ** -6, 1):
-                ben = B - m * denom + off * B
-                assert got.outside(m, ben) == want.outside(m, ben) == (off > 0)
-        assert fast._t1 is None
-        for m in (1, want.weak()):
+                b = m * denom + off * B
+                assert fast.fits(m, b) == slow.fits(m, b) == (off > 0)
+        assert "t1" not in fast.__dict__
+        for m in (1, weak):
             for off in (-mpf(2) ** -70, mpf(2) ** -70):
-                ben = B - m * denom + off * B
-                assert got.outside(m, ben) == want.outside(m, ben)
-                near += fast._t1 is not None
+                b = m * denom + off * B
+                assert fast.fits(m, b) == slow.fits(m, b)
+                near += "t1" in fast.__dict__
     assert near > 0
 
 
-def test_t1_bracket_straddling_its_ceiling_goes_exact(solver, monkeypatch):
+def test_fits_inside_a_tight_bracket_goes_exact(t1_contexts):
+    # a bracket of the two floats next to the mpf t1: at b within 2^-70 of
+    # the edge m*(1 - rho/t1) = b the floats at either end lie within their
+    # rounding bound of b, so fits reads the mpf t1 and agrees with it
+    for ctx, B, _, slow in _t1_cases(t1_contexts):
+        t = float(slow.t1)
+        lo = t if mpf(t) < slow.t1 else math.nextafter(t, 0)
+        hi = t if mpf(t) > slow.t1 else math.nextafter(t, math.inf)
+        denom = 1 - ctx.rho.value / slow.t1
+        for m in (1, 2, 17, 400, slow.weak_window()):
+            for off in (-mpf(2) ** -70, mpf(2) ** -70):
+                tight = Bound(ctx, B, (), 0)
+                tight.bracket = (lo, hi)
+                b = m * denom + off * B
+                assert tight.fits(m, b) == (off > 0), (m, off)
+                assert "t1" in tight.__dict__
+
+
+def test_t1_bracket_straddling_its_ceiling_goes_exact(solver):
     # a bracket around t1 that holds the integer ceil(t1): the number of
     # primes below t1 is left to the mpf t1, solved once for every read
     n = 10**6
     bound, d_set = solver.prefixes(n)
     ctx, tables = solver.context(n)
-    t1 = _solve_t1(ctx, bound.B)
+    t1 = mpf_bound(bound).t1
     top = int(mp.ceil(t1))
-    planted = BoundResult(bound.B, bound.witness, bracket=(float(t1) - 1, top + 0.5), ctx=ctx)
+    planted = Bound(ctx, bound.B, bound.member, bound.omega)
+    planted.bracket = (float(t1) - 1, top + 0.5)
     assert math.ceil(planted.bracket[0]) != math.ceil(planted.bracket[1])
-    solves = []
-    solve = benefit._solve_t1
-    monkeypatch.setattr(benefit, "_solve_t1", lambda c, B: solves.append(B) or solve(c, B))
+    assert "t1" not in planted.__dict__
+    assert planted.primes_below_t1() == ctx.table.count_upto(top - 1)
+    assert planted.__dict__["t1"] == t1  # solved by that read
     got = normalized_candidates(ctx, planted, d_set, n, tables)
-    want = normalized_candidates(ctx, BoundResult(bound.B, bound.witness, t1), d_set, n, tables)
+    want = normalized_candidates(ctx, mpf_bound(bound), d_set, n, tables)
     assert [(c.delta, c.omega, c.m_suffix) for c in got] == [
         (c.delta, c.omega, c.m_suffix) for c in want]
-    assert solves == [bound.B]
 
 
 def test_result_inside_the_guard_of_the_minorant_goes_exact():

@@ -8,7 +8,7 @@ from landau import arith, benefit
 from landau.arith import PrimeFraction
 from landau.benefit import (
     BenefitTables,
-    _solve_t1,
+    Bound,
     bound_loop,
     build_prefix_sets,
     dell_pp,
@@ -16,6 +16,7 @@ from landau.benefit import (
     initial_budget,
 )
 from landau.errors import BoundFailureError, CapacityError, InvariantViolation
+from landau.oracle import undominated
 from landau.primes import PrimeTable, auto_limit
 from landau.superchampion import build_e2_table, find_context
 
@@ -177,21 +178,21 @@ def test_candidate_set_contains_true_prefix():
     solver = Solver(limit_hint=10**4)
     dp = g_table_dp(10**4)
     for n in range(7, 10**4 + 1):
-        res, det = solver.compute(n, details=True)
-        if det is None:
+        res = solver.compute(n)
+        if res.d_set is None:
             continue  # oracle fallback: no candidate set exists
-        ctx = det.ctx
+        ctx = res.context
         fac = dp.factors(n)
         sqrt_x1 = ctx.sqrt_x1
         prefix = {}
-        for p in det.ctx.table.primes.tolist():
+        for p in ctx.table.primes.tolist():
             if p >= sqrt_x1:
                 break
             e = fac.get(p, 0) - ctx.N.alpha(p)
             if e:
                 prefix[p] = e
         want = tuple(sorted(prefix.items()))
-        assert want in det.d_set.fac.tolist(), (
+        assert want in res.d_set.fac.tolist(), (
             "true prefix %r missing from D(B) at n=%d" % (want, n))
 
 
@@ -332,7 +333,7 @@ def test_gamma_lists_cut_short_grow(ctx1e9, monkeypatch):
 def _same_as_estimate_mpf(ctx, d_set, n, tables):
     got = estimate_B(ctx, d_set, n, tables)
     want = estimate_B_mpf(ctx, d_set, n, tables)
-    assert (got.B, _solve_t1(ctx, got.B), got.witness) == (want.B, want.t1, want.witness), n
+    assert (got.B, got.witness) == (want.B, want.witness), n
     return got
 
 
@@ -418,7 +419,7 @@ def test_undominated_matches_stack_prune():
         dell = [rng.randrange(-6, 6) for _ in range(size)]
         # distinct bens tell apart the entries of equal dell
         cands = [Prefix(PrimeFraction.one(), mpf(i), v) for i, v in enumerate(dell)]
-        keep = benefit._undominated(np.array(dell, dtype=np.int64))
+        keep = undominated(np.array(dell, dtype=np.int64))
         assert [c for c, k in zip(cands, keep) if k] == _prune_mpf(cands)
 
 
@@ -441,59 +442,52 @@ def test_t1_newton_from_x1(ctx1e6, monkeypatch):
         calls.append(args)
         return log(mpctx, *args, **kwargs)
 
+    assert "t1" not in res.__dict__  # bound_loop reads no t1
     with monkeypatch.context() as m:
         m.setattr(type(mp), "log", counting_log)
-        t1 = _solve_t1(ctx, res.B)
+        t1 = res.t1
     assert len(calls) <= 8
     rho = ctx.rho.value
     assert rho < t1 <= ctx.x1
     assert abs(rho * mp.log(t1) - t1 - res.B) <= mpf(10) ** (-mp.dps + 5) * t1
     # at x1 the equation reads rho*log x1 - x1 = 0, so a negative B has no root
     with pytest.raises(InvariantViolation):
-        _solve_t1(ctx1e6, -ctx1e6.rho.value)
+        Bound(ctx1e6, -ctx1e6.rho.value, (), 0).t1
 
 
 def test_t1_solved_once_per_n(monkeypatch):
-    # bound_loop brackets t1 in float for the round that settles, not for
-    # every round, and the mpf t1 is solved only for a read the bracket
-    # leaves open
+    # t1's float bracket is certified for the round that settles, not for
+    # every round, the mpf t1 is solved only for a read the bracket leaves
+    # open, and no witness fraction is built
     from landau.assemble import Solver
 
     solver = Solver(limit_hint=151000)
-    brackets, solves, rounds = [], [], []
-    bracket, solve, estimate = benefit._t1_bracket, benefit._solve_t1, benefit.estimate_B
+    rounds = []
+    estimate = benefit.estimate_B
 
-    def counting_bracket(ctx, B):
-        brackets.append(B)
-        return bracket(ctx, B)
+    def recording(*args):
+        rounds.append(estimate(*args))
+        return rounds[-1]
 
-    def counting_solve(ctx, B):
-        solves.append(B)
-        return solve(ctx, B)
-
-    def counting_estimate(ctx, d_set, n, tables):
-        rounds.append(n)
-        return estimate(ctx, d_set, n, tables)
-
-    monkeypatch.setattr(benefit, "_t1_bracket", counting_bracket)
-    monkeypatch.setattr(benefit, "_solve_t1", counting_solve)
-    monkeypatch.setattr(benefit, "estimate_B", counting_estimate)
+    monkeypatch.setattr(benefit, "estimate_B", recording)
     window = range(150001, 151001)
     for n in window:
         solver.compute(n)
+    read = lambda name: sum(name in b.__dict__ for b in rounds)
     # some n need a second round, and still one bracket
-    assert len(brackets) == len(window) < len(rounds)
-    assert len(solves) < len(window) // 100
+    assert read("bracket") == len(window) < len(rounds)
+    assert read("t1") < len(window) // 100
+    assert read("witness") == 0
 
 
 def _run(solver, n):
     """What compute hands on for n: B, the witness, D(B), the normalized
     candidates, the survivors and the evaluation count."""
-    res, det = solver.compute(n, details=True)
+    res = solver.compute(n)
     cand = lambda c: (c.delta, c.omega, c.m_suffix, c.Pi, c.ben_Pi, c.lower, c.upper)
-    return (res.correction, det.bound.B, det.bound.witness, det.d_set.fac.tolist(),
-            [cand(c) for c in det.candidates], [cand(c) for c in det.survivors],
-            det.evaluated)
+    return (res.correction, res.bound.B, res.bound.witness, res.d_set.fac.tolist(),
+            [cand(c) for c in res.candidates], [cand(c) for c in res.survivors],
+            res.evaluated)
 
 
 def test_ladder_matches_the_exact_budget_loop(monkeypatch):

@@ -99,8 +99,8 @@ def test_verify_detects_injected_fault(capsys, monkeypatch):
 
     real = assemble.Solver.compute
 
-    def faulty(self, n, details=False):
-        res = real(self, n, details=details)
+    def faulty(self, n):
+        res = real(self, n)
         if n == 1234:
             res.correction = res.correction.mul(PrimeFraction(((2, 1),)))
         return res

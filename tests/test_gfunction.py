@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from mpmath import mp
 
-from landau import arith
+from landau import arith, gfunction
 from landau.errors import InvariantViolation
 from landau.arith import PrimeFraction
 from landau.gfunction import TRIAL_WIDTH, GEngine, _Window, check_fraction
@@ -247,7 +247,7 @@ def test_band_matches_reference_under_forced_exact(table1m, forced_exact):
     empty = [sum(not row[j + o] for o in range(K + 1))
              for j, row in enumerate(h_window_rows(t, pk_idx, lo_idx, pk_idx + 40, 1200), 1)]
     assert empty[0] == 0 and all(e > 0 for e in empty[1:])
-    got = eng._run_h(pk_idx, lo_idx, pk_idx + 40, 1200)
+    got = _Window(t, pk_idx, lo_idx, pk_idx + 40, 1200).extend(pk_idx + 40)
     _same_on_every_even_m(got, h_window_steps(t, pk_idx, lo_idx, pk_idx + 40, 1200), 1200)
 
 
@@ -279,7 +279,7 @@ def test_window_matches_reference_150989(width):
     eng = GEngine(t)
     pk_idx = t.rank(150989)
     lo_idx = eng._low_idx(t.next_prime(150989), 2816)
-    got = eng._run_h(pk_idx, lo_idx, pk_idx + width, 2816)
+    got = _Window(t, pk_idx, lo_idx, pk_idx + width, 2816).extend(pk_idx + width)
     _same_on_every_even_m(got, h_window_steps(t, pk_idx, lo_idx, pk_idx + width, 2816), 2816)
 
 
@@ -297,7 +297,7 @@ def test_window_matches_reference_at_1e14():
     pk_idx = t.rank(60041573)
     lo_idx = eng._low_idx(t.next_prime(60041573), 768)
     assert pk_idx - lo_idx + 1 == 40
-    got = eng._run_h(pk_idx, lo_idx, pk_idx + 45, 768)
+    got = _Window(t, pk_idx, lo_idx, pk_idx + 45, 768).extend(pk_idx + 45)
     _same_on_every_even_m(got, h_window_steps(t, pk_idx, lo_idx, pk_idx + 45, 768), 768)
 
 
@@ -328,6 +328,19 @@ def test_delta1_basics(engine, table1m):
         d = engine.delta1(p)
         assert d % 2 == 0
         assert d <= 2.55 * math.log(p) ** 2
+
+
+def test_delta1_cache_stays_within_its_cap(table1m):
+    # more primes than the cache keeps: it never holds more than its cap,
+    # and an evicted prime's delta1 is computed again to the same value
+    eng = GEngine(table1m)
+    primes = table1m.primes[2 : gfunction.DELTA1_ENTRIES + 12].tolist()  # 5, 7, ...
+    first = {}
+    for p in primes:
+        first[p] = eng.delta1(p)
+        assert len(eng._delta1) <= gfunction.DELTA1_ENTRIES
+    assert primes[0] not in eng._delta1
+    assert eng.delta1(primes[0]) == first[primes[0]]
 
 
 def test_g_large_exact_prime_case(engine, table1m):
