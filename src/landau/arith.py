@@ -9,8 +9,8 @@ coprime parts.  Two exact rationals compare as fractions.Fraction values
 
 Rounding error.  Each fast comparison (the G window's float logs, the float
 build of D(B'), estimate_B and the trim of D(B'), the event table's slope
-order and prime probes, check_bounds, the reads of t1 and the budget
-ladder) trusts a computed difference only beyond rounding_error and
+order and prime probes, the champion's slope tests, check_bounds, the reads
+of t1 and the budget ladder) trusts a computed difference only beyond rounding_error and
 settles the rest exactly.  Every one is in float64: rounding to nearest multiplies
 by 1 + d, |d| <= u = 2^-53.  If each term t_i of v = sum t_i reaches the
 computed value through at most s roundings (a library log, good to one ulp,
@@ -37,7 +37,11 @@ the trim as below; the event table's slopes (q^j - q^{j-1})/log q, an exact inte
 over a float log, 5 for each slope in their order (log, quotient,
 difference, and the mpf slopes they must order alike), and its p/log p < rho
 8 (log and quotient on each side, difference, and the mpf test's own
-rounding); a champion's log, which check_bounds and the digit budgets
+rounding); the champion's test p^j - p^{j-1} < rho log p for j >= 3 as the
+float slope p^{j-1}(p - 1)/log p less the float copy of the mpf rho, j + 5
+(p^{j-1} through j - 2 products from p, the product by p - 1, log and
+quotient, the copy of rho, the difference and the mpf test's own rounding)
+of size slope + rho; a champion's log, which check_bounds and the digit budgets
 compare with an mpf bound, k + R + 5 for k primes in R exponent runs
 (np.log, the product by the run's exponent, at most k + R additions in any
 order, counting each run's and the total's start at 0.0, the difference,

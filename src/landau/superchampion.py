@@ -1,11 +1,17 @@
 """Superchampion numbers: the integers N minimizing l(N) - rho*log N.
 
-For a slope rho the champion's factorization is governed by thresholds
-x_1 > x_2 > ... where (x_j^j - x_j^{j-1}) / log x_j = rho: a prime p gets
-exponent j exactly when x_{j+1} <= p < x_j.  Champions are enumerated
-through the critical slopes where some prime's exponent bumps from j-1 to
-j (j >= 2); between two such events consecutive champions differ by one
-new prime of exponent 1.
+The champion at a slope rho gives each prime p the largest exponent j with
+(p^j - p^{j-1}) / log p < rho, one test per prime and exponent, as
+Ramanujan built his superior highly composite numbers.  For j >= 2 the
+slope increases with p, so the primes of exponent at least j are those
+below the root x_j of (x^j - x^{j-1}) / log x = rho, and at j = 1 those
+below the root x_1 > rho of x / log x = rho.  x_1 and x_2 are the only roots
+solved: the runs of exponent 1 and 2 end below them, and B1 and the
+benefit method read them.  Each run of exponent j >= 3 is counted by the
+slope test over the primes below x_2.  Champions are enumerated through
+the critical slopes where some prime's exponent bumps from j-1 to j
+(j >= 2); between two such events consecutive champions differ by one new
+prime of exponent 1.
 """
 
 import math
@@ -24,9 +30,9 @@ LOG_CHUNK = 1 << 18  # primes per np.log call of Champion.approx_log
 
 
 class Rho:
-    """A critical slope, kept symbolically as (q, j) so that the threshold
-    x_j = q stays exact: j = 1 means q/log q, j >= 2 means
-    (q^j - q^{j-1}) / log q."""
+    """A critical slope, kept symbolically as (q, j) so that the champion's
+    run j, which ends below q, stays exact: j = 1 means q/log q, j >= 2
+    means (q^j - q^{j-1}) / log q."""
 
     __slots__ = ("q", "j", "_value")
 
@@ -52,23 +58,6 @@ class Rho:
         if self.j == 1:
             return "Rho(%d/log %d)" % (self.q, self.q)
         return "Rho((%d^%d-%d^%d)/log %d)" % (self.q, self.j, self.q, self.j - 1, self.q)
-
-
-class Threshold:
-    """One x_j: a 30-digit value plus, when the slope is the defining event
-    for this j, the exact integer root."""
-
-    __slots__ = ("value", "exact")
-
-    def __init__(self, value, exact=None):
-        self.value = value
-        self.exact = exact
-
-    def greater_than_int(self, p):
-        """x_j > p with the exact root honoured."""
-        if self.exact is not None:
-            return self.exact > p
-        return self.value > p
 
 
 def newton_from_above(f, x):
@@ -97,67 +86,71 @@ def _solve_x1(rho):
     return newton_from_above(lambda x: (x - rv * mp.log(x), 1 - rv / x), 2 * rv * mp.log(rv))
 
 
-def _solve_xj(rho, j, hi):
-    """Root x_j > 1 of x^j - x^{j-1} - rho*log x, convex on x > 1.
+def _solve_x2(rho, x1):
+    """Root x_2 > 1 of x^2 - x - rho*log x, convex on x > 1.
 
-    Newton starts at the lower of hi = x_{j-1} and y = (rho*log hi)^(1/j) + 1.
-    Both lie at or above x_j with the function >= 0 there: x^{j-1}(x - 1)
-    increases on x > 1, and y^{j-1}(y - 1) >= (y - 1)^j = rho*log hi, which
-    is at least rho*log x_j, and at least rho*log y when y <= hi."""
+    Newton starts at the lower of x1 and y = (rho*log x1)^(1/2) + 1.  Both
+    lie at or above x_2 with the function >= 0 there: x(x - 1) increases on
+    x > 1, and y(y - 1) >= (y - 1)^2 = rho*log x1, which is at least
+    rho*log x_2, and at least rho*log y when y <= x1."""
     rv = rho.value
-
-    def f(x):
-        return (x**j - x ** (j - 1) - rv * mp.log(x),
-                j * x ** (j - 1) - (j - 1) * x ** (j - 2) - rv / x)
-
-    return newton_from_above(f, min(mpf(hi), mp.root(rv * mp.log(hi), j) + 1))
+    return newton_from_above(lambda x: (x**2 - x - rv * mp.log(x), 2 * x - 1 - rv / x),
+                             min(mpf(x1), mp.root(rv * mp.log(x1), 2) + 1))
 
 
-def xj_thresholds(rho):
-    """All thresholds x_1 > x_2 > ... > 2, highest precision, exact where the
-    slope is the defining event."""
-    if rho.value < mpf(5) / log_int(5) * (1 - mpf(10) ** (-25)):
-        raise ValueError("slope below 5/log 5 is out of range")
-    xs = []
-    if rho.j == 1:
-        xs.append(Threshold(mpf(rho.q), exact=rho.q))
-    else:
-        xs.append(Threshold(_solve_x1(rho)))
-    j = 2
+def _run_ends(table, rho, x1, x2):
+    """ends[j - 1], the number of primes of exponent at least j in the
+    champion at rho, for j from 1 to the exponent of 2.
+
+    Runs 1 and 2 end below x1 and x2, run j >= 3 at the last of the primes
+    of exponent j - 1 with p^j - p^{j-1} < rho log p, and the slope's own j
+    below its prime q.  The test compares the float slope
+    p^{j-1} (p - 1) / log p with rho beyond its rounding bound (j + 5 steps,
+    arith's docstring), and in mpf inside it."""
+    own = table.count_upto(rho.q - 1)
+    ends = [own if rho.j == j else table.count_upto(int(mp.floor(x)))
+            for j, x in ((1, x1), (2, x2))]
+    p = table.primes[: ends[1]]
+    pf = p.astype(np.float64)
+    logs = np.log(pf)
+    power = pf  # p^{j-1}
+    rf = float(rho.value)
+    j = 3
     while True:
+        m = ends[-1]
+        power = power[:m] * pf[:m]
         if rho.j == j:
-            x = Threshold(mpf(rho.q), exact=rho.q)
+            end = own
         else:
-            x = Threshold(_solve_xj(rho, j, xs[-1].value))
-            resid = abs((x.value**j - x.value ** (j - 1)) / mp.log(x.value) - rho.value)
-            if resid > mpf(10) ** (-20) * rho.value:
-                raise InvariantViolation("threshold root residual too large at j=%d" % j)
-        if not x.greater_than_int(2):
-            break
-        xs.append(x)
+            s = power * (pf[:m] - 1) / logs[:m]
+            d = s - rf
+            err = arith.rounding_error(s + rf, j + 5)
+            end = int(np.count_nonzero(d < -err))
+            for i in np.flatnonzero(np.abs(d) <= err).tolist():  # the floats cannot tell: mpf
+                prime = int(p[i])
+                end += _slope_below(prime, rho.value, prime**j - prime ** (j - 1))
+        if end == 0:
+            return ends
+        ends.append(end)
         j += 1
-    return xs
 
 
 class Champion:
-    """A champion factorization, run-compressed: exponent j on the primes in
-    [x_{j+1}, x_j).  The exponent-1 run can hold millions of primes, so the
+    """A champion factorization, run-compressed: ends[j - 1] is the number of
+    primes of exponent at least j (find_context counts them by per-prime
+    slope tests), so exponent j sits on the primes ends[j] + 1 .. ends[j - 1]
+    of the table.  The exponent-1 run can hold millions of primes, so the
     value is never expanded; cost and log come from prime-table range sums."""
 
-    __slots__ = ("table", "xs", "runs", "ell", "k", "_log", "_approx")
+    __slots__ = ("table", "runs", "ell", "k", "_log", "_approx")
 
-    def __init__(self, table, xs):
+    def __init__(self, table, ends):
         self.table = table
-        self.xs = xs
         runs = []
         ell = 0
-        lo_idx = 1  # conceptual x_{J+1} <= 2: the range for the top exponent starts at 2
-        for j in range(len(xs), 0, -1):
-            hi = xs[j - 1]
-            if hi.exact is not None:
-                hi_idx = table.count_upto(hi.exact - 1)
-            else:
-                hi_idx = table.count_upto(int(mp.floor(hi.value)))
+        lo_idx = 1  # the top exponent's run starts at the prime 2
+        for j in range(len(ends), 0, -1):
+            hi_idx = ends[j - 1]
             if hi_idx >= lo_idx:
                 runs.append((j, lo_idx, hi_idx))
                 if j == 1:
@@ -366,9 +359,9 @@ def _ratio_indices(primes, q, cost, r):
     for i in np.flatnonzero(~settled).tolist():  # the floats cannot tell: mpf
         rv = _mpf_slope(int(q[i]), int(cost[i]), logs)
         k = int(idx[i])
-        while k > 2 and not _ratio_below(int(primes[k - 1]), rv):
+        while k > 2 and not _slope_below(int(primes[k - 1]), rv):
             k -= 1
-        while k < n and _ratio_below(int(primes[k]), rv):
+        while k < n and _slope_below(int(primes[k]), rv):
             k += 1
         idx[i] = k
     return idx
@@ -381,16 +374,17 @@ def _ratio_excess(p, r):
     return v - r, arith.rounding_error(v + r, 8)
 
 
-def _ratio_below(p, rv):
-    """p / log p < rv in mpf, log p uncached: most probed primes are probed
-    once."""
-    return mpf(p) / mp.log(p) < rv
+def _slope_below(p, rv, cost=None):
+    """The slope cost / log p of p below rv, in mpf: cost = p^j - p^{j-1} at
+    j >= 2 and p (the default) at j = 1.  log p is uncached: most probed
+    primes are probed once."""
+    return mpf(p if cost is None else cost) / mp.log(p) < rv
 
 
 @dataclass
 class SuperchampionContext:
-    """Everything step 1 pins down for one n: the bracketing champions and
-    the threshold geometry used by every later step."""
+    """Everything step 1 pins down for one n: the bracketing champions, and
+    the roots x1 and x2 with the bounds every later step reads from them."""
 
     n: int
     rho: Rho
@@ -399,7 +393,6 @@ class SuperchampionContext:
     ell_nplus: int
     k: int          # index of the largest prime factor of N
     p_k: int
-    xs: list
     x1: mpf
     x2: mpf
     sqrt_x1: mpf
@@ -414,7 +407,8 @@ class SuperchampionContext:
 
 
 def find_context(n, table, e2_entries):
-    """Locate the champion pair l(N) <= n < l(N') and derive the geometry."""
+    """Locate the champion pair l(N) <= n < l(N'), solve x1 and x2 and count
+    N's runs."""
     if n < 7:
         raise ValueError("the superchampion path needs n >= 7")
     ells = [e.ell for e in e2_entries]
@@ -441,13 +435,13 @@ def find_context(n, table, e2_entries):
         nxt_p = table.prime(m + 1)
         rho = Rho(nxt_p, 1)
         ell_nplus = ellN + nxt_p
-    xs = xj_thresholds(rho)
-    N = Champion(table, xs)
+    x1 = mpf(rho.q) if rho.j == 1 else _solve_x1(rho)
+    x2 = mpf(rho.q) if rho.j == 2 else _solve_x2(rho, x1)
+    N = Champion(table, _run_ends(table, rho, x1, x2))
     if N.ell != ellN:
         raise InvariantViolation(
             "champion cost mismatch: factorization says %d, chain says %d" % (N.ell, ellN)
         )
-    x1, x2 = xs[0].value, xs[1].value
     return SuperchampionContext(
         n=n,
         rho=rho,
@@ -456,7 +450,6 @@ def find_context(n, table, e2_entries):
         ell_nplus=ell_nplus,
         k=N.k,
         p_k=N.p_k,
-        xs=xs,
         x1=x1,
         x2=x2,
         sqrt_x1=mp_sqrt(x1),

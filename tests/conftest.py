@@ -4,6 +4,7 @@ import os
 import pytest
 
 from landau import arith
+from landau.oracle import g_list_merge_prune
 from landau.primes import PrimeTable
 
 EXTENDED = os.environ.get("LANDAU_EXTENDED") == "1"
@@ -21,6 +22,13 @@ def cache_dir(tmp_path_factory):
 @pytest.fixture(scope="session")
 def table1m():
     return PrimeTable.build(10**6)
+
+
+@pytest.fixture(scope="session")
+def champion_list():
+    """g(n) for every n <= 151000 from the merge-and-prune list, built once
+    for the tests that read it below 10^5 and in [150001, 151000]."""
+    return g_list_merge_prune(151000)
 
 
 @pytest.fixture

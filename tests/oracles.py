@@ -22,7 +22,11 @@ the same segmented sieve over every number, odd and even, with each segment's
 first multiple found by a division.  `e2_table_heap` is the reference for
 `landau.superchampion.build_e2_table`: the per-prime slope streams merged
 through a heap of mpf slopes, each event's prime found by an exponential and
-binary search of guarded probes.
+binary search of guarded probes.  `xj_thresholds` is the reference for
+the champion's runs in `landau.superchampion.find_context`: every x_j as an
+mpf Newton root, exact at the slope's own j, and `threshold_champion`
+builds the champion whose run j ends below x_j; `run_ends` reads a
+champion's run ends back.
 
 `h_window_steps` is the reference for `landau.gfunction._Window.extend`: the
 window recursion H(j, P_r; m) over breakpoint lists of linked prime chains,
@@ -63,7 +67,7 @@ from landau.errors import (
 from landau.gfunction import _UptoEntry, _Window, g_ceiling, g_floor
 from landau.oracle import _pmax
 from landau.primes import _simple_sieve
-from landau.superchampion import E2Entry
+from landau.superchampion import Champion, E2Entry, _solve_x1, newton_from_above
 
 DP_MAX_N = 2_000_000
 BRUTE_MAX_N = 64
@@ -242,6 +246,78 @@ def _ratio_below(p, r, rf):
     q = p / math.log(p)
     return arith.guarded_sign(q - rf, arith.rounding_error(q + rf, 6),
                               lambda: mpf(p) / mp.log(p) - r) < 0
+
+
+class Threshold:
+    """One x_j: a 30-digit value plus, when the slope is the defining event
+    for this j, the exact integer root."""
+
+    __slots__ = ("value", "exact")
+
+    def __init__(self, value, exact=None):
+        self.value = value
+        self.exact = exact
+
+    def greater_than_int(self, p):
+        """x_j > p with the exact root honoured."""
+        if self.exact is not None:
+            return self.exact > p
+        return self.value > p
+
+
+def _solve_xj(rho, j, hi):
+    """Root x_j > 1 of x^j - x^{j-1} - rho*log x, convex on x > 1.
+
+    Newton starts at the lower of hi = x_{j-1} and y = (rho*log hi)^(1/j) + 1.
+    Both lie at or above x_j with the function >= 0 there: x^{j-1}(x - 1)
+    increases on x > 1, and y^{j-1}(y - 1) >= (y - 1)^j = rho*log hi, which
+    is at least rho*log x_j, and at least rho*log y when y <= hi."""
+    rv = rho.value
+
+    def f(x):
+        return (x**j - x ** (j - 1) - rv * mp.log(x),
+                j * x ** (j - 1) - (j - 1) * x ** (j - 2) - rv / x)
+
+    return newton_from_above(f, min(mpf(hi), mp.root(rv * mp.log(hi), j) + 1))
+
+
+def xj_thresholds(rho):
+    """All thresholds x_1 > x_2 > ... > 2, highest precision, exact where the
+    slope is the defining event."""
+    if rho.value < mpf(5) / log_int(5) * (1 - mpf(10) ** (-25)):
+        raise ValueError("slope below 5/log 5 is out of range")
+    xs = []
+    if rho.j == 1:
+        xs.append(Threshold(mpf(rho.q), exact=rho.q))
+    else:
+        xs.append(Threshold(_solve_x1(rho)))
+    j = 2
+    while True:
+        if rho.j == j:
+            x = Threshold(mpf(rho.q), exact=rho.q)
+        else:
+            x = Threshold(_solve_xj(rho, j, xs[-1].value))
+            resid = abs((x.value**j - x.value ** (j - 1)) / mp.log(x.value) - rho.value)
+            if resid > mpf(10) ** (-20) * rho.value:
+                raise InvariantViolation("threshold root residual too large at j=%d" % j)
+        if not x.greater_than_int(2):
+            break
+        xs.append(x)
+        j += 1
+    return xs
+
+
+def threshold_champion(table, xs):
+    """The champion whose run j ends at the last prime below x_j."""
+    return Champion(table, [table.count_upto(x.exact - 1) if x.exact is not None
+                            else table.count_upto(int(mp.floor(x.value))) for x in xs])
+
+
+def run_ends(champion):
+    """The run ends a Champion is built from: for each j from 1 to the top
+    exponent, the number of primes of exponent at least j."""
+    top = champion.runs[0][0]
+    return [max(hi for e, _, hi in champion.runs if e >= j) for j in range(1, top + 1)]
 
 
 def ben(delta, tables):

@@ -38,16 +38,11 @@ def solver1e5():
     return Solver(limit_hint=10**5)
 
 
-@pytest.fixture(scope="module")
-def oracle1e5():
-    return g_list_merge_prune(10**5)
-
-
-def test_criterion_1_oracle_equivalence(solver1e5, oracle1e5):
+def test_criterion_1_oracle_equivalence(solver1e5, champion_list):
     """Solver.compute(n) == list-oracle g(n) for every n in [7, 1e5], exactly."""
     for n in range(7, 10**5 + 1):
         got = solver1e5.compute(n)
-        want = oracle1e5.query(n)
+        want = champion_list.query(n)
         assert got.to_int() == want, "mismatch at n=%d" % n
     print("PASS criterion 1: oracle equivalence on [7, 1e5]")
 

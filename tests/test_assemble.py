@@ -23,11 +23,6 @@ def solver():
     return Solver(limit_hint=2 * 10**6)
 
 
-@pytest.fixture(scope="module")
-def lst_1e5():
-    return g_list_merge_prune(10**5)
-
-
 def test_matches_oracle_to_3000(solver):
     lst = g_list_merge_prune(3000)
     for n in range(3000):
@@ -302,11 +297,11 @@ def test_precision_change_rebuilds_contexts():
         set_precision(DEFAULT_PRECISION)
 
 
-def test_forced_exact_matches_oracle(forced_exact, lst_1e5):
+def test_forced_exact_matches_oracle(forced_exact, champion_list):
     # every fast comparison decided by its exact fallback
     solver = Solver(limit_hint=2 * 10**6)
     for n in range(99800, 10**5 + 1):
-        assert solver.compute(n).to_int() == lst_1e5.query(n)
+        assert solver.compute(n).to_int() == champion_list.query(n)
     assert solver.compute(10**6).correction.factors == ((43, 1), (3847, -1), (3947, 1))
     for n in range(998500, 998600):  # 61 of these n have 2 or 3 candidates
         _check_survivors_exactly(solver.compute(n))
@@ -362,7 +357,7 @@ def test_float_paths_choose_what_the_exact_paths_choose(float_choices, forced_ex
     assert _choices() == choices
 
 
-def test_g_cache_stays_within_its_cap(monkeypatch, lst_1e5):
+def test_g_cache_stays_within_its_cap(monkeypatch, champion_list):
     # n spread over [10^4, 10^5) read more per-prime G tables than the cache
     # keeps; the evicted ones are rebuilt and every answer stays the oracle's
     from landau import gfunction
@@ -378,7 +373,7 @@ def test_g_cache_stays_within_its_cap(monkeypatch, lst_1e5):
     solver = Solver(limit_hint=10**5)
     rng = random.Random(5)
     for n in (rng.randrange(10**4, 10**5) for _ in range(300)):
-        assert solver.compute(n).to_int() == lst_1e5.query(n)
+        assert solver.compute(n).to_int() == champion_list.query(n)
         assert len(solver.engine._upto) <= gfunction.UPTO_ENTRIES
     assert len(built) > gfunction.UPTO_ENTRIES
 
@@ -388,7 +383,7 @@ def _outcome(res):
             [(c.Pi, c.m_suffix, c.lower, c.upper) for c in res.survivors])
 
 
-def test_results_do_not_depend_on_call_history(lst_1e5):
+def test_results_do_not_depend_on_call_history(champion_list):
     # n out of order through one Solver: far more brackets and per-prime G
     # tables than its caches keep, so both evict; each answer equals the
     # oracle's, and a fresh Solver's candidates and evaluations
@@ -397,7 +392,7 @@ def test_results_do_not_depend_on_call_history(lst_1e5):
     solver = Solver()
     for i, n in enumerate(ns):
         res = solver.compute(n)
-        assert res.to_int() == lst_1e5.query(n), n
+        assert res.to_int() == champion_list.query(n), n
         if i % 8 == 0:
             assert _outcome(res) == _outcome(Solver().compute(n)), n
 
@@ -648,14 +643,13 @@ def test_largest_prime_inside_the_guard_goes_exact(monkeypatch):
     assert check(c * (1 - 1e-9)) == (False, 0)
 
 
-def test_warm_sweep_keeps_one_candidate_set_per_rung():
+def test_warm_sweep_keeps_one_candidate_set_per_rung(champion_list):
     # restarts build D(B') at the rung of the ladder above their own B;
     # the first-round set and the rung sets are stored for the rest of the
     # bracket, at most one per rung below B1
     solver = Solver(limit_hint=151000)
-    lst = g_list_merge_prune(151000)
     for n in range(150001, 151001):
-        assert solver.compute(n).to_int() == lst.query(n)
+        assert solver.compute(n).to_int() == champion_list.query(n)
     assert solver._ctx_cache
     for tables in solver._ctx_cache:
         ctx = tables.ctx

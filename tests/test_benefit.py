@@ -29,6 +29,7 @@ from oracles import (
     g_table_dp,
     members,
     prefix_sets_mpf,
+    run_ends,
 )
 
 
@@ -531,13 +532,14 @@ def test_walk_to_the_last_prime_raises_capacity_error(ctx1e6, tables1e6):
               for dell in d_set.dell.tolist() if n - ctx.ellN - dell >= 0)
     short = PrimeTable.build(ctx.table.prime(end))
     assert len(short) == end
-    cut = replace(ctx, N=Champion(short, ctx.xs))
+    cut = replace(ctx, N=Champion(short, run_ends(ctx.N)))
     with pytest.raises(CapacityError):
         estimate_B(cut, d_set, n, BenefitTables(cut))
     with pytest.raises(CapacityError):
         normalized_candidates(cut, res, d_set, n, BenefitTables(cut))
     # one prime more and both walks fit
-    longer = replace(ctx, N=Champion(PrimeTable.build(ctx.table.prime(end + 1)), ctx.xs))
+    longer = replace(ctx, N=Champion(PrimeTable.build(ctx.table.prime(end + 1)),
+                                      run_ends(ctx.N)))
     longer_tables = BenefitTables(longer)
     assert estimate_B(longer, d_set, n, longer_tables).B == estimate_B(ctx, d_set, n, tables1e6).B
     assert len(normalized_candidates(longer, res, d_set, n, longer_tables)) == len(

@@ -12,15 +12,16 @@ from landau.oracle import g_list_merge_prune
 from landau.primes import PrimeTable, auto_limit
 from landau.superchampion import (
     Rho,
-    Champion,
+    _run_ends,
+    _solve_x1,
+    _solve_x2,
     b1,
     build_e2_table,
     find_context,
-    xj_thresholds,
 )
 
 from conftest import extended
-from oracles import e2_table_heap
+from oracles import e2_table_heap, run_ends, threshold_champion, xj_thresholds
 
 COLD_N = 103613071095758  # an n of the cold benchmark workload
 
@@ -86,10 +87,11 @@ def test_champion_bracket_invariants(table1m, e2_1e5):
 
 def _alpha_matches_thresholds(ctx):
     """Every prime up to the first past x_1 has the exponent the threshold
-    formula gives: the number of x_j above it."""
+    formula gives: the number of the reference's x_j above it."""
     t = ctx.N.table
+    xs = xj_thresholds(ctx.rho)
     for p in t.primes[: ctx.k + 1].tolist():
-        assert ctx.N.alpha(p) == sum(x.greater_than_int(p) for x in ctx.xs), p
+        assert ctx.N.alpha(p) == sum(x.greater_than_int(p) for x in xs), p
 
 
 def test_alpha_matches_thresholds_at_scale(table1m):
@@ -110,7 +112,7 @@ def test_xj_thresholds():
     assert xs[1].value > 2
     xs = xj_thresholds(Rho(7, 1))
     assert xs[0].exact == 7
-    N = Champion(PrimeTable.build(100), xs)
+    N = threshold_champion(PrimeTable.build(100), xs)
     assert N.to_int() == 60  # the champion just below the slope 7/log 7
     with pytest.raises(ValueError):
         xj_thresholds(Rho(3, 1))
@@ -225,9 +227,10 @@ CRITERION_CHAMPIONS = {
 
 
 def test_thresholds_newton_from_above(monkeypatch):
-    # x_1 starts at 2 rho log rho and each x_j at or below x_{j-1}; every
-    # root takes at most 10 logs (the bisection it replaced took over 80),
-    # and the champions at the criterion points stay
+    # x_1 starts at 2 rho log rho and x_2 at or below x_1; every root takes
+    # at most 10 logs (the bisection it replaced took over 80), a context
+    # solves x_1 and x_2 alone, each unless it is the slope's own prime, and
+    # the champions at the criterion points stay
     from landau import superchampion
 
     log, solve = type(mp).log, superchampion.newton_from_above
@@ -248,8 +251,104 @@ def test_thresholds_newton_from_above(monkeypatch):
     monkeypatch.setattr(type(mp), "log", counting_log)
     monkeypatch.setattr(superchampion, "newton_from_above", counted)
     for n, render in CRITERION_CHAMPIONS.items():
-        assert find_context(n, table, e2).N.render() == render
-    assert len(per_root) >= 3 * 9 and max(per_root) <= 10
+        before = len(per_root)
+        ctx = find_context(n, table, e2)
+        assert ctx.N.render() == render
+        assert len(per_root) - before == (ctx.rho.j != 1) + (ctx.rho.j != 2)
+    assert max(per_root) <= 10
+
+
+def _matches_reference(ctx):
+    """ctx's runs are those of the champion whose run j ends below the
+    reference's x_j, and x1, x2, B1 and sqrt_x1 are the reference's roots."""
+    xs = xj_thresholds(ctx.rho)
+    assert ctx.N.runs == threshold_champion(ctx.table, xs).runs, ctx.rho
+    x1, x2 = xs[0].value, xs[1].value
+    assert (ctx.x1, ctx.x2, ctx.B1, ctx.sqrt_x1) == (x1, x2, b1(x1, x2), mp.sqrt(x1)), ctx.rho
+
+
+def _event_slope_n(e2):
+    """For each event but the first, the n whose context has the event's
+    slope: the cost of the champion just below it.  The first slope,
+    (2^2 - 2)/log 2, is below 5/log 5."""
+    return [e.ell - (e.q**e.j - e.q ** (e.j - 1)) for e in e2[1:]]
+
+
+def _matches_reference_at_event_slopes(e2, table):
+    for e, n in zip(e2[1:], _event_slope_n(e2)):
+        ctx = find_context(n, table, e2)
+        assert (ctx.rho.q, ctx.rho.j) == (e.q, e.j)
+        _matches_reference(ctx)
+
+
+def _seeded_n(count):
+    rng = random.Random(21)
+    return [int(10 ** rng.uniform(3, 12)) for _ in range(count)]
+
+
+def test_runs_match_the_reference_at_event_slopes(table1m, e2_1e9):
+    _matches_reference_at_event_slopes(e2_1e9, table1m)
+
+
+def test_runs_match_the_reference_on_seeded_n(tables_by_scale, e2_1e12):
+    table = tables_by_scale[10**12]
+    for n in _seeded_n(200):
+        _matches_reference(find_context(n, table, e2_1e12))
+
+
+def test_runs_match_the_reference_under_forced_exact(tables_by_scale, e2_1e12, table1m, e2_1e9,
+                                                      forced_exact, monkeypatch):
+    # with no float slope trusted, every slope test of j >= 3 is settled in
+    # mpf; each context makes one but the event (2, 3), whose run 3 is its own
+    calls = []
+    probe = superchampion._slope_below
+    monkeypatch.setattr(superchampion, "_slope_below",
+                        lambda *a: calls.append(a) or probe(*a))
+    went = {}
+    cases = [(n, tables_by_scale[10**12], e2_1e12) for n in _seeded_n(200)[::10]]
+    cases += [(n, table1m, e2_1e9) for n in _event_slope_n(e2_1e9[:40])]
+    for n, table, e2 in cases:
+        before = len(calls)
+        ctx = find_context(n, table, e2)
+        went[ctx.rho.q, ctx.rho.j] = len(calls) > before
+        _matches_reference(ctx)
+    assert len(went) == 20 + 39
+    assert [rho for rho, mpf_ran in went.items() if not mpf_ran] == [(2, 3)]
+
+
+def _planted(value):
+    """A slope of the given value that is no event: no run ends at a prime
+    of its own."""
+    rho = Rho(2, 0)
+    rho._value = value
+    return rho
+
+
+@pytest.mark.parametrize("side", [1, -1])
+def test_slope_test_settles_a_planted_near_tie(table1m, monkeypatch, side):
+    # rho within 2^-60 of 59's slope at j = 3, (59^3 - 59^2)/log 59, far
+    # inside the float test's rounding bound: the mpf test decides, and 59
+    # has exponent 3 exactly when rho lies above its slope
+    calls = []
+    probe = superchampion._slope_below
+    monkeypatch.setattr(superchampion, "_slope_below",
+                        lambda *a: calls.append(a[0]) or probe(*a))
+    rho = _planted(mpf(59**3 - 59**2) / mp.log(59) * (1 + side * mpf(2) ** -60))
+    x1 = _solve_x1(rho)
+    ends = _run_ends(table1m, rho, x1, _solve_x2(rho, x1))
+    assert 59 in calls
+    assert ends[2] == table1m.rank(59) - (side < 0)
+    assert ends == run_ends(threshold_champion(table1m, xj_thresholds(rho)))
+
+
+@pytest.fixture(scope="module")
+def e2_1e9(table1m):
+    return build_e2_table(10**9, table1m)
+
+
+@pytest.fixture(scope="module")
+def e2_1e12(tables_by_scale):
+    return build_e2_table(10**12, tables_by_scale[10**12])
 
 
 @pytest.fixture(scope="module")
@@ -317,3 +416,11 @@ def test_event_table_matches_the_heap_merge_1e15():
     table = PrimeTable.build(auto_limit(10**15))
     e2 = build_e2_table(10**15, table)
     assert len(e2) == 1339 and e2 == e2_table_heap(10**15, table)
+
+
+@extended
+def test_runs_match_the_reference_at_event_slopes_1e15():
+    table = PrimeTable.build(auto_limit(10**15))
+    e2 = build_e2_table(10**15, table)
+    assert len(e2) == 1339
+    _matches_reference_at_event_slopes(e2, table)
