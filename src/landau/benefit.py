@@ -9,10 +9,14 @@ cheaper cost) are pruned by the champion-list oracle's rule,
 oracle.undominated.
 
 D(B') is built on float64 arrays, one prime layer at a time.  A member
-of a layer is a row: its factor tuple (the only Python object), its dell as
-int64, and running float sums of its ben and of its log, each with the sum
-of its terms' absolute values; with the member's factor count these bound
-the sums' rounding errors (arith's docstring derives the bounds).  The float
+of a layer is a column: its dell as int64, and running float sums of its
+ben and of its log, each with the sum of its terms' absolute values; with
+the member's factor count these bound the sums' rounding errors (arith's
+docstring derives the bounds).  Its factor tuple is the only Python object.
+A layer forms its new members' numeric columns (the parent and gamma, dell,
+ben, log, their sizes and the count) first, sorts and prunes them, and
+only then makes factor tuples, for the new members that survived; the
+sort's exact key builds a tuple on demand for the rare close run.  The float
 benp(p, gamma) is the exact dell_pp less float(rho)*gamma*log p, tabulated
 per context in BenefitTables.  A (member, gamma) pair is admitted or
 refused by the float excess ben + benp - B' beyond arith.rounding_error;
@@ -42,6 +46,26 @@ in either direction.  The build does not rest on this: should a member still be
 admitted at a list's last gamma, the list grows by one gamma and the layer
 is tested again.
 
+Which primes a build visits.  The exact loop tries every prime below
+sqrt(x1).  A layer passes to the pair test only the members whose float ben
+is at most the row bound b_f - c + s, c the least float cost of the first
+steps benp(p, -1) and benp(p, 1) and s twice the pair bound at the build's
+largest ben size and factor count so far; a member it drops extends by no
+gamma of p.  BenefitTables holds c and the first steps' largest size per
+small prime as arrays, bit for bit as _float_benp forms them.  So p extends
+nothing when the least float ben of the layer exceeds the bound.  The empty
+member is in every layer with ben exactly 0.0: a fraction above 1 has
+dell > 0, as its ben >= 0, and so cannot dominate it.  The test reads the
+build's state only through that least ben, the largest size and the largest
+count, and as rounding to nearest is monotone it passes for more primes as
+the size and count grow and as the least ben falls.  A build runs its layers
+over the primes that pass at the empty set's state, each still filtered row
+by row, and then tests every prime at the state it ended in, with the least
+ben over every member it made.  A prime it skipped that fails there failed
+at each state the build passed through, so the exact loop skips it too;
+should a skipped prime pass, the build runs again over both.  Under
+arith.rounding_error = inf every prime passes at once.
+
 bound_loop's budget ladder.  A restart's budget B is rounded up to the
 least rung rho*2^(i/4) at or above it that lies below B1 (where there is
 none, the budget stays B), and each rung's D(R) is kept in
@@ -62,6 +86,7 @@ its partial prefixes have ben <= B too, as benp >= 0.
 """
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -106,36 +131,36 @@ class PrefixSet:
 class GammaColumns:
     """benp(p, gamma) in float for gamma = -1, -2, ... and then 1, 2, ...:
     the columns a layer of D(B') tests, negative gammas first.  cost is the
-    exact dell_pp less float(rho)*gamma*log p, size the sum of its terms'
-    absolute values, glog gamma*log p."""
+    exact dell_pp less float(rho)*gamma*log p and size the sum of its terms'
+    absolute values.  What a member gains by the gamma: steps stacks cost,
+    size, gamma*log p and its absolute value, counts dell_pp, one factor
+    and a zero (a new member keeps its parent's tuple index)."""
 
-    __slots__ = ("_f", "_i", "n_neg")
+    __slots__ = ("steps", "counts", "gammas", "n_neg")
 
     def __init__(self, neg, pos):
-        # entries (gamma, cost, size, dell_pp, glog) by |gamma|; two arrays
-        # hold them, as a context keeps the columns of every small prime
+        # entries (gamma, cost, size, dell_pp, glog) by |gamma|; arrays hold
+        # them, as a context keeps the columns of every small prime
         rows = neg + pos
-        self._f = np.array([(e[1], e[2], e[4]) for e in rows]).T.copy()
-        self._i = np.array([(e[0], e[3]) for e in rows], dtype=np.int64).T.copy()
+        self.steps = np.array([(e[1], e[2], e[4], abs(e[4])) for e in rows]).T.copy()
+        self.counts = np.array([(e[3], 1, 0) for e in rows], dtype=np.int64).T.copy()
+        self.gammas = [e[0] for e in rows]
         self.n_neg = len(neg)
 
-    cost = property(lambda self: self._f[0])
-    size = property(lambda self: self._f[1])
-    glog = property(lambda self: self._f[2])
-    gammas = property(lambda self: self._i[0])
-    dell = property(lambda self: self._i[1])
+    cost = property(lambda self: self.steps[0])
+    size = property(lambda self: self.steps[1])
 
     def lengths(self):
-        return self.n_neg, len(self._i[0]) - self.n_neg
+        return self.n_neg, len(self.gammas) - self.n_neg
 
     def open_ends(self, ok, alpha):
         """Directions, as signs, whose last gamma ok admits for some row and
         that may go on: gamma = -alpha ends the negative one."""
         n_neg, n_pos = self.lengths()
         out = []
-        if 0 < n_neg < alpha and ok[:, n_neg - 1].any():
+        if 0 < n_neg < alpha and ok[n_neg - 1].any():
             out.append(-1)
-        if n_pos and ok[:, -1].any():
+        if n_pos and ok[-1].any():
             out.append(1)
         return out
 
@@ -145,21 +170,56 @@ class BenefitTables:
     float, the prefix sums of single-prime
     benefits along the walk above/below p_k, and the candidate sets D(B')
     built for a first-round budget or a rung of bound_loop's ladder, by
-    budget."""
+    budget.
+
+    The small primes, those below sqrt(x1), are a slice of the table, and
+    alpha holds their exponents in N.  first_cost and first_size hold, per
+    small prime, the least float cost and the largest size of benp(p, -1)
+    and benp(p, 1), bit for bit as _float_benp forms them: a member whose
+    ben leaves less than that cost extends by no gamma of p (N holds every
+    prime below sqrt(x1), so -1 is open)."""
 
     def __init__(self, ctx):
         self.ctx = ctx
-        t = ctx.table
-        self.sp_count = t.count_upto(int(mp.floor(ctx.sqrt_x1)))
-        self.sp_primes = [t.prime(i) for i in range(1, self.sp_count + 1)]
-        self.alphas = {p: ctx.N.alpha(p) for p in self.sp_primes}
+        self.sp_count = ctx.table.count_upto(int(mp.floor(ctx.sqrt_x1)))
+        self.primes = ctx.table.primes[: self.sp_count]
+        self._sp = self.primes.tolist()  # for _alpha's bisect
+        runs = ctx.N.runs  # by index from 1, so each run cut at sp_count
+        self.alpha = np.repeat([j for j, _, _ in runs],
+                               [max(0, min(hi, self.sp_count) - lo + 1) for _, lo, hi in runs])
         self._benp = {}
         self._gamma = {}       # p -> [GammaColumns, the largest budget both lists cover]
         self._rho_f = float(ctx.rho.value)
+        self.first_cost, self.first_size = self._first_steps()
         self._up = [mpf(0)]    # partial sums of ben(N p_{k+i}), i = 1..
         self._down = [mpf(0)]  # partial sums of ben(N / p_{k-i}), i = 0..
         self._up_f = self._down_f = np.zeros(1)  # their float copies
         self.dsets = {}
+
+    def _first_steps(self):
+        # dell_pp(p, alpha, +-1) in int64: p^alpha - p^(alpha-1) < rho log p
+        # < x1 for alpha >= 2, so p^(alpha+1) < 2*x1^1.5, exact in a float
+        # up to x1 ~ 10^10; the float terms are _float_benp's, op for op
+        p, a = self.primes, self.alpha
+        pa = p**a
+        up = pa * (p - 1)
+        down = np.where(a > 1, pa // p, 0) - pa  # l(p^0) is 0, not 1
+        r = self._rho_f * np.fromiter(map(math.log, self._sp), float, len(p))
+        cost_up, size_up = up - r, np.abs(up) + np.abs(r)
+        rho = self.ctx.rho
+        if rho.is_power_event:
+            zero = p == rho.q
+            cost_up[zero] = size_up[zero] = 0.0  # as in benp
+        r = -r  # float(rho)*(-log p)
+        cost_down, size_down = down - r, np.abs(down) + np.abs(r)
+        return np.minimum(cost_up, cost_down), np.maximum(size_up, size_down)
+
+    def _alpha(self, p):
+        """Exponent in N of the small prime p."""
+        i = bisect_left(self._sp, p)
+        if i == self.sp_count or self._sp[i] != p:
+            raise ValueError("%d is not a prime below sqrt(x1)" % p)
+        return int(self.alpha[i])
 
     def benp(self, p, gamma):
         """ben restricted to one prime p < sqrt(x1): change its exponent in N
@@ -167,7 +227,7 @@ class BenefitTables:
         key = (p, gamma)
         v = self._benp.get(key)
         if v is None:
-            alpha = self.alphas[p]
+            alpha = self._alpha(p)
             if gamma < -alpha:
                 raise ValueError("exponent of %d cannot drop below -%d" % (p, alpha))
             rho = self.ctx.rho
@@ -194,20 +254,14 @@ class BenefitTables:
         if entry is not None and b_f <= entry[1]:
             return entry[0]
         neg, pos = self._entries(p, entry)
-        while len(neg) < self.alphas[p] and not (neg and self._over(p, neg[-1], b_prime, b_f)):
+        alpha = self._alpha(p)
+        while len(neg) < alpha and not (neg and self._over(p, neg[-1], b_prime, b_f)):
             neg.append(self._float_benp(p, -len(neg) - 1))
         while not (pos and self._over(p, pos[-1], b_prime, b_f)):
             pos.append(self._float_benp(p, len(pos) + 1))
         cols = GammaColumns(neg, pos)
         self._gamma[p] = [cols, b_f]
         return cols
-
-    def first_step(self, p):
-        """The least float cost and the largest size of benp(p, -1) and
-        benp(p, 1): a member whose ben leaves less than that cost extends by
-        no gamma of p (N holds every prime below sqrt(x1), so -1 is open)."""
-        ends = [self._float_benp(p, g) for g in (-1, 1)]
-        return min(e[1] for e in ends), max(e[2] for e in ends)
 
     def grow_gamma_columns(self, p, signs):
         """p's columns with one more gamma in each direction of signs."""
@@ -232,7 +286,7 @@ class BenefitTables:
 
     def _float_benp(self, p, gamma):
         """(gamma, cost, size, dell_pp, gamma*log p) for benp(p, gamma)."""
-        d = dell_pp(p, self.alphas[p], gamma)
+        d = dell_pp(p, self._alpha(p), gamma)
         glog = gamma * math.log(p)
         rho = self.ctx.rho
         if gamma == 1 and rho.is_power_event and p == rho.q:
@@ -280,6 +334,11 @@ def build_prefix_sets(ctx, b_prime, tables):
     """The candidate set D(B'): all undominated prefix fractions with benefit
     at most B', built one prime at a time with pruning at each step, as a
     PrefixSet: the last layer's arrays, one row per member.
+
+    The layers run over the small primes whose row bound the least float
+    ben of the build can meet: at the empty set's state first, then at the
+    state the build ended in, until that adds no prime (the module
+    docstring).
     """
     if b_prime >= ctx.B1:
         raise BoundFailureError(
@@ -288,74 +347,111 @@ def build_prefix_sets(ctx, b_prime, tables):
     if b_prime < 0:
         raise ValueError("budget must be non-negative")
     b_f = float(b_prime)
-    d = PrefixSet(np.fromiter([()], dtype=object, count=1), np.zeros(1, dtype=np.int64),
-                  np.zeros(1), np.zeros(1), np.zeros(1, dtype=np.int64))
-    log_f, log_size = np.zeros(1), np.zeros(1)  # running float logs, size of their terms
-    ben_size_max = log_size_max = 0.0
+    d, visit = None, np.zeros(tables.sp_count, dtype=bool)
+    ben_min, size_max, nf_max = 0.0, 0.0, 0  # the empty set's
+    while True:
+        more = (ben_min <= _row_bound(tables, b_f, size_max, nf_max)) & ~visit
+        if d is not None and not more.any():
+            return d
+        visit |= more
+        d, (ben_min, size_max, nf_max) = _layers(b_prime, b_f, tables, np.flatnonzero(visit))
+
+
+def _row_bound(tables, b_f, size_max, nf_max, i=slice(None)):
+    """The float ben above which a member extends by no gamma of the small
+    primes i, for a build's largest ben size and factor count so far: twice
+    the pair bound covers the roundings of this filter.  It does not fall as
+    they grow, since rounding to nearest is monotone."""
+    slack = 2 * arith.rounding_error(size_max + tables.first_size[i] + b_f, nf_max + 9)
+    return b_f - tables.first_cost[i] + slack
+
+
+def _layers(b_prime, b_f, tables, visit):
+    """The layers of D(B') over the small primes of index visit: the last
+    layer's PrefixSet, and the build's state (ben_min, size_max, nf_max):
+    the least float ben, the largest ben size and the largest factor count
+    of every member it made.
+
+    A layer's members are the columns of two arrays: run holds the running
+    float ben, its size, the running float log and its size, and ints the
+    dell, the factor count and the index of the factor tuple in fac.  A new
+    member holds its parent's index until it survives its layer's prune;
+    then fac gains its tuple.  Columns are gathered with np.take, several
+    times faster than fancy indexing along the second axis."""
+    fac = [()]
+    run, ints = np.zeros((4, 1)), np.zeros((3, 1), dtype=np.int64)
+    ben_min = size_max = log_size_max = 0.0
     nf_max = 0
-    for p in tables.sp_primes:
-        # rows whose cheapest first step is clearly over budget extend by
-        # nothing; twice the pair bound covers the roundings of this filter
-        cost, size = tables.first_step(p)
-        slack = 2 * arith.rounding_error(ben_size_max + size + b_f, nf_max + 9)
-        rows = np.flatnonzero(d.ben <= b_f - cost + slack)
+    for i in visit.tolist():
+        rows = np.flatnonzero(run[0] <= _row_bound(tables, b_f, size_max, nf_max, i))
         if not rows.size:
             continue
+        p = int(tables.primes[i])
         cols = tables.gamma_columns(p, b_prime, b_f)
+        factors = lambda r: fac[ints[2, rows[r]]]
         while True:
-            ok = _admitted(p, cols, d.select(rows), b_prime, b_f, tables)
-            signs = cols.open_ends(ok, tables.alphas[p])
+            ok = _admitted(p, cols, np.take(run[:2], rows, axis=1), np.take(ints[1], rows),
+                           factors, b_prime, b_f, tables)
+            signs = cols.open_ends(ok, int(tables.alpha[i]))
             if not signs:
                 break
             # a member admitted at a list's last gamma: the list was cut
             # short, so grow it and test the layer again
             cols = tables.grow_gamma_columns(p, signs)
-        at, j = np.nonzero(ok)  # row-major: each parent's extensions in the exact loop's order
+        # gamma by gamma, each over its parents in order: sorted runs of logs
+        j, at = np.divmod(np.flatnonzero(ok), len(rows))
         if not at.size:
             continue
         par = rows[at]
-        m = len(d)
-        new = PrefixSet(
-            np.fromiter((d.fac[i] + ((p, g),)
-                         for i, g in zip(par.tolist(), cols.gammas[j].tolist())),
-                        dtype=object, count=len(par)),
-            d.dell[par] + cols.dell[j], d.ben[par] + cols.cost[j],
-            d.ben_size[par] + cols.size[j], d.nf[par] + 1)
-        new_log_size = log_size[par] + np.abs(cols.glog[j])
-        ben_size_max = max(ben_size_max, float(new.ben_size.max()))
-        log_size_max = max(log_size_max, float(new_log_size.max()))
-        nf_max = max(nf_max, int(new.nf.max()))
-        d = PrefixSet(*map(np.concatenate, zip(d.arrays(), new.arrays())))
-        log_f = np.concatenate((log_f, log_f[par] + cols.glog[j]))
-        log_size = np.concatenate((log_size, new_log_size))
+        m = run.shape[1]
+        new = np.take(run, par, axis=1) + np.take(cols.steps, j, axis=1)
+        new_ints = np.take(ints, par, axis=1) + np.take(cols.counts, j, axis=1)
+        ben_min = min(ben_min, float(new[0].min()))
+        _, top, _, log_top = new.max(axis=1).tolist()
+        size_max, log_size_max = max(size_max, top), max(log_size_max, log_top)
+        nf_max = max(nf_max, int(new_ints[1].max()))
+        run, ints = np.concatenate((run, new), axis=1), np.concatenate((ints, new_ints), axis=1)
+        ext = [((p, g),) for g in cols.gammas]
+        factors_of = lambda q: fac[ints[2, q]] + (ext[j[q - m]] if q >= m else ())
         # the exact loop appends each member's extensions after it
-        appended = lambda i: (i, 0) if i < m else (int(par[i - m]), 1 + int(j[i - m]))
+        appended = lambda q: (q, 0) if q < m else (int(par[q - m]), 1 + int(j[q - m]))
         order = arith.guarded_order(
-            log_f, arith.rounding_error(log_size_max, nf_max + 5),
-            lambda i: (PrimeFraction(d.fac[i]).log, appended(i)))
-        order = order[undominated(d.dell[order])]
-        d = d.select(order)
-        log_f, log_size = log_f[order], log_size[order]
-    return d
+            run[2], arith.rounding_error(log_size_max, nf_max + 5),
+            lambda q: (PrimeFraction(factors_of(q)).log, appended(q)))
+        order = order[undominated(np.take(ints[0], order))]
+        run, ints = np.take(run, order, axis=1), np.take(ints, order, axis=1)
+        fresh = np.flatnonzero(order >= m)  # the new members that survive
+        n_fac = len(fac)
+        parents, steps = ints[2, fresh].tolist(), j[order[fresh] - m].tolist()
+        fac.extend(fac[a] + ext[b] for a, b in zip(parents, steps))
+        ints[2, fresh] = np.arange(n_fac, len(fac))
+    tuples = np.fromiter(map(fac.__getitem__, ints[2].tolist()), dtype=object,
+                         count=run.shape[1])
+    # copies, so a kept set does not keep the rows it no longer reads
+    d = PrefixSet(tuples, *(a.copy() for a in (ints[0], run[0], run[1], ints[1])))
+    return d, (ben_min, size_max, nf_max)
 
 
-def _admitted(p, cols, d, b_prime, b_f, tables):
-    """Mask over d x cols, for the members d of a layer that may extend, of
-    the (member, gamma) pairs the exact loop admits: in each direction the
-    gammas before the first whose benp exceeds B' - ben.  The float excess
-    ben + benp - B' decides beyond its rounding bound, the mpf test inside
-    it."""
-    excess = d.ben[:, None] + cols.cost - b_f
-    err = arith.rounding_error(d.ben_size[:, None] + cols.size + abs(b_f), d.nf[:, None] + 9)
+def _admitted(p, cols, run, nf, factors, b_prime, b_f, tables):
+    """Mask over cols x members, for the members of a layer that may extend
+    (run holds their float bens and sizes, nf their factor counts and
+    factors(r) member r's factor tuple), of the (gamma, member) pairs the
+    exact loop admits: in each direction the gammas before the first whose
+    benp exceeds B' - ben.  The float excess ben + benp - B' decides beyond
+    its rounding bound, the mpf test inside it."""
+    excess = cols.cost[:, None] + run[0] - b_f
+    err = arith.rounding_error(cols.size[:, None] + run[1] + abs(b_f), nf + 9)
     ok = excess < -err
-    starts = (0, cols.n_neg)
-    for i, k in zip(*np.nonzero(np.abs(excess) <= err)):  # row-major: ok[i, k-1] is final
-        if k in starts or ok[i, k - 1]:
-            ben = tables.ben_of(d.fac[i])
-            ok[i, k] = not tables.benp(p, int(cols.gammas[k])) > b_prime - ben
-    n = cols.n_neg
-    ok[:, :n] = np.logical_and.accumulate(ok[:, :n], axis=1)
-    ok[:, n:] = np.logical_and.accumulate(ok[:, n:], axis=1)
+    near = np.abs(excess) <= err
+    if near.any():
+        starts = (0, cols.n_neg)
+        for k, i in zip(*np.nonzero(near)):  # gamma by gamma: ok[k-1, i] is final
+            if k in starts or ok[k - 1, i]:
+                ben = tables.ben_of(factors(i))
+                ok[k, i] = not tables.benp(p, cols.gammas[k]) > b_prime - ben
+    for k in range(1, len(ok)):  # each direction ends at its first refusal
+        if k != cols.n_neg:
+            ok[k] &= ok[k - 1]
     return ok
 
 

@@ -6,7 +6,9 @@ compute g(n) at small scale.
 `prefix_sets_mpf` is the reference for `landau.benefit.build_prefix_sets`:
 the candidate set D(B') built in mpf alone, with no float filter, as a list
 of `Prefix` records, and `ben` is ben(N*delta) for a prefix fraction delta,
-summed prime by prime.  `members` reads a `PrefixSet` as such a list.
+summed prime by prime.  Both take the primes below sqrt(x1) from the table
+(`small_primes`) and each exponent from `Champion.alpha`, not from the
+arrays a `BenefitTables` holds.  `members` reads a `PrefixSet` as such a list.
 `estimate_B_mpf` is the reference for `landau.benefit.estimate_B`: every
 candidate's witness valued in mpf, one candidate at a time.
 `bound_loop_exact` is the reference for `landau.benefit.bound_loop`: each
@@ -320,11 +322,20 @@ def run_ends(champion):
     return [max(hi for e, _, hi in champion.runs if e >= j) for j in range(1, top + 1)]
 
 
+def small_primes(ctx):
+    """The primes below sqrt(x1), read off the table one mpf comparison at a
+    time."""
+    out = []
+    while ctx.table.prime(len(out) + 1) < ctx.sqrt_x1:
+        out.append(ctx.table.prime(len(out) + 1))
+    return out
+
+
 def ben(delta, tables):
     """ben(N*delta) for a prefix fraction delta supported below sqrt(x1)."""
     total = mpf(0)
     for p, e in delta.factors:
-        if p not in tables.alphas:
+        if p >= tables.ctx.sqrt_x1:
             raise ValueError("%d is not a prefix prime (>= sqrt(x1))" % p)
         total += tables.benp(p, e)
     return total
@@ -345,8 +356,8 @@ def prefix_sets_mpf(ctx, b_prime, tables):
     """D(B') prime by prime in mpf: extend every candidate by each p^gamma
     the budget admits, sort by the mpf log, prune the dominated."""
     d_set = [Prefix(PrimeFraction.one(), mpf(0), 0)]
-    for p in tables.sp_primes:
-        alpha = tables.alphas[p]
+    for p in small_primes(ctx):
+        alpha = ctx.N.alpha(p)
         extended = []
         for cand in d_set:
             budget = b_prime - cand.ben
@@ -404,6 +415,7 @@ def estimate_B_mpf(ctx, d_set, n, tables):
     cs = ctx.table.cumulative
     k = ctx.k
     s_k = int(cs[k - 1])
+    sp_count = len(small_primes(ctx))
     best = best_parts = None
     for cand in members(d_set, tables):
         c = n - ctx.ellN - cand.dell
@@ -415,7 +427,7 @@ def estimate_B_mpf(ctx, d_set, n, tables):
             # peel p_k, p_{k-1}, ... until the cost drops below n
             idx = int(np.searchsorted(cs, s_k + c, side="left"))
             count = k - idx
-            if k - count + 1 < tables.sp_count + 1:
+            if k - count + 1 < sp_count + 1:
                 continue  # would peel primes below sqrt(x1)
             omega = -count
             s_omega = int(cs[k - count - 1]) - s_k

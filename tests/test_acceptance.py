@@ -30,7 +30,7 @@ from landau.primes import PrimeTable
 from landau.superchampion import build_e2_table, find_context
 
 from conftest import EXTENDED, extended
-from oracles import confirm_segments, g_bruteforce, g_small, g_table_dp, members
+from oracles import confirm_segments, g_bruteforce, g_small, g_table_dp, members, small_primes
 
 
 @pytest.fixture(scope="module")
@@ -375,8 +375,8 @@ def test_criterion_9_property_suite(table1m, solver1e5):
     # benefits: non-negative, additive, zero only at the champion
     ctx = find_context(10**6, table1m, build_e2_table(2 * 10**6, table1m))
     tables = BenefitTables(ctx)
-    for p in tables.sp_primes:
-        for gamma in range(-tables.alphas[p], 4):
+    for p in small_primes(ctx):
+        for gamma in range(-ctx.N.alpha(p), 4):
             assert tables.benp(p, gamma) >= 0
     d = build_prefix_sets(ctx, ctx.rho.value, tables)
     for cand in rng.sample(members(d, tables), 25):

@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -30,6 +31,7 @@ from oracles import (
     members,
     prefix_sets_mpf,
     run_ends,
+    small_primes,
 )
 
 
@@ -50,7 +52,7 @@ def test_ben_trivial(ctx1e6, tables1e6):
 
 def test_ben_additive_coprime(ctx1e6, tables1e6):
     rng = random.Random(31)
-    sp = tables1e6.sp_primes
+    sp = small_primes(ctx1e6)
     for _ in range(100):
         ps = rng.sample(sp, 4)
         d1 = PrimeFraction.from_factors({ps[0]: 1, ps[1]: -1})
@@ -68,16 +70,16 @@ def test_ben_monotone_in_prime_power(ctx1e6, tables1e6):
             assert b >= prev
             prev = b
         prev = mpf(0)
-        alpha = tables1e6.alphas[p]
+        alpha = ctx1e6.N.alpha(p)
         for gamma in range(-1, -alpha - 1, -1):
             b = tables1e6.benp(p, gamma)
             assert b >= prev
             prev = b
-    assert all(tables1e6.benp(p, 1) >= 0 for p in tables1e6.sp_primes)
+    assert all(tables1e6.benp(p, 1) >= 0 for p in small_primes(ctx1e6))
 
 
 def test_ben_rejects_deep_division(ctx1e6, tables1e6):
-    alpha = tables1e6.alphas[43]
+    alpha = ctx1e6.N.alpha(43)
     with pytest.raises(ValueError):
         tables1e6.benp(43, -alpha - 1)
     with pytest.raises(ValueError):
@@ -208,8 +210,8 @@ def test_prefix_chain_monotone(ctx1e6, tables1e6):
         fac = dp.factors(n)
         run = mpf(0)
         prev = mpf(0)
-        for p in tables.sp_primes:
-            e = fac.get(p, 0) - tables.alphas[p]
+        for p in small_primes(ctx):
+            e = fac.get(p, 0) - ctx.N.alpha(p)
             run += tables.benp(p, e)
             assert run >= prev - mpf(10) ** (-mp.dps + 6)
             prev = run
@@ -382,7 +384,7 @@ def test_witness_inside_the_guard_goes_exact(ctx1e6, tables1e6):
     n = 10**6
     d = build_prefix_sets(ctx1e6, initial_budget(ctx1e6, n), tables1e6)
     want = estimate_B_mpf(ctx1e6, d, n, tables1e6)
-    small = tuple(f for f in want.witness.factors if f[0] in tables1e6.alphas)
+    small = tuple(f for f in want.witness.factors if f[0] < ctx1e6.sqrt_x1)
     fac = d.fac.tolist()
     win = fac.index(small)
     # the clone is another member given the winner's dell, size and count
@@ -428,6 +430,88 @@ def test_prefix_sets_exact_fallbacks_match_mpf(ctx1e9, forced_exact):
     # every candidate runs the exact loop and every layer the mpf sort
     ctx, tables = ctx1e9
     assert len(_same_as_mpf_reference(ctx, ctx.rho.value, tables)) == 194
+
+
+def test_small_prime_arrays_match_the_champion(ctx1e6, ctx1e9, table1m):
+    # the per-context arrays against the champion read prime by prime: the
+    # primes below sqrt(x1), Champion.alpha at each, and the first steps
+    # bit for bit as _float_benp forms them, at a power-event slope too
+    e2 = build_e2_table(10**9, table1m)
+    power = next(c for c in (find_context(e.ell, table1m, e2) for e in e2[1:] if e.j >= 2)
+                 if c.rho.j >= 2)
+    assert power.rho.q in small_primes(power)  # its zero-cost step is a first step
+    for ctx in (ctx1e6, ctx1e9[0], _context(10**12)[0], power):
+        tables = BenefitTables(ctx)
+        ps = small_primes(ctx)
+        assert tables.primes.tolist() == ps
+        assert tables.alpha.tolist() == [ctx.N.alpha(p) for p in ps]
+        steps = [(tables._float_benp(p, -1), tables._float_benp(p, 1)) for p in ps]
+        assert tables.first_cost.tolist() == [min(a[1], b[1]) for a, b in steps]
+        assert tables.first_size.tolist() == [max(a[2], b[2]) for a, b in steps]
+
+
+@pytest.fixture
+def visits(monkeypatch):
+    """The small-prime indices that each pass of build_prefix_sets visits,
+    one list per pass, for the builds that follow."""
+    out = []
+    layers = benefit._layers
+    monkeypatch.setattr(benefit, "_layers", lambda b_prime, b_f, tables, visit: (
+        out.append(visit.tolist()) or layers(b_prime, b_f, tables, visit)))
+    return out
+
+
+def _nudged(x, k):
+    """The float k ulps from float(x), upward for k > 0, as an mpf."""
+    y = float(x)
+    for _ in range(abs(k)):
+        y = math.nextafter(y, math.copysign(math.inf, k))
+    return mpf(y)
+
+
+# (context, prime) whose first step is the budget: the cheapest at 10^6, a
+# middle one, and at 10^9 the prime 2 and a prime where 1024 ulps below
+# the step the first pass misses a prime the build's final state reaches
+EDGE_PLANTS = (("1e6", 43), ("1e6", 31), ("1e9", 2), ("1e9", 17))
+
+
+def _edge_builds(ctx1e6, ctx1e9, visits, offsets):
+    """Build D(B') with B' at each plant's mpf first step and the given
+    float offsets from it, against the mpf reference; the prime is visited
+    whenever that step is at most B'.  Returns the pass count of each
+    build."""
+    contexts = {"1e6": ctx1e6, "1e9": ctx1e9[0]}
+    passes = []
+    for name, p in EDGE_PLANTS:
+        ctx = contexts[name]
+        tables = BenefitTables(ctx)
+        i = small_primes(ctx).index(p)
+        step = min(tables.benp(p, -1), tables.benp(p, 1))
+        for k in offsets:
+            b = step if k is None else _nudged(step, k)
+            visits.clear()
+            _same_as_mpf_reference(ctx, b, tables)
+            if step <= b:
+                assert i in visits[-1], (name, p, k)
+            assert set(visits[0]) <= set(visits[-1])
+            passes.append(len(visits))
+    return passes
+
+
+def test_prefix_sets_at_a_first_step_budget(ctx1e6, ctx1e9, visits):
+    passes = _edge_builds(ctx1e6, ctx1e9, visits, (None, 0, 1, -1, 2, -2, 3, -3, -1024))
+    # one build's final state reached a prime its first pass skipped
+    assert max(passes) == 2
+
+
+def test_prefix_sets_at_a_first_step_budget_exact(ctx1e6, ctx1e9, visits, forced_exact):
+    assert set(_edge_builds(ctx1e6, ctx1e9, visits, (None, 1, -1, -1024))) == {1}
+
+
+def test_every_small_prime_visited_under_forced_exact(ctx1e9, visits, forced_exact):
+    ctx, tables = ctx1e9
+    build_prefix_sets(ctx, ctx.rho.value, tables)
+    assert visits == [list(range(tables.sp_count))]
 
 
 def test_t1_newton_from_x1(ctx1e6, monkeypatch):

@@ -87,11 +87,27 @@ def test_champion_bracket_invariants(table1m, e2_1e5):
 
 def _alpha_matches_thresholds(ctx):
     """Every prime up to the first past x_1 has the exponent the threshold
-    formula gives: the number of the reference's x_j above it."""
+    formula gives: the number of the reference's x_j above it.  Each x_j is
+    read once, as the number of primes below it."""
     t = ctx.N.table
-    xs = xj_thresholds(ctx.rho)
-    for p in t.primes[: ctx.k + 1].tolist():
-        assert ctx.N.alpha(p) == sum(x.greater_than_int(p) for x in xs), p
+    primes = t.primes[: ctx.k + 1].tolist()
+    want = [0] * len(primes)
+    for x in xj_thresholds(ctx.rho):
+        for i in range(min(_primes_below(t, x), len(primes))):
+            want[i] += 1
+    got = [ctx.N.alpha(p) for p in primes]
+    assert got == want, next(p for p, a, b in zip(primes, got, want) if a != b)
+
+
+def _primes_below(t, x):
+    """The number of primes p with x.greater_than_int(p): a count up to
+    the floor of x, settled in mpf at its boundary primes alone."""
+    c = t.count_upto(x.exact - 1 if x.exact is not None else int(mp.floor(x.value)))
+    while c and not x.greater_than_int(t.prime(c)):
+        c -= 1
+    while x.greater_than_int(t.prime(c + 1)):
+        c += 1
+    return c
 
 
 def test_alpha_matches_thresholds_at_scale(table1m):
