@@ -42,15 +42,32 @@ float slope p^{j-1}(p - 1)/log p less the float copy of the mpf rho, j + 5
 (p^{j-1} through j - 2 products from p, the product by p - 1, log and
 quotient, the copy of rho, the difference and the mpf test's own rounding)
 of size slope + rho; a champion's log, which check_bounds and the digit budgets
-compare with an mpf bound, k + R + 5 for k primes in R exponent runs
-(np.log, the product by the run's exponent, at most k + R additions in any
-order, counting each run's and the total's start at 0.0, the difference,
-and one more as the size is the computed log itself), and log g(n) adds the
+compare with an mpf bound, k + R + 5 for k primes in R exponent runs, as
+follows; and log g(n) adds the
 correction's sum of e*log p over its f factors, each term through f + 5
 (log, product, at most f - 1 sums, the sum with the champion's log, the
 difference, the float size), which counts one more step for the champion's
 terms too; check_bounds and the budget checks below.  guarded_sign is the
 comparison these callers make, and guarded_order their sort.
+
+The champion's float log (Champion.approx_log) takes np.log of products of
+W = 32 primes, each slice of LOG_CHUNK primes of a run padded with 1.0 to
+a multiple of W.  Every prime lies below DEFAULT_MAX_LIMIT < 2^31, so a
+product lies below 2^(31 W) = 2^992 and never overflows.  A group of g
+primes, each exact in a float, reaches its product through g - 1
+roundings, so the log of the computed product is off by at most
+(g - 1) u/(1 - u) < 1.45u g log 2, at most 1.45u times the group's sum of
+log p: within the 2u rounding_error charges a step, so one step; a group
+of one prime is exact.  A log p then passes
+through its group's product (one step, none for g = 1), np.log (two), the
+sum of the G groups of its slice (G - 1 additions), the slice's addition to
+its run's total from 0.0 (at most C, the slices of the run), the product by
+the run's exponent, the run's addition to the total from 0.0 (at most R),
+the difference and the float size: G + C + R + 5 steps for g >= 2 and one
+fewer for g = 1.  A run of L >= 2 primes has G + C <= ceil(L/W) +
+ceil(L/LOG_CHUNK) <= L <= k, and a run of one prime has g = 1 and
+G + C = 2 <= k + 1, so rounding_error(v, k + R + 5) bounds the error, v the
+computed log, as it did for one np.log per prime.
 
 Bounds that depend on n alone.  check_bounds forms its bounds in float and
 an mpf one only inside the comparison's guard, the float's error being

@@ -139,8 +139,8 @@ class GammaColumns:
     __slots__ = ("steps", "counts", "gammas", "n_neg")
 
     def __init__(self, neg, pos):
-        # entries (gamma, cost, size, dell_pp, glog) by |gamma|; arrays hold
-        # them, as a context keeps the columns of every small prime
+        # entries (gamma, cost, size, dell_pp, glog) by |gamma|, the lists
+        # BenefitTables keeps and extends
         rows = neg + pos
         self.steps = np.array([(e[1], e[2], e[4], abs(e[4])) for e in rows]).T.copy()
         self.counts = np.array([(e[3], 1, 0) for e in rows], dtype=np.int64).T.copy()
@@ -188,7 +188,8 @@ class BenefitTables:
         self.alpha = np.repeat([j for j, _, _ in runs],
                                [max(0, min(hi, self.sp_count) - lo + 1) for _, lo, hi in runs])
         self._benp = {}
-        self._gamma = {}       # p -> [GammaColumns, the largest budget both lists cover]
+        self._gamma = {}       # p -> [GammaColumns, the largest budget both lists cover,
+                               #       its negative and positive float entries]
         self._rho_f = float(ctx.rho.value)
         self.first_cost, self.first_size = self._first_steps()
         self._up = [mpf(0)]    # partial sums of ben(N p_{k+i}), i = 1..
@@ -253,30 +254,24 @@ class BenefitTables:
         entry = self._gamma.get(p)
         if entry is not None and b_f <= entry[1]:
             return entry[0]
-        neg, pos = self._entries(p, entry)
+        neg, pos = entry[2:] if entry is not None else ([], [])
         alpha = self._alpha(p)
         while len(neg) < alpha and not (neg and self._over(p, neg[-1], b_prime, b_f)):
             neg.append(self._float_benp(p, -len(neg) - 1))
         while not (pos and self._over(p, pos[-1], b_prime, b_f)):
             pos.append(self._float_benp(p, len(pos) + 1))
         cols = GammaColumns(neg, pos)
-        self._gamma[p] = [cols, b_f]
+        self._gamma[p] = [cols, b_f, neg, pos]
         return cols
 
     def grow_gamma_columns(self, p, signs):
         """p's columns with one more gamma in each direction of signs."""
         entry = self._gamma[p]
-        neg, pos = self._entries(p, entry)
-        for sign, run in zip((-1, 1), (neg, pos)):
+        for sign, run in zip((-1, 1), entry[2:]):
             if sign in signs:
                 run.append(self._float_benp(p, sign * (len(run) + 1)))
-        entry[0] = GammaColumns(neg, pos)
+        entry[0] = GammaColumns(*entry[2:])
         return entry[0]
-
-    def _entries(self, p, entry):
-        n_neg, n_pos = entry[0].lengths() if entry is not None else (0, 0)
-        return ([self._float_benp(p, -g) for g in range(1, n_neg + 1)],
-                [self._float_benp(p, g) for g in range(1, n_pos + 1)])
 
     def _over(self, p, entry, b_prime, b_f):
         """benp(p, gamma) > B' for a float column entry."""

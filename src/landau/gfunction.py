@@ -56,12 +56,31 @@ def check_fraction(frac, p_k, m):
     qs = [p for p, e in frac.factors if e == -1]
     if len(Qs) + len(qs) != len(frac.factors):
         raise InvariantViolation("fraction exponent other than +-1")
+    _check_swap(qs, Qs, p_k, m)
+
+
+def _check_swap(qs, Qs, p_k, m):
+    """check_fraction on the fraction Qs/qs, each list ascending."""
     if len(Qs) != len(qs):
         raise InvariantViolation("unbalanced fraction")
     if qs and not (3 <= qs[0] and qs[-1] <= p_k < Qs[0]):
         raise InvariantViolation("fraction primes outside their bands")
-    if not 0 <= frac.ell <= m:
-        raise InvariantViolation("fraction cost %d outside [0, %d]" % (frac.ell, m))
+    ell = sum(Qs) - sum(qs)
+    if not 0 <= ell <= m:
+        raise InvariantViolation("fraction cost %d outside [0, %d]" % (ell, m))
+
+
+def _segment_primes(p_k, tops, chain, m):
+    """The primes of G(p_k, m)'s fraction on a segment whose H set is chain
+    (ascending), over the window's top primes tops: the chain's primes at or
+    below p_k, below, and the tops it leaves out, above; checked as
+    check_fraction checks, with m the segment's first budget, from which it
+    is optimal."""
+    qs = [p for p in chain if p <= p_k]
+    used = {p for p in chain if p > p_k}
+    Qs = [p for p in tops if p not in used]
+    _check_swap(qs, Qs, p_k, m)
+    return qs, Qs
 
 
 def g_floor(table, p_k, pk1, m):
@@ -373,16 +392,35 @@ class GEngine:
         i = bisect_right(entry.ms, m) - 1
         frac = entry.fracs.get(i)
         if frac is None:
-            chain = entry.sets[i]  # ascending
-            pk = self.table.prime(entry.pk_idx)
-            tops_used = {p for p in chain if p > pk}
+            p_k = self.table.prime(entry.pk_idx)
             tops = self.table.primes[entry.pk_idx : entry.rhat_idx].tolist()
-            frac = PrimeFraction(
-                tuple((p, -1) for p in chain if p <= pk)
-                + tuple((p, 1) for p in tops if p not in tops_used))
-            check_fraction(frac, pk, entry.ms[i])  # optimal from ms[i] on
+            qs, Qs = _segment_primes(p_k, tops, entry.sets[i], entry.ms[i])
+            frac = PrimeFraction(tuple((p, -1) for p in qs) + tuple((p, 1) for p in Qs))
             entry.fracs[i] = frac
         return frac
+
+    def _below_line(self, entry):
+        """d -> whether G(p_k, d) < 1 + d/p_k, for the entry's p_k and
+        0 <= d <= entry.cap.
+
+        On a segment G = num/den, num the product of the tops its H set
+        leaves out and den that of the set's primes at or below p_k, so the
+        test is p_k num < (p_k + d) den, on integers.  num and den are
+        formed, and the segment checked as _extract checks what it reads,
+        once each time the reads enter a segment."""
+        p_k = self.table.prime(entry.pk_idx)
+        tops = self.table.primes[entry.pk_idx : entry.rhat_idx].tolist()
+        seg = num = den = None
+
+        def below(d):
+            nonlocal seg, num, den
+            i = bisect_right(entry.ms, d) - 1
+            if i != seg:
+                qs, Qs = _segment_primes(p_k, tops, entry.sets[i], entry.ms[i])
+                seg, num, den = i, math.prod(Qs), math.prod(qs)
+            return p_k * num < (p_k + d) * den
+
+        return below
 
     def _g_upto(self, pk_idx, M):
         """Confirmed-exact step function of G(p_k, .) on [0, max(M, cap)].
@@ -465,10 +503,12 @@ class GEngine:
         last_bad = 0
         d = 2
         entry = self._g_upto(p_idx, min(max(delta, 256), ceiling))
+        below = self._below_line(entry)
         while True:
             if d > entry.cap:
                 entry = self._g_upto(p_idx, min(d + 256, ceiling + 2))
-            if self._extract(entry, d).fraction() < Fraction(p + d, p):
+                below = self._below_line(entry)
+            if below(d):
                 last_bad = d  # G(p, d) < 1 + d/p
             if d >= delta and d - gap + 2 > last_bad:
                 _keep(self._delta1, p, d, DELTA1_ENTRIES)
@@ -495,7 +535,7 @@ class GEngine:
             raise ValueError("m=%d below the validity floor 9*delta1/2" % m)
         delta = None
         pk1_idx = pk_idx + 1
-        probe = self._g_upto(pk1_idx, d1)
+        below = self._below_line(self._g_upto(pk1_idx, d1))
         for d in range(d1 - (d1 & 1), -1, -2):
             if 9 * d >= 2 * m:
                 continue
@@ -504,7 +544,7 @@ class GEngine:
             if d == 0:
                 delta = 0
                 break
-            if self._extract(probe, d).fraction() >= Fraction(pk1 + d, pk1):
+            if not below(d):  # G(p_{k+1}, d) >= 1 + d/p_{k+1}
                 delta = d
                 break
         if delta is None:

@@ -24,9 +24,12 @@ from mpmath import mp, mpf, sqrt as mp_sqrt
 from . import arith
 from .arith import _tree_product, log_int, log_product
 from .errors import CapacityError, InvariantViolation
-from .primes import sum_root
+from .primes import DEFAULT_MAX_LIMIT, sum_root
 
-LOG_CHUNK = 1 << 18  # primes per np.log call of Champion.approx_log
+LOG_CHUNK = 1 << 16  # primes per float buffer of Champion.approx_log
+LOG_GROUP = 32       # primes per float product of Champion.approx_log
+# LOG_GROUP primes below DEFAULT_MAX_LIMIT multiply to below 2^1024: no overflow
+assert LOG_GROUP * DEFAULT_MAX_LIMIT.bit_length() < 1024
 
 
 class Rho:
@@ -197,13 +200,26 @@ class Champion:
     def approx_log(self):
         """(v, err): log N as a float with |v - log N| <= err, err counting
         the steps arith's docstring gives a champion log, with the one
-        difference its caller compares v by."""
+        difference its caller compares v by.
+
+        Each LOG_CHUNK slice of a run is copied into one float buffer and
+        padded with 1.0 to a multiple of LOG_GROUP; a log is taken of each
+        product of LOG_GROUP primes, its columns."""
         if self._approx is None:
+            primes = self.table.primes
+            longest = max(hi - lo + 1 for _, lo, hi in self.runs)
+            buf = np.empty(-(-min(longest, LOG_CHUNK) // LOG_GROUP) * LOG_GROUP)
             v = 0.0
             for j, lo, hi in self.runs:
                 run = 0.0
-                for a in range(lo - 1, hi, LOG_CHUNK):  # bounded float temporaries
-                    run += float(np.log(self.table.primes[a : min(a + LOG_CHUNK, hi)]).sum())
+                for a in range(lo - 1, hi, LOG_CHUNK):
+                    size = min(LOG_CHUNK, hi - a)
+                    groups = -(-size // LOG_GROUP)
+                    chunk = buf[: groups * LOG_GROUP]
+                    chunk[:size] = primes[a : a + size]
+                    chunk[size:] = 1.0
+                    products = np.multiply.reduce(chunk.reshape(LOG_GROUP, groups), axis=0)
+                    run += float(np.log(products, out=products).sum())
                 v += j * run
             self._approx = (v, arith.rounding_error(v, self.k + len(self.runs) + 5))
         return self._approx

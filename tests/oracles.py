@@ -37,7 +37,9 @@ compared as exact integers, whose rows `h_window_rows` yields one by one.
 largest prime a truncated window needs, from the exact product of every
 segment of its step function.
 `g_small` runs the full, uncertified window recursion, the reference for the
-confirmed window.
+confirmed window.  `delta1_reference` is the reference for
+`landau.gfunction.GEngine.delta1`: the scan reads G(p, d) as a Fraction at
+every even d and compares it with the Fraction 1 + d/p.
 """
 
 import heapq
@@ -63,6 +65,7 @@ from landau.benefit import (
 from landau.errors import (
     BoundFailureError,
     CapacityError,
+    Delta1CeilingError,
     InvariantViolation,
     PrefixGapError,
 )
@@ -568,6 +571,29 @@ def g_small(engine, p_k, M):
     steps = window.extend(top_idx)
     entry = _UptoEntry(pk_idx, M, top_idx, steps)
     return [engine._extract(entry, m) for m in range(M + 1)]
+
+
+def delta1_reference(engine, p):
+    """delta1(p) by a scan that reads G(p, d) through engine._extract, as a
+    Fraction, at every even d, with the window growth GEngine.delta1 makes."""
+    t = engine.table
+    p_idx = t.rank(p)
+    gap = t.max_gap_upto(p)
+    delta = gap + (gap & 1)
+    ceiling = int(4 * 2.55 * math.log(p) ** 2) + 2
+    last_bad = 0
+    d = 2
+    entry = engine._g_upto(p_idx, min(max(delta, 256), ceiling))
+    while True:
+        if d > entry.cap:
+            entry = engine._g_upto(p_idx, min(d + 256, ceiling + 2))
+        if engine._extract(entry, d).fraction() < Fraction(p + d, p):
+            last_bad = d
+        if d >= delta and d - gap + 2 > last_bad:
+            return d
+        d += 2
+        if d > ceiling:
+            raise Delta1CeilingError("delta1(%d) exceeded ceiling %d" % (p, ceiling))
 
 
 class _Node:

@@ -1,6 +1,8 @@
 import bisect
 import itertools
+import json
 import math
+import os
 import random
 
 import numpy as np
@@ -11,9 +13,12 @@ from landau import arith, gfunction
 from landau.errors import InvariantViolation
 from landau.arith import PrimeFraction
 from landau.gfunction import TRIAL_WIDTH, GEngine, _Window, check_fraction
-from landau.primes import PrimeTable, _simple_sieve
+from landau.primes import PrimeTable, _simple_sieve, auto_limit
+from landau.superchampion import build_e2_table, find_context
 
-from oracles import confirm_segments, g_small, h_window_rows, h_window_steps
+from oracles import confirm_segments, delta1_reference, g_small, h_window_rows, h_window_steps
+
+POOL_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "pool.json")
 
 
 @pytest.fixture(scope="module")
@@ -341,6 +346,80 @@ def test_delta1_cache_stays_within_its_cap(table1m):
         assert len(eng._delta1) <= gfunction.DELTA1_ENTRIES
     assert primes[0] not in eng._delta1
     assert eng.delta1(primes[0]) == first[primes[0]]
+
+
+def _upto_entries(eng):
+    return {k: (e.cap, e.rhat_idx, e.ms, e.sets) for k, e in eng._upto.items()}
+
+
+def _delta1_matches_the_reference(table, primes):
+    # each on a fresh engine: the same values, from the same G tables
+    for p in primes:
+        eng, ref = GEngine(table), GEngine(table)
+        assert eng.delta1(p) == delta1_reference(ref, p), p
+        assert _upto_entries(eng) == _upto_entries(ref), p
+
+
+def _seeded_primes(table, count, seed):
+    rng = random.Random(seed)
+    return [table.next_prime(rng.randrange(5, 10**6 - 3000)) for _ in range(count)]
+
+
+def test_delta1_matches_the_reference_at_seeded_primes(table1m):
+    _delta1_matches_the_reference(table1m, _seeded_primes(table1m, 200, 23))
+
+
+def test_delta1_matches_the_reference_under_forced_exact(table1m, forced_exact):
+    _delta1_matches_the_reference(table1m, _seeded_primes(table1m, 20, 29))
+
+
+@pytest.fixture(scope="module")
+def cold_pool_pk1():
+    """The table of the cold-1e14 benchmark pool and p_{k+1} of each of its
+    n's contexts."""
+    with open(POOL_PATH) as f:
+        pool = sorted(map(int, json.load(f)["cold-1e14"]["cost_s"]))
+    table = PrimeTable.build(auto_limit(pool[-1]))
+    e2 = build_e2_table(pool[-1] + 10, table)
+    return table, sorted({table.next_prime(find_context(n, table, e2).p_k) for n in pool})
+
+
+def test_delta1_matches_the_reference_at_the_cold_pool(cold_pool_pk1):
+    table, primes = cold_pool_pk1
+    assert len(primes) >= 30
+    _delta1_matches_the_reference(table, primes)
+
+
+def test_delta1_matches_the_reference_at_the_cold_pool_under_forced_exact(cold_pool_pk1,
+                                                                         forced_exact):
+    table, primes = cold_pool_pk1
+    _delta1_matches_the_reference(table, primes[::8])
+
+
+def _swap_top(chain, tops):  # the least prime, a low one, for a top the set takes already
+    taken = [q for q in chain if q in tops]
+    return tuple(sorted(chain[1:] + (taken[0],))) if taken and chain[0] not in tops else None
+
+
+@pytest.mark.parametrize("plant, refusal", [
+    (_swap_top, "unbalanced"),
+    (lambda chain, tops: (2,) + chain[1:], "bands"),
+    (lambda chain, tops: (3,) + chain[:-1] if chain[-1] in tops else None, "cost"),
+])
+def test_delta1_refuses_a_corrupted_segment(table1m, plant, refusal):
+    # a segment of the cached G table the scan reads, planted with a set
+    # that check_fraction refuses, raises from delta1 and not a value
+    p = 99991
+    eng = GEngine(table1m)
+    p_idx = table1m.rank(p)
+    gap = table1m.max_gap_upto(p)
+    entry = eng._g_upto(p_idx, max(gap + (gap & 1), 256))  # the table delta1 reads first
+    tops = set(table1m.primes[p_idx : entry.rhat_idx].tolist())
+    d1 = GEngine(table1m).delta1(p)
+    i = next(i for i, m in enumerate(entry.ms) if 0 < m <= d1 and plant(entry.sets[i], tops))
+    entry.sets[i] = plant(entry.sets[i], tops)
+    with pytest.raises(InvariantViolation, match=refusal):
+        eng.delta1(p)
 
 
 def test_g_large_exact_prime_case(engine, table1m):

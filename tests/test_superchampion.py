@@ -11,6 +11,9 @@ from landau.errors import CapacityError
 from landau.oracle import g_list_merge_prune
 from landau.primes import PrimeTable, auto_limit
 from landau.superchampion import (
+    LOG_CHUNK,
+    LOG_GROUP,
+    Champion,
     Rho,
     _run_ends,
     _solve_x1,
@@ -440,3 +443,33 @@ def test_runs_match_the_reference_at_event_slopes_1e15():
     e2 = build_e2_table(10**15, table)
     assert len(e2) == 1339
     _matches_reference_at_event_slopes(e2, table)
+
+
+def _approx_log_within_its_bound(champion):
+    v, err = champion.approx_log()
+    assert abs(mpf(v) - champion.log) <= err, (champion, v, err)
+
+
+def test_approx_log_within_its_bound(tables_by_scale, e2_1e9, e2_1e12, table1m):
+    # the float log from products of LOG_GROUP primes against the mpf log, at
+    # champions of every scale, at a power-event slope, and at runs cut at
+    # every kind of length: shorter than a group, a multiple of it, neither,
+    # and past a LOG_CHUNK boundary with a short group at the end
+    table12 = tables_by_scale[10**12]
+    power = next(c for c in (find_context(n, table1m, e2_1e9) for n in _event_slope_n(e2_1e9))
+                 if c.rho.j >= 2)
+    champions = [find_context(10**6, table1m, e2_1e9).N, find_context(10**9, table1m, e2_1e9).N,
+                 find_context(10**12, table12, e2_1e12).N, power.N]
+    assert any(hi - lo + 1 > LOG_CHUNK for c in champions for _, lo, hi in c.runs)
+    for ends in ([5], [LOG_GROUP], [37], [100, 40, 7, 3], [LOG_CHUNK + 2 * LOG_GROUP + 34, 2 * LOG_GROUP + 1]):
+        champions.append(Champion(table1m, ends))
+    lengths = {hi - lo + 1 for c in champions[4:] for _, lo, hi in c.runs}
+    assert {5, 3, LOG_GROUP, 37, 33, 2 * LOG_GROUP + 1, LOG_CHUNK + 33} <= lengths
+    for champion in champions:
+        _approx_log_within_its_bound(champion)
+
+
+@extended
+def test_approx_log_within_its_bound_1e15():
+    table = PrimeTable.build(auto_limit(10**15))
+    _approx_log_within_its_bound(find_context(10**15, table, build_e2_table(10**15 + 10, table)).N)
