@@ -119,8 +119,11 @@ float64 step while f + 6 <= 2^(mp.prec - 53), that is f < 2^17 - 6 at the
 70 bits of MIN_PRECISION), and one the float size, itself a rounded sum:
 f + 9 steps (9 for the member 1), size ben's + c's + B'.  The row filter
 in front of it doubles the layer's largest such bound to cover its own
-roundings.  A gamma list ends at the first benp > B', the float cost - B'
-counting 8 steps (its 5, the mpf benp, the copy of B', the difference).  A member's running
+roundings.  The benp table ends a direction at the first benp > B1, and a
+build's columns end before the first float benp beyond B': each compares
+cost - b for b = B1 or B' in 8 steps (cost's 5, the difference, the float
+size and the mpf benp's own rounding, which the B' cut, with no mpf test,
+does not need; the copy of b takes 2), size cost's + b.  A member's running
 log, the sum of g*log p over its factors, reaches its value through f + 2
 steps (log, product, f - 1 additions); the mpf log the exact sort reads
 adds one and the float size one, so each float log lies within
@@ -183,7 +186,15 @@ def rounding_error(size, steps):
 def guarded_sign(d, err, exact_d):
     """Sign of a difference d computed with |error| <= err (err counting the
     difference as a step): d decides beyond err, and exact_d(), the
-    difference computed exactly or at the working precision, inside it."""
+    difference computed exactly or at the working precision, inside it.
+    For a float array d (err a float or an array) the signs, a float array:
+    exact_d(i) gives the difference at each index i inside the bound."""
+    if isinstance(d, np.ndarray):
+        out = np.sign(d)
+        for i in np.flatnonzero(np.abs(d) <= err).tolist():
+            v = exact_d(i)
+            out[i] = (v > 0) - (v < 0)
+        return out
     if abs(d) <= err:
         d = exact_d()
     return (d > 0) - (d < 0)

@@ -17,12 +17,12 @@ A layer forms its new members' numeric columns (the parent and gamma, dell,
 ben, log, their sizes and the count) first, sorts and prunes them, and
 only then makes factor tuples, for the new members that survived; the
 sort's exact key builds a tuple on demand for the rare close run.  The float
-benp(p, gamma) is the exact dell_pp less float(rho)*gamma*log p, tabulated
-per context in BenefitTables.  A (member, gamma) pair is admitted or
-refused by the float excess ben + benp - B' beyond arith.rounding_error;
-inside it the exact loop's mpf test benp > B' - ben decides, on the mpf ben
-of that member.  In each direction a member's gammas end at the first one
-refused, as in the exact loop.  A layer is sorted by arith.guarded_order:
+benp(p, gamma) is the exact dell_pp less float(rho)*(gamma*log p), read
+from BenefitTables' table.  A (member, gamma) pair is admitted or refused
+by the float excess ben + benp - B' beyond arith.rounding_error; inside it
+the exact loop's mpf test benp > B' - ben decides, on the mpf ben of that
+member.  In each direction a member's gammas end at the first one refused,
+as in the exact loop.  A layer is sorted by arith.guarded_order:
 by its float logs, and by the mpf logs where the floats are too close to
 tell (the rule is in arith's docstring).  Domination compares dell exactly
 (every |dell| stays below B' + rho*|log delta|, far from 2^63).  D(B') is
@@ -34,17 +34,21 @@ It is BenefitTables.ben_of, the left fold of benp over the member's factors
 in ascending prime order, which is the exact loop's chain cand.ben + cost
 bit for bit.
 
-A gamma list stops at the first gamma whose benp exceeds B' (the float
-decides beyond its bound, the mpf value inside it).  N is an
-l-superchampion at slope rho, so ben >= 0 for every fraction and no
-member's budget B' - ben exceeds B': that gamma ends every member's run,
-and the exact loop, stopping at the first gamma over budget, never looks
-past it.  The stop loses no fraction of benefit <= B': benp(p, gamma) is
-convex in gamma, as l(p^e) is convex in e and rho*gamma*log p is linear,
-and its minimum is benp(p, 0) = 0, so it does not fall as |gamma| grows
-in either direction.  The build does not rest on this: should a member still be
-admitted at a list's last gamma, the list grows by one gamma and the layer
-is tested again.
+The benp table.  N is an l-superchampion at slope rho, so ben >= 0 for
+every fraction: benp(p, gamma) is convex in gamma, as l(p^e) is convex in e
+and rho*gamma*log p is linear, and its minimum is benp(p, 0) = 0, so it
+does not fall as |gamma| grows in either direction; a member's ben, a sum
+of benps, is >= 0 too.  So a gamma whose benp exceeds B' ends every
+member's run in its direction, and the exact loop, stopping at the first
+gamma over budget, never looks past it.  BenefitTables tabulates, once per
+context, every small prime's float benp for gamma = -1, ..., -alpha_p and
+then 1, 2, ...: each direction ends at -alpha_p or at its first entry whose
+benp exceeds B1 (the float decides beyond its bound, the mpf benp inside
+it).  A budget B' lies below B1, so no member passes that entry.  A
+build's columns for p are its entries before the first whose float cost
+exceeds B' beyond its bound: that step's benp exceeds B', so the cut needs
+no mpf; an entry inside the bound stays a column and the pair test decides
+it.
 
 Which primes a build visits.  The exact loop tries every prime below
 sqrt(x1).  A layer passes to the pair test only the members whose float ben
@@ -52,19 +56,19 @@ is at most the row bound b_f - c + s, c the least float cost of the first
 steps benp(p, -1) and benp(p, 1) and s twice the pair bound at the build's
 largest ben size and factor count so far; a member it drops extends by no
 gamma of p.  BenefitTables holds c and the first steps' largest size per
-small prime as arrays, bit for bit as _float_benp forms them.  So p extends
-nothing when the least float ben of the layer exceeds the bound.  The empty
-member is in every layer with ben exactly 0.0: a fraction above 1 has
-dell > 0, as its ben >= 0, and so cannot dominate it.  The test reads the
-build's state only through that least ben, the largest size and the largest
-count, and as rounding to nearest is monotone it passes for more primes as
-the size and count grow and as the least ben falls.  A build runs its layers
-over the primes that pass at the empty set's state, each still filtered row
-by row, and then tests every prime at the state it ended in, with the least
-ben over every member it made.  A prime it skipped that fails there failed
-at each state the build passed through, so the exact loop skips it too;
-should a skipped prime pass, the build runs again over both.  Under
-arith.rounding_error = inf every prime passes at once.
+small prime as arrays, read off its table's entries at gamma = -1 and 1.
+So p extends nothing when the least float ben of the layer exceeds the
+bound.  The empty member is in every layer with ben exactly 0.0: a fraction
+above 1 has dell > 0, as its ben >= 0, and so cannot dominate it.  The test
+reads the build's state only through that least ben, the largest size and
+the largest count, and as rounding to nearest is monotone it passes for
+more primes as the size and count grow and as the least ben falls.  A build
+runs its layers over the primes that pass at the empty set's state, each
+still filtered row by row, and then tests every prime at the state it ended
+in, with the least ben over every member it made.  A prime it skipped that
+fails there failed at each state the build passed through, so the exact
+loop skips it too; should a skipped prime pass, the build runs again over
+both.  Under arith.rounding_error = inf every prime passes at once.
 
 bound_loop's budget ladder.  A restart's budget B is rounded up to the
 least rung rho*2^(i/4) at or above it that lies below B1 (where there is
@@ -129,40 +133,33 @@ class PrefixSet:
 
 
 class GammaColumns:
-    """benp(p, gamma) in float for gamma = -1, -2, ... and then 1, 2, ...:
-    the columns a layer of D(B') tests, negative gammas first.  cost is the
-    exact dell_pp less float(rho)*gamma*log p and size the sum of its terms'
-    absolute values.  What a member gains by the gamma: steps stacks cost,
-    size, gamma*log p and its absolute value, counts dell_pp, one factor
-    and a zero (a new member keeps its parent's tuple index)."""
+    """benp(p, gamma) in float for the small primes p, entry by entry: each
+    prime's gamma = -1, -2, ... and then 1, 2, ..., prime i's entries at
+    start[i]:start[i + 1], so a direction starts where |gamma| is 1.  cost
+    is the exact dell_pp less float(rho)*(gamma*log p) and size the sum of
+    its terms' absolute values.  What a member gains by an entry: steps
+    stacks cost, size, gamma*log p and its absolute value, counts dell_pp,
+    one factor and a zero (a new member keeps its parent's tuple index)."""
 
-    __slots__ = ("steps", "counts", "gammas", "n_neg")
+    __slots__ = ("prime", "gamma", "steps", "counts", "start")
 
-    def __init__(self, neg, pos):
-        # entries (gamma, cost, size, dell_pp, glog) by |gamma|, the lists
-        # BenefitTables keeps and extends
-        rows = neg + pos
-        self.steps = np.array([(e[1], e[2], e[4], abs(e[4])) for e in rows]).T.copy()
-        self.counts = np.array([(e[3], 1, 0) for e in rows], dtype=np.int64).T.copy()
-        self.gammas = [e[0] for e in rows]
-        self.n_neg = len(neg)
+    def __init__(self, prime, gamma, steps, counts, sp_count):
+        self.prime, self.gamma, self.steps, self.counts = prime, gamma, steps, counts
+        self.start = np.searchsorted(prime, np.arange(sp_count + 1))
 
     cost = property(lambda self: self.steps[0])
     size = property(lambda self: self.steps[1])
 
-    def lengths(self):
-        return self.n_neg, len(self.gammas) - self.n_neg
-
-    def open_ends(self, ok, alpha):
-        """Directions, as signs, whose last gamma ok admits for some row and
-        that may go on: gamma = -alpha ends the negative one."""
-        n_neg, n_pos = self.lengths()
-        out = []
-        if 0 < n_neg < alpha and ok[n_neg - 1].any():
-            out.append(-1)
-        if n_pos and ok[-1].any():
-            out.append(1)
-        return out
+    def cut(self, b_f):
+        """The columns of a build at the budget B' (b_f its float copy): in
+        each direction the entries before the first whose float cost exceeds
+        B' beyond its rounding bound (arith's docstring)."""
+        over = self.cost - b_f > arith.rounding_error(self.size + b_f, 8)
+        seen = np.cumsum(over)
+        first = np.flatnonzero(np.abs(self.gamma) == 1)  # where a direction starts
+        keep = seen == np.repeat(seen[first] - over[first], np.diff(first, append=len(over)))
+        return GammaColumns(self.prime[keep], self.gamma[keep], self.steps[:, keep],
+                            self.counts[:, keep], len(self.start) - 1)
 
 
 class BenefitTables:
@@ -173,11 +170,11 @@ class BenefitTables:
     budget.
 
     The small primes, those below sqrt(x1), are a slice of the table, and
-    alpha holds their exponents in N.  first_cost and first_size hold, per
-    small prime, the least float cost and the largest size of benp(p, -1)
-    and benp(p, 1), bit for bit as _float_benp forms them: a member whose
-    ben leaves less than that cost extends by no gamma of p (N holds every
-    prime below sqrt(x1), so -1 is open)."""
+    alpha holds their exponents in N.  columns is their float benp table (the
+    module docstring).  first_cost and first_size hold, per small prime, the
+    least float cost and the largest size of its entries at gamma = -1 and
+    1: a member whose ben leaves less than that cost extends by no gamma of
+    p (N holds every prime below sqrt(x1), so -1 is open)."""
 
     def __init__(self, ctx):
         self.ctx = ctx
@@ -188,32 +185,44 @@ class BenefitTables:
         self.alpha = np.repeat([j for j, _, _ in runs],
                                [max(0, min(hi, self.sp_count) - lo + 1) for _, lo, hi in runs])
         self._benp = {}
-        self._gamma = {}       # p -> [GammaColumns, the largest budget both lists cover,
-                               #       its negative and positive float entries]
-        self._rho_f = float(ctx.rho.value)
-        self.first_cost, self.first_size = self._first_steps()
+        self.columns = self._benp_table()
+        first = np.abs(self.columns.gamma) == 1  # gamma = -1, then 1, per prime
+        self.first_cost = self.columns.cost[first].reshape(-1, 2).min(axis=1)
+        self.first_size = self.columns.size[first].reshape(-1, 2).max(axis=1)
         self._up = [mpf(0)]    # partial sums of ben(N p_{k+i}), i = 1..
         self._down = [mpf(0)]  # partial sums of ben(N / p_{k-i}), i = 0..
         self._up_f = self._down_f = np.zeros(1)  # their float copies
         self.dsets = {}
 
-    def _first_steps(self):
-        # dell_pp(p, alpha, +-1) in int64: p^alpha - p^(alpha-1) < rho log p
-        # < x1 for alpha >= 2, so p^(alpha+1) < 2*x1^1.5, exact in a float
-        # up to x1 ~ 10^10; the float terms are _float_benp's, op for op
-        p, a = self.primes, self.alpha
-        pa = p**a
-        up = pa * (p - 1)
-        down = np.where(a > 1, pa // p, 0) - pa  # l(p^0) is 0, not 1
-        r = self._rho_f * np.fromiter(map(math.log, self._sp), float, len(p))
-        cost_up, size_up = up - r, np.abs(up) + np.abs(r)
-        rho = self.ctx.rho
-        if rho.is_power_event:
-            zero = p == rho.q
-            cost_up[zero] = size_up[zero] = 0.0  # as in benp
-        r = -r  # float(rho)*(-log p)
-        cost_down, size_down = down - r, np.abs(down) + np.abs(r)
-        return np.minimum(cost_up, cost_down), np.maximum(size_up, size_down)
+    def _benp_table(self):
+        """The GammaColumns of every small prime up to B1, |gamma| by
+        |gamma| in both directions over the ones still open.  dell_pp stays
+        far below 2^63: an entry follows one of benp <= B1 < x1, whose power
+        of p lies within a few x1, and p < sqrt(x1) < 2^16."""
+        p, a, rho, b1 = self.primes, self.alpha, self.ctx.rho, self.ctx.B1
+        pa, log_p = p**a, np.fromiter(map(math.log, self._sp), float, len(p))
+        rho_f, b1_f = float(rho.value), float(b1)
+        rows, gamma = np.tile(np.arange(len(p)), 2), np.repeat([-1, 1], len(p))
+        parts = []
+        while rows.size:
+            e = a[rows] + gamma
+            d = np.where(e > 0, p[rows] ** e, 0) - pa[rows]  # l(p^0) is 0, not 1
+            glog = gamma * log_p[rows]
+            r = rho_f * glog
+            cost, size = d - r, np.abs(d) + np.abs(r)
+            if rho.is_power_event:
+                zero = (p[rows] == rho.q) & (gamma == 1)
+                cost[zero] = size[zero] = 0.0  # as in benp
+            parts.append((rows, gamma, cost, size, glog, d))
+            over = arith.guarded_sign(cost - b1_f, arith.rounding_error(size + b1_f, 8), lambda i: (
+                self.benp(self._sp[rows[i]], int(gamma[i])) - b1))
+            go = (over <= 0) & (e > 0)  # e = 0 at gamma = -alpha_p
+            rows, gamma = rows[go], gamma[go] + np.sign(gamma[go])
+        prime, gamma, cost, size, glog, d = map(np.concatenate, zip(*parts))
+        order = np.lexsort((np.abs(gamma), gamma > 0, prime))
+        steps = np.array([cost, size, glog, np.abs(glog)])[:, order]
+        counts = np.array([d, np.ones_like(d), np.zeros_like(d)])[:, order]
+        return GammaColumns(prime[order], gamma[order], steps, counts, len(p))
 
     def _alpha(self, p):
         """Exponent in N of the small prime p."""
@@ -246,48 +255,6 @@ class BenefitTables:
         ascending prime order from mpf(0), the exact loop's chain
         cand.ben + cost bit for bit."""
         return sum((self.benp(p, g) for p, g in factors), mpf(0))
-
-    def gamma_columns(self, p, b_prime, b_f):
-        """p's float benp columns for the budget B' (b_f its float copy): each
-        direction up to its first gamma whose benp exceeds B', or up to
-        gamma = -alpha_p."""
-        entry = self._gamma.get(p)
-        if entry is not None and b_f <= entry[1]:
-            return entry[0]
-        neg, pos = entry[2:] if entry is not None else ([], [])
-        alpha = self._alpha(p)
-        while len(neg) < alpha and not (neg and self._over(p, neg[-1], b_prime, b_f)):
-            neg.append(self._float_benp(p, -len(neg) - 1))
-        while not (pos and self._over(p, pos[-1], b_prime, b_f)):
-            pos.append(self._float_benp(p, len(pos) + 1))
-        cols = GammaColumns(neg, pos)
-        self._gamma[p] = [cols, b_f, neg, pos]
-        return cols
-
-    def grow_gamma_columns(self, p, signs):
-        """p's columns with one more gamma in each direction of signs."""
-        entry = self._gamma[p]
-        for sign, run in zip((-1, 1), entry[2:]):
-            if sign in signs:
-                run.append(self._float_benp(p, sign * (len(run) + 1)))
-        entry[0] = GammaColumns(*entry[2:])
-        return entry[0]
-
-    def _over(self, p, entry, b_prime, b_f):
-        """benp(p, gamma) > B' for a float column entry."""
-        gamma, cost, size = entry[:3]
-        return arith.guarded_sign(cost - b_f, arith.rounding_error(size + b_f, 8),
-                                  lambda: self.benp(p, gamma) - b_prime) > 0
-
-    def _float_benp(self, p, gamma):
-        """(gamma, cost, size, dell_pp, gamma*log p) for benp(p, gamma)."""
-        d = dell_pp(p, self._alpha(p), gamma)
-        glog = gamma * math.log(p)
-        rho = self.ctx.rho
-        if gamma == 1 and rho.is_power_event and p == rho.q:
-            return gamma, 0.0, 0.0, d, glog  # zero, as in benp
-        r = self._rho_f * glog
-        return gamma, d - r, abs(d) + abs(r), d, glog
 
     def up_ben(self, omega):
         """Sum of ben(N p_{k+i}) for i = 1..omega (primes appended above p_k)."""
@@ -377,36 +344,31 @@ def _layers(b_prime, b_f, tables, visit):
     run, ints = np.zeros((4, 1)), np.zeros((3, 1), dtype=np.int64)
     ben_min = size_max = log_size_max = 0.0
     nf_max = 0
+    cols = tables.columns.cut(b_f)
     for i in visit.tolist():
         rows = np.flatnonzero(run[0] <= _row_bound(tables, b_f, size_max, nf_max, i))
         if not rows.size:
             continue
         p = int(tables.primes[i])
-        cols = tables.gamma_columns(p, b_prime, b_f)
-        factors = lambda r: fac[ints[2, rows[r]]]
-        while True:
-            ok = _admitted(p, cols, np.take(run[:2], rows, axis=1), np.take(ints[1], rows),
-                           factors, b_prime, b_f, tables)
-            signs = cols.open_ends(ok, int(tables.alpha[i]))
-            if not signs:
-                break
-            # a member admitted at a list's last gamma: the list was cut
-            # short, so grow it and test the layer again
-            cols = tables.grow_gamma_columns(p, signs)
+        lo, hi = cols.start[i : i + 2].tolist()
+        gammas = cols.gamma[lo:hi].tolist()
+        ok = _admitted(p, gammas, cols.steps[:2, lo:hi], np.take(run[:2], rows, axis=1),
+                       np.take(ints[1], rows), lambda r: fac[ints[2, rows[r]]],
+                       b_prime, b_f, tables)
         # gamma by gamma, each over its parents in order: sorted runs of logs
         j, at = np.divmod(np.flatnonzero(ok), len(rows))
         if not at.size:
             continue
         par = rows[at]
         m = run.shape[1]
-        new = np.take(run, par, axis=1) + np.take(cols.steps, j, axis=1)
-        new_ints = np.take(ints, par, axis=1) + np.take(cols.counts, j, axis=1)
+        new = np.take(run, par, axis=1) + np.take(cols.steps, lo + j, axis=1)
+        new_ints = np.take(ints, par, axis=1) + np.take(cols.counts, lo + j, axis=1)
         ben_min = min(ben_min, float(new[0].min()))
         _, top, _, log_top = new.max(axis=1).tolist()
         size_max, log_size_max = max(size_max, top), max(log_size_max, log_top)
         nf_max = max(nf_max, int(new_ints[1].max()))
         run, ints = np.concatenate((run, new), axis=1), np.concatenate((ints, new_ints), axis=1)
-        ext = [((p, g),) for g in cols.gammas]
+        ext = [((p, g),) for g in gammas]
         factors_of = lambda q: fac[ints[2, q]] + (ext[j[q - m]] if q >= m else ())
         # the exact loop appends each member's extensions after it
         appended = lambda q: (q, 0) if q < m else (int(par[q - m]), 1 + int(j[q - m]))
@@ -427,25 +389,26 @@ def _layers(b_prime, b_f, tables, visit):
     return d, (ben_min, size_max, nf_max)
 
 
-def _admitted(p, cols, run, nf, factors, b_prime, b_f, tables):
-    """Mask over cols x members, for the members of a layer that may extend
+def _admitted(p, gammas, steps, run, nf, factors, b_prime, b_f, tables):
+    """Mask over p's columns x members, for the columns' gammas and their
+    float costs and sizes (steps) and the members of a layer that may extend
     (run holds their float bens and sizes, nf their factor counts and
     factors(r) member r's factor tuple), of the (gamma, member) pairs the
     exact loop admits: in each direction the gammas before the first whose
     benp exceeds B' - ben.  The float excess ben + benp - B' decides beyond
     its rounding bound, the mpf test inside it."""
-    excess = cols.cost[:, None] + run[0] - b_f
-    err = arith.rounding_error(cols.size[:, None] + run[1] + abs(b_f), nf + 9)
+    excess = steps[0][:, None] + run[0] - b_f
+    err = arith.rounding_error(steps[1][:, None] + run[1] + abs(b_f), nf + 9)
     ok = excess < -err
     near = np.abs(excess) <= err
+    starts = [abs(g) == 1 for g in gammas]  # where a direction starts
     if near.any():
-        starts = (0, cols.n_neg)
         for k, i in zip(*np.nonzero(near)):  # gamma by gamma: ok[k-1, i] is final
-            if k in starts or ok[k - 1, i]:
+            if starts[k] or ok[k - 1, i]:
                 ben = tables.ben_of(factors(i))
-                ok[k, i] = not tables.benp(p, cols.gammas[k]) > b_prime - ben
+                ok[k, i] = not tables.benp(p, gammas[k]) > b_prime - ben
     for k in range(1, len(ok)):  # each direction ends at its first refusal
-        if k != cols.n_neg:
+        if not starts[k]:
             ok[k] &= ok[k - 1]
     return ok
 
@@ -673,9 +636,7 @@ def _trim(d_set, B, tables):
     """The members with ben <= B: the float difference ben - B decides
     beyond its rounding bound (arith's docstring), the mpf ben inside it."""
     b_f = float(B)
-    d = d_set.ben - b_f
-    err = arith.rounding_error(d_set.ben_size + abs(b_f), d_set.nf + 7)
-    keep = d < -err
-    for i in np.flatnonzero(np.abs(d) <= err).tolist():
-        keep[i] = tables.ben_of(d_set.fac[i]) <= B
-    return d_set.select(keep)
+    sign = arith.guarded_sign(d_set.ben - b_f,
+                              arith.rounding_error(d_set.ben_size + abs(b_f), d_set.nf + 7),
+                              lambda i: tables.ben_of(d_set.fac[i]) - B)
+    return d_set.select(sign <= 0)

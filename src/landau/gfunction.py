@@ -502,7 +502,11 @@ class GEngine:
         ceiling = int(4 * 2.55 * math.log(p) ** 2) + 2
         last_bad = 0
         d = 2
-        entry = self._g_upto(p_idx, min(max(delta, 256), ceiling))
+        # delta1 came to 1.4-2.7 times delta over primes from 10^5 to
+        # 2.4*10^8, and g_large reads G(p, .) to about 1.5*delta1: where
+        # 2*delta passes 256 the scan likely does too, and one first table
+        # 512 above max(delta, 256) serves the scan and g_large
+        entry = self._g_upto(p_idx, min(max(delta, 256) + (512 if delta > 128 else 0), ceiling))
         below = self._below_line(entry)
         while True:
             if d > entry.cap:

@@ -126,12 +126,11 @@ def _run_ends(table, rho, x1, x2):
             end = own
         else:
             s = power * (pf[:m] - 1) / logs[:m]
-            d = s - rf
-            err = arith.rounding_error(s + rf, j + 5)
-            end = int(np.count_nonzero(d < -err))
-            for i in np.flatnonzero(np.abs(d) <= err).tolist():  # the floats cannot tell: mpf
-                prime = int(p[i])
-                end += _slope_below(prime, rho.value, prime**j - prime ** (j - 1))
+            mpf_below = lambda q: _slope_below(q, rho.value, q**j - q ** (j - 1))
+            # inside the bound, -1 where p[i]'s mpf slope lies below rho, else 0
+            sign = arith.guarded_sign(s - rf, arith.rounding_error(s + rf, j + 5),
+                                      lambda i: -mpf_below(int(p[i])))
+            end = int(np.count_nonzero(sign < 0))
         if end == 0:
             return ends
         ends.append(end)

@@ -583,7 +583,7 @@ def delta1_reference(engine, p):
     ceiling = int(4 * 2.55 * math.log(p) ** 2) + 2
     last_bad = 0
     d = 2
-    entry = engine._g_upto(p_idx, min(max(delta, 256), ceiling))
+    entry = engine._g_upto(p_idx, min(max(delta, 256) + (512 if delta > 128 else 0), ceiling))
     while True:
         if d > entry.cap:
             entry = engine._g_upto(p_idx, min(d + 256, ceiling + 2))

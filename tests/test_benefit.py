@@ -21,6 +21,7 @@ from landau.oracle import undominated
 from landau.primes import PrimeTable, auto_limit
 from landau.superchampion import build_e2_table, find_context
 
+from conftest import extended
 from oracles import (
     Prefix,
     _prune_mpf,
@@ -286,6 +287,13 @@ def test_prefix_sets_match_mpf_at_cold_1e14():
     assert len(_same_as_mpf_reference(ctx, initial_budget(ctx, n), tables)) == 2630
 
 
+@extended
+def test_prefix_sets_match_mpf_at_1e15():
+    # beyond the goldens, the only check of the float build at this scale
+    ctx, tables = _context(10**15)
+    assert len(_same_as_mpf_reference(ctx, initial_budget(ctx, 10**15), tables)) == 7443
+
+
 def test_prefix_sets_match_mpf_at_a_restart_budget(ctx1e9):
     # the B that estimate_B returns above B' is the next round's budget
     ctx, tables = ctx1e9
@@ -295,42 +303,38 @@ def test_prefix_sets_match_mpf_at_a_restart_budget(ctx1e9):
     assert len(_same_as_mpf_reference(ctx, res.B, tables)) == 224
 
 
+def _entry(tables, p, gamma):
+    """The index of benp(p, gamma) in tables' float benp table."""
+    i = small_primes(tables.ctx).index(p)
+    lo, hi = tables.columns.start[i : i + 2].tolist()
+    return lo + tables.columns.gamma[lo:hi].tolist().index(gamma)
+
+
 def test_pair_inside_the_ben_guard_goes_exact(ctx1e6):
     # a member's last (member, gamma) pair: the mpf test admits it at the
-    # budget B' = its ben, and the float cost of that gamma is placed so that
-    # the float excess sits half the pair's rounding bound over budget; only
-    # the exact path keeps the member
+    # budget B' = its ben, and the float cost of that gamma is planted in the
+    # table so that the float excess sits half the pair's rounding bound over
+    # budget; only the exact path keeps the member
     probe = BenefitTables(ctx1e6)
     ref = prefix_sets_mpf(ctx1e6, ctx1e6.rho.value, probe)
     cand = next(c for c in ref if len(c.delta.factors) >= 2)
     *parent, (p, gamma) = cand.delta.factors
-    real = probe._float_benp
-    ben_f = size = 0.0  # the parent's running float sums, as the build makes them
+    cost, size = probe.columns.cost, probe.columns.size
+    ben_f = size_f = 0.0  # the parent's running float sums, as the build makes them
     for q, e in parent:
-        ben_f += real(q, e)[1]
-        size += real(q, e)[2]
-    _, _, size_p, d, glog = real(p, gamma)
+        ben_f += cost[_entry(probe, q, e)]
+        size_f += size[_entry(probe, q, e)]
+    k = _entry(probe, p, gamma)
     b_f = float(cand.ben)
-    err = arith.rounding_error(size + size_p + b_f, len(parent) + 9)
+    err = arith.rounding_error(size_f + size[k] + b_f, len(parent) + 9)
     placed = b_f - ben_f + err / 2
     assert 0 < ben_f + placed - b_f <= err
     stub = BenefitTables(ctx1e6)
-    stub._float_benp = lambda q, e: (
-        (e, placed, size_p, d, glog) if (q, e) == (p, gamma) else real(q, e))
+    stub.columns.cost[k] = placed
     # the placed cost is off its bound, so only the entries are compared
     got = members(build_prefix_sets(ctx1e6, cand.ben, stub), stub)
     assert _entries(got) == _entries(prefix_sets_mpf(ctx1e6, cand.ben, stub))
     assert any(c.delta == cand.delta for c in got)
-
-
-def test_gamma_lists_cut_short_grow(ctx1e9, monkeypatch):
-    # lists that stop after one gamma: every member admitted at a list's
-    # last gamma makes it grow, and D(B') is unchanged
-    ctx, _ = ctx1e9
-    monkeypatch.setattr(BenefitTables, "_over", lambda self, p, entry, b_prime, b_f: True)
-    tables = BenefitTables(ctx)
-    assert len(_same_as_mpf_reference(ctx, ctx.rho.value, tables)) == 194
-    assert max(tables._gamma[p][0].lengths()[1] for p in (2, 3)) > 1
 
 
 def _same_as_estimate_mpf(ctx, d_set, n, tables):
@@ -434,8 +438,10 @@ def test_prefix_sets_exact_fallbacks_match_mpf(ctx1e9, forced_exact):
 
 def test_small_prime_arrays_match_the_champion(ctx1e6, ctx1e9, table1m):
     # the per-context arrays against the champion read prime by prime: the
-    # primes below sqrt(x1), Champion.alpha at each, and the first steps
-    # bit for bit as _float_benp forms them, at a power-event slope too
+    # primes below sqrt(x1), Champion.alpha at each, and the float benp
+    # table: every entry within its bound of the mpf benp, each direction
+    # ending at -alpha_p or at its first mpf benp above B1, and the first
+    # steps read off its entries at -1 and 1, at a power-event slope too
     e2 = build_e2_table(10**9, table1m)
     power = next(c for c in (find_context(e.ell, table1m, e2) for e in e2[1:] if e.j >= 2)
                  if c.rho.j >= 2)
@@ -445,9 +451,24 @@ def test_small_prime_arrays_match_the_champion(ctx1e6, ctx1e9, table1m):
         ps = small_primes(ctx)
         assert tables.primes.tolist() == ps
         assert tables.alpha.tolist() == [ctx.N.alpha(p) for p in ps]
-        steps = [(tables._float_benp(p, -1), tables._float_benp(p, 1)) for p in ps]
-        assert tables.first_cost.tolist() == [min(a[1], b[1]) for a, b in steps]
-        assert tables.first_size.tolist() == [max(a[2], b[2]) for a, b in steps]
+        cols, steps = tables.columns, []
+        for i, p in enumerate(ps):
+            lo, hi = cols.start[i : i + 2].tolist()
+            gammas = cols.gamma[lo:hi].tolist()
+            neg, pos = [g for g in gammas if g < 0], [g for g in gammas if g > 0]
+            assert gammas == neg + pos
+            for run, sign, end in ((neg, -1, -ctx.N.alpha(p)), (pos, 1, None)):
+                assert run == [sign * (k + 1) for k in range(len(run))]
+                bens = [tables.benp(p, g) for g in run]
+                assert all(b <= ctx.B1 for b in bens[:-1])
+                assert run[-1] == end or bens[-1] > ctx.B1
+            for k in range(lo, hi):  # 5 steps and the mpf benp's own rounding
+                exact = tables.benp(p, int(cols.gamma[k]))
+                assert abs(mpf(cols.cost[k]) - exact) <= arith.rounding_error(cols.size[k], 6)
+            steps.append([(cols.cost[lo + gammas.index(g)], cols.size[lo + gammas.index(g)])
+                          for g in (-1, 1)])
+        assert tables.first_cost.tolist() == [min(a[0], b[0]) for a, b in steps]
+        assert tables.first_size.tolist() == [max(a[1], b[1]) for a, b in steps]
 
 
 @pytest.fixture
