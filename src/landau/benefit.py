@@ -195,16 +195,17 @@ class BenefitTables:
         self.dsets = {}
 
     def _benp_table(self):
-        """The GammaColumns of every small prime up to B1, |gamma| by
-        |gamma| in both directions over the ones still open.  dell_pp stays
-        far below 2^63: an entry follows one of benp <= B1 < x1, whose power
-        of p lies within a few x1, and p < sqrt(x1) < 2^16."""
+        """The GammaColumns of every small prime up to B1: gamma = -1, ...,
+        -alpha_p at once, each direction's run kept up to its first entry
+        over B1, and then gamma = 1, 2, ... round by round over the primes
+        still open.  dell_pp stays far below 2^63: a positive entry follows
+        one of benp <= B1 < x1, whose power of p lies within a few x1, and
+        p < sqrt(x1) < 2^16."""
         p, a, rho, b1 = self.primes, self.alpha, self.ctx.rho, self.ctx.B1
         pa, log_p = p**a, np.fromiter(map(math.log, self._sp), float, len(p))
         rho_f, b1_f = float(rho.value), float(b1)
-        rows, gamma = np.tile(np.arange(len(p)), 2), np.repeat([-1, 1], len(p))
-        parts = []
-        while rows.size:
+
+        def entries(rows, gamma):  # the entries' columns, and which exceed B1
             e = a[rows] + gamma
             d = np.where(e > 0, p[rows] ** e, 0) - pa[rows]  # l(p^0) is 0, not 1
             glog = gamma * log_p[rows]
@@ -213,11 +214,20 @@ class BenefitTables:
             if rho.is_power_event:
                 zero = (p[rows] == rho.q) & (gamma == 1)
                 cost[zero] = size[zero] = 0.0  # as in benp
-            parts.append((rows, gamma, cost, size, glog, d))
             over = arith.guarded_sign(cost - b1_f, arith.rounding_error(size + b1_f, 8), lambda i: (
-                self.benp(self._sp[rows[i]], int(gamma[i])) - b1))
-            go = (over <= 0) & (e > 0)  # e = 0 at gamma = -alpha_p
-            rows, gamma = rows[go], gamma[go] + np.sign(gamma[go])
+                self.benp(self._sp[rows[i]], int(gamma[i])) - b1)) > 0
+            return [rows, gamma, cost, size, glog, d], over
+
+        start = np.cumsum(a) - a  # of each prime's run of negative entries
+        rows = np.repeat(np.arange(len(p)), a)
+        neg, over = entries(rows, start[rows] - np.arange(len(rows)) - 1)  # -1, -2, ...
+        before = np.cumsum(over) - over  # entries over B1 before each
+        parts = [[c[before == before[start[rows]]] for c in neg]]
+        rows, gamma = np.arange(len(p)), np.ones(len(p), np.int64)
+        while rows.size:
+            part, over = entries(rows, gamma)
+            parts.append(part)
+            rows, gamma = rows[~over], gamma[~over] + 1
         prime, gamma, cost, size, glog, d = map(np.concatenate, zip(*parts))
         order = np.lexsort((np.abs(gamma), gamma > 0, prime))
         steps = np.array([cost, size, glog, np.abs(glog)])[:, order]

@@ -22,7 +22,8 @@ the primes it reads, which a wider window leaves as it is.  _Window's
 docstring gives the three arguments.  Widening: the last row's floats
 decide how far the window must reach (_Window.need), with exact products
 only at the columns they leave open, so the bits are walked back once per
-table, for the final window, to rebuild its prime sets.
+table, for the final window, to rebuild its prime sets as one int64 matrix;
+a read makes a tuple of only the segment it reads.
 
 For large m the recursion over windows is replaced by a reduction to
 G(p_{k+1}, m') for small m', valid as soon as an even budget delta with
@@ -96,8 +97,10 @@ def g_ceiling(pk1, m):
 
 
 class _UptoEntry:
-    """Confirmed-exact G(p_k, m) for all m <= cap, as a step function: the
-    H prime set sets[i] on [ms[i], ms[i+1])."""
+    """Confirmed-exact G(p_k, m) for all m <= cap, as a step function: on
+    [ms[i], ms[i+1]) the H prime set is row i of sets, an int64 matrix of
+    one ascending row of primes per segment.  fracs caches, by segment, the
+    fractions _extract has read."""
 
     __slots__ = ("pk_idx", "cap", "rhat_idx", "ms", "sets", "fracs")
 
@@ -107,6 +110,10 @@ class _UptoEntry:
         self.rhat_idx = rhat_idx
         self.ms, self.sets = steps
         self.fracs = {}
+
+    def segment(self, i):
+        """Segment i's H prime set, an ascending tuple of ints."""
+        return tuple(self.sets[i].tolist())
 
 
 class _Window:
@@ -314,43 +321,47 @@ class _Window:
 
     def extend(self, rhat_idx):
         """m -> H(R-K, P_Rhat; m) on [0, M] after appending rows up to
-        R - K = rhat_idx - pk_idx: the breakpoints and each segment's
-        ascending prime tuple."""
+        R - K = rhat_idx - pk_idx: the breakpoints and an int64 matrix of
+        each segment's ascending primes, one row per segment."""
         self.grow(rhat_idx)
         K, J, H, P = self.K, self.j, self.H, self.P[: self.K + self.j]
         if not self.row[K, 0] < np.inf:
             raise InvariantViolation("H has no feasible value at m=0")
 
-        # one backward walk over r rebuilds every column's prime set: step r
-        # writes row r - 1 of chosen, and a column leaves the walk once it
-        # has taken its J primes.  A column at step r with jc primes to take
-        # reads row jc at offset r - jc, that is bits[jc, r - jc] at
-        # (jc K + r) nb; one done (jc = 0) took its last prime at an offset
-        # r - 1 <= K, so until it leaves it reads row 0's zeros.
+        # one backward walk over r rebuilds every column's prime set.  A
+        # column at step r with jc primes to take reads row jc at offset
+        # r - jc, that is bits[jc, r - jc] at (jc K + r) nb, and writes r - 1
+        # into slot jc of its row of idx: the last write to a slot is the
+        # step that took that prime, so slots 1..J end holding the indices
+        # of its J primes, ascending.  A column cannot take more: one with
+        # jc = 0 took its last prime at an offset r - 1 <= K, so it reads
+        # row 0's zero bits, and writes only into slot 0, a sink, until it
+        # leaves the walk.  One that ends the walk with jc > 0 took fewer.
         nb = self.bits.shape[2]
         flat = self.bits.reshape(-1)
-        chosen = np.zeros((K + J, H), bool)
-        col = np.arange(H)
+        idx = np.zeros((H, J + 1), np.int64)
+        out = idx.reshape(-1)
+        ic = np.arange(H)
         jc = np.full(H, J)
-        ic = col.copy()
+        slot = ic * (J + 1) + J  # each column's slot jc, as an index of out
         half = (P - 1) >> 1  # shift(j, o) = half[K + j - 1] - half[j + o - 1]
         top = half[K - 1 :]
         for r in range(K + J, 0, -1):
             took = (flat[(jc * K + r) * nb + (ic >> 3)] >> (7 - (ic & 7))) & 1
-            chosen[r - 1, col] = took
+            out[slot] = r - 1
             ic -= took * (top[jc] - half[r - 1])
             jc -= took
+            slot -= took
             if r % 8 == 0:
                 live = jc > 0
-                col, jc, ic = col[live], jc[live], ic[live]
-                if not len(col):
+                ic, jc, slot = ic[live], jc[live], slot[live]
+                if not len(jc):
                     break
-        starts = np.flatnonzero(np.r_[True, (chosen[:, 1:] != chosen[:, :-1]).any(axis=0)])
-        sel = chosen[:, starts].T
-        if (np.count_nonzero(sel, axis=1) != J).any():
+        if (jc > 0).any():
             raise InvariantViolation("a column of H holds other than %d primes" % J)
-        sets = P[np.nonzero(sel)[1]].reshape(len(starts), J)
-        return (2 * starts).tolist(), list(map(tuple, sets.tolist()))
+        idx = idx[:, 1:]
+        starts = np.flatnonzero(np.r_[True, (idx[1:] != idx[:-1]).any(axis=1)])
+        return (2 * starts).tolist(), P[idx[starts]]
 
 
 def _keep(cache, key, value, entries):
@@ -394,7 +405,7 @@ class GEngine:
         if frac is None:
             p_k = self.table.prime(entry.pk_idx)
             tops = self.table.primes[entry.pk_idx : entry.rhat_idx].tolist()
-            qs, Qs = _segment_primes(p_k, tops, entry.sets[i], entry.ms[i])
+            qs, Qs = _segment_primes(p_k, tops, entry.segment(i), entry.ms[i])
             frac = PrimeFraction(tuple((p, -1) for p in qs) + tuple((p, 1) for p in Qs))
             entry.fracs[i] = frac
         return frac
@@ -416,7 +427,7 @@ class GEngine:
             nonlocal seg, num, den
             i = bisect_right(entry.ms, d) - 1
             if i != seg:
-                qs, Qs = _segment_primes(p_k, tops, entry.sets[i], entry.ms[i])
+                qs, Qs = _segment_primes(p_k, tops, entry.segment(i), entry.ms[i])
                 seg, num, den = i, math.prod(Qs), math.prod(qs)
             return p_k * num < (p_k + d) * den
 

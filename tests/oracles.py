@@ -692,7 +692,7 @@ def confirm_segments(table, pk_idx, steps, rhat_idx, cap):
         m_hi = min(ms[i + 1] - 1 if i + 1 < len(ms) else cap, cap)
         if ms[i] > cap:
             break
-        den = math.prod(sets[i])
+        den = math.prod(map(int, sets[i]))  # Python ints: a row of extend's matrix
         if num == den:
             # no beneficial swap seen: genuine only while m < first gap
             if m_hi >= pk1 - p_k:

@@ -120,6 +120,12 @@ def test_widen_matches_full_window(engine, table1m):
             assert engine.g_fraction(pk, m) == full[m]
 
 
+def _steps(entry):
+    """An entry's breakpoints and its segments' sets, read as tuples through
+    the entry's accessor, as h_window_steps gives them."""
+    return entry.ms, [entry.segment(i) for i in range(len(entry.ms))]
+
+
 def test_widen_example_uses_narrow_window():
     t = PrimeTable.build(200000)
     eng = GEngine(t)
@@ -153,7 +159,7 @@ def test_widening_continues_the_trial_rows(monkeypatch):
     assert entry.cap == 1280 and entry.rhat_idx - pk_idx == 35
     assert len(guards) == 35
     lo_idx = eng._low_idx(t.next_prime(150989), 1280)
-    assert (entry.ms, entry.sets) == h_window_steps(t, pk_idx, lo_idx, pk_idx + 35, 1280)
+    assert _steps(entry) == h_window_steps(t, pk_idx, lo_idx, pk_idx + 35, 1280)
 
 
 def test_one_walk_per_table(monkeypatch):
@@ -173,7 +179,34 @@ def test_one_walk_per_table(monkeypatch):
     entry = eng._g_upto(pk_idx, 1200)
     assert walks == [pk_idx + 35]
     lo_idx = eng._low_idx(t.next_prime(150989), 1280)
-    assert (entry.ms, entry.sets) == h_window_steps(t, pk_idx, lo_idx, pk_idx + 35, 1280)
+    assert _steps(entry) == h_window_steps(t, pk_idx, lo_idx, pk_idx + 35, 1280)
+
+
+def test_extend_refuses_a_column_short_of_its_primes(table1m):
+    # the last column's bits of the last row cleared at every offset: that
+    # column never takes its J-th prime and ends the walk still owing it
+    eng = GEngine(table1m)
+    pk_idx = table1m.rank(7919)
+    lo_idx = eng._low_idx(table1m.next_prime(7919), 256)
+    window = _Window(table1m, pk_idx, lo_idx, pk_idx + 12, 256)
+    window.grow(pk_idx + 12)
+    c = window.H - 1
+    window.bits[12, :, c >> 3] &= np.uint8(~(1 << (7 - (c & 7))) & 0xFF)
+    with pytest.raises(InvariantViolation, match="other than 12 primes"):
+        window.extend(pk_idx + 12)
+
+
+def test_one_g_fraction_makes_one_segment_fraction(table1m):
+    # a fresh engine's table keeps its sets as one int64 matrix, one
+    # ascending row of J primes per segment; one g_fraction reads one
+    # segment of it and caches that segment's fraction alone
+    eng = GEngine(table1m)
+    eng.g_fraction(150989, 1200)
+    (entry,) = eng._upto.values()
+    J = entry.rhat_idx - entry.pk_idx
+    assert entry.sets.dtype == np.int64 and entry.sets.shape == (len(entry.ms), J)
+    assert len(entry.ms) > 100 and (np.diff(entry.sets, axis=1) > 0).all()
+    assert list(entry.fracs) == [bisect.bisect_right(entry.ms, 1200) - 1]
 
 
 def _need_cases(table, count):
@@ -270,11 +303,12 @@ def test_extract_checks_the_cost_against_the_segment_start(table1m):
 
 
 def _same_on_every_even_m(got, want, M):
-    # breakpoints, then the prime set at each even m
+    # breakpoints, then the prime set at each even m; got's sets are the
+    # rows of extend's matrix
     assert got[0] == want[0]
     for m in range(0, M + 1, 2):
         i = bisect.bisect_right(got[0], m) - 1
-        assert got[1][i] == want[1][bisect.bisect_right(want[0], m) - 1], m
+        assert got[1][i].tolist() == list(want[1][bisect.bisect_right(want[0], m) - 1]), m
 
 
 @pytest.mark.parametrize("width", [10, 35])
@@ -349,7 +383,7 @@ def test_delta1_cache_stays_within_its_cap(table1m):
 
 
 def _upto_entries(eng):
-    return {k: (e.cap, e.rhat_idx, e.ms, e.sets) for k, e in eng._upto.items()}
+    return {k: (e.cap, e.rhat_idx) + _steps(e) for k, e in eng._upto.items()}
 
 
 def _delta1_matches_the_reference(table, primes):
@@ -416,8 +450,8 @@ def test_delta1_refuses_a_corrupted_segment(table1m, plant, refusal):
     entry = eng._g_upto(p_idx, max(gap + (gap & 1), 256))  # the table delta1 reads first
     tops = set(table1m.primes[p_idx : entry.rhat_idx].tolist())
     d1 = GEngine(table1m).delta1(p)
-    i = next(i for i, m in enumerate(entry.ms) if 0 < m <= d1 and plant(entry.sets[i], tops))
-    entry.sets[i] = plant(entry.sets[i], tops)
+    i = next(i for i, m in enumerate(entry.ms) if 0 < m <= d1 and plant(entry.segment(i), tops))
+    entry.sets[i] = plant(entry.segment(i), tops)
     with pytest.raises(InvariantViolation, match=refusal):
         eng.delta1(p)
 
