@@ -32,7 +32,9 @@ x > t = -log1p(-m/q): t takes the quotient m/q, whose rounding log1p passes
 on scaled by m/(q - m), and log1p, and the comparison the difference, 4
 steps of size |x| + t + m/(q - m), on top of row J's guard; the floor of
 m/(1 - e^-x) is read from floats and kept only where both of its ends
-pass that test; D(B'), estimate_B and
+pass that test, and G(p_k, d) < 1 + d/p_k is x < t at q = p_k + d, m = d;
+a set read from the window has its float log within row J's guard of its
+row value; D(B'), estimate_B and
 the trim as below; the event table's slopes (q^j - q^{j-1})/log q, an exact integer
 over a float log, 5 for each slope in their order (log, quotient,
 difference, and the mpf slopes they must order alike), and its p/log p < rho

@@ -1,7 +1,7 @@
 """Command-line front end: compute, table, verify, gfun, superchampion,
-prefixes.  Exit codes: 0 success, 1 generic failure or verify mismatch,
-2 benefit-bound failure, 3 prefix-gap violation, 4 capacity, 5 delta1
-ceiling."""
+prefixes.  Exit codes: 0 success, 1 generic failure, verify mismatch or
+invariant violation, 2 benefit-bound failure, 3 prefix-gap violation,
+4 capacity, 5 delta1 ceiling."""
 
 import argparse
 import json
@@ -17,6 +17,7 @@ from .errors import (
     BoundFailureError,
     CapacityError,
     Delta1CeilingError,
+    LandauError,
     PrefixGapError,
 )
 from .gfunction import GEngine
@@ -244,6 +245,9 @@ def main(argv=None):
     except Delta1CeilingError as e:
         print("delta1 ceiling: %s" % e, file=sys.stderr)
         return EXIT_DELTA1
+    except LandauError as e:
+        print("invariant violation: %s" % e, file=sys.stderr)
+        return EXIT_FAIL
     except (ValueError, IndexError) as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_FAIL

@@ -21,9 +21,11 @@ Guard: row j's float comparisons are guarded by T_j, the largest term over
 the primes it reads, which a wider window leaves as it is.  _Window's
 docstring gives the three arguments.  Widening: the last row's floats
 decide how far the window must reach (_Window.need), with exact products
-only at the columns they leave open, so the bits are walked back once per
-table, for the final window, to rebuild its prime sets as one int64 matrix;
-a read makes a tuple of only the segment it reads.
+only at the columns they leave open.  The final window is kept as the
+table, its bits, primes and last row, and a read walks back only the
+column it asks for.  Whether G lies below the line 1 + m/p_k is read off
+the same last row by the float test need makes (_line_sign), on the walked
+set only inside its bound.
 
 For large m the recursion over windows is replaced by a reduction to
 G(p_{k+1}, m') for small m', valid as soon as an even budget delta with
@@ -33,7 +35,6 @@ guaranteed, and both algorithms agree on an overlap band of m.
 """
 
 import math
-from bisect import bisect_right
 from fractions import Fraction
 
 import numpy as np
@@ -71,19 +72,6 @@ def _check_swap(qs, Qs, p_k, m):
         raise InvariantViolation("fraction cost %d outside [0, %d]" % (ell, m))
 
 
-def _segment_primes(p_k, tops, chain, m):
-    """The primes of G(p_k, m)'s fraction on a segment whose H set is chain
-    (ascending), over the window's top primes tops: the chain's primes at or
-    below p_k, below, and the tops it leaves out, above; checked as
-    check_fraction checks, with m the segment's first budget, from which it
-    is optimal."""
-    qs = [p for p in chain if p <= p_k]
-    used = {p for p in chain if p > p_k}
-    Qs = [p for p in tops if p not in used]
-    _check_swap(qs, Qs, p_k, m)
-    return qs, Qs
-
-
 def g_floor(table, p_k, pk1, m):
     """G(p_k, m) >= p_{k+1}/q, a Fraction: the single swap of q, the least
     prime >= p_{k+1} - m, for p_{k+1} when q <= p_k; else 1."""
@@ -96,32 +84,96 @@ def g_ceiling(pk1, m):
     return Fraction(pk1, pk1 - m)
 
 
+def _walk(bits, Pl, K, j, o, i, known=()):
+    """The walk from [o, i] of row j back through the packed bits: the
+    cell where it enters each row, with the prime it takes in that row,
+    down to row 0 or an entered cell in known; and the cell it stops at.
+    A walk that runs off its row holds fewer than j primes."""
+    J, path, item = j, [], bits.item
+    while j:
+        cell = (j, o, i)
+        if cell in known:
+            break
+        byte, shift = i >> 3, 7 - (i & 7)
+        while i < 0 or not item(j, o, byte) >> shift & 1:
+            o -= 1
+            if o < 0 or i < 0:
+                raise InvariantViolation("a column of H holds other than %d primes" % J)
+        p = Pl[j + o - 1]
+        path.append((cell, p))
+        j, i = j - 1, i - (Pl[K + j - 1] - p) // 2
+    return path, (j, o, i)
+
+
+def _line_sign(x, q, m, guard, scale):
+    """Sign of x - t(q), t(q) = -log1p(-m/q) = log(q/(q - m)), for float
+    arrays x within guard of their exact values, q and m: -1 where q <= m,
+    0 where the floats cannot decide.  t's own rounding is at most 4 steps
+    over |x| + t + m/(q - m) (arith's docstring), at scale per unit."""
+    out = np.full(len(x), -1)
+    s = q > m
+    mi, qi, xi = m[s], q[s], x[s]
+    t = -np.log1p(-(mi / qi))
+    d = xi - t
+    err = guard + scale * 4 * (np.abs(xi) + t + mi / (qi - mi))
+    out[s] = np.where(d > err, 1, np.where(d < -err, -1, 0))
+    return out
+
+
 class _UptoEntry:
-    """Confirmed-exact G(p_k, m) for all m <= cap, as a step function: on
-    [ms[i], ms[i+1]) the H prime set is row i of sets, an int64 matrix of
-    one ascending row of primes per segment.  fracs caches, by segment, the
-    fractions _extract has read."""
+    """Confirmed-exact G(p_k, m) for all m <= cap, kept as its final window
+    of J = rhat_idx - pk_idx rows: the packed bits of rows 0..J, the K + J
+    window primes, and the last row's floats at offset K with their guard.
 
-    __slots__ = ("pk_idx", "cap", "rhat_idx", "ms", "sets", "fracs")
+    Column c holds the budgets 2c and 2c + 1.  read(c) walks its H set back
+    from the bits, the walk _Window._exact makes, and checks it: its cost
+    within 2c, as check_fraction checks, and its float log sum within the
+    guard of row[K, c].  The row holds the same sum, so each lies within
+    rounding_error(J T_J, J + 3) of the exact log, and a mis-walked or
+    non-optimal set lies further off.  fracs caches, by column, the
+    fractions _extract has read; line the float line test's signs, by
+    column (GEngine._below_line)."""
 
-    def __init__(self, pk_idx, cap, rhat_idx, steps):
-        self.pk_idx = pk_idx
-        self.cap = cap
-        self.rhat_idx = rhat_idx
-        self.ms, self.sets = steps
-        self.fracs = {}
+    __slots__ = ("pk_idx", "cap", "rhat_idx", "K", "Pl", "bits", "last", "guard", "scale",
+                 "fracs", "line")
 
-    def segment(self, i):
-        """Segment i's H prime set, an ascending tuple of ints."""
-        return tuple(self.sets[i].tolist())
+    def __init__(self, pk_idx, cap, window):
+        K, J = window.K, window.j
+        if not window.row[K, 0] < np.inf:
+            raise InvariantViolation("H has no feasible value at m=0")
+        self.pk_idx, self.cap, self.rhat_idx, self.K = pk_idx, cap, pk_idx + J, K
+        self.Pl = window.Pl[: K + J]
+        self.bits = window.bits[: J + 1].copy()
+        self.last = window.row[K].copy()
+        self.guard, self.scale = window.guard, window.scale
+        self.fracs, self.line = {}, None
+
+    def walk(self, c):
+        """Column c's H prime set, ascending."""
+        path, _ = _walk(self.bits, self.Pl, self.K, self.rhat_idx - self.pk_idx, self.K, c)
+        return [p for _, p in reversed(path)]
+
+    def read(self, c):
+        """The primes at or below p_k of column c's set, and the window
+        primes above p_k it leaves out, each ascending, checked."""
+        chain, K, Pl = self.walk(c), self.K, self.Pl
+        p_k = Pl[K - 1]
+        qs = [p for p in chain if p <= p_k]
+        used = {p for p in chain if p > p_k}
+        Qs = [p for p in Pl[K:] if p not in used]
+        _check_swap(qs, Qs, p_k, 2 * c)
+        log = math.fsum(math.log1p((p - p_k) / p_k) for p in chain)
+        if not abs(log - self.last[c]) <= self.guard:
+            raise InvariantViolation("column %d's set is off its row's log" % c)
+        return qs, Qs
 
 
 class _Window:
     """The rows of the window recursion over P_1..P_R, table indices
     lo_idx..top_idx, around p_k = P_K, for even budgets up to M: rows are
     appended on demand and kept, with their packed choice bits, so a
-    wider window continues from the last row, and extend(rhat_idx) gives
-    m -> min product H(R-K, P_Rhat; m) on [0, M] as a step function.
+    wider window continues from the last row; _UptoEntry keeps the final
+    one, whose last row gives m -> min product H(R-K, P_Rhat; m) on [0, M].
 
     Row j holds H(j, P_{j+o}; 2i) at [o, i] for o = 0..K, the log of the
     product less j log p_k, so rows compare through log1p((P - p_k)/p_k).
@@ -158,7 +210,7 @@ class _Window:
         K = self.K = pk_idx - lo_idx + 1
         H = self.H = M // 2 + 1
         self.pk_idx = pk_idx
-        P = self.P = table.primes[lo_idx - 1 : top_idx].astype(np.int64)  # P_1..P_R
+        P = table.primes[lo_idx - 1 : top_idx].astype(np.int64)  # P_1..P_R
         p_k = int(P[K - 1])
         self.L = np.log1p((P - p_k) / p_k)
         # T[r - 1] bounds |L| and the quotient's rounding as log1p passes it
@@ -166,7 +218,7 @@ class _Window:
         self.T = np.maximum.accumulate(np.maximum(np.abs(self.L), np.abs(P - p_k) / P))
         self.Pl = P.tolist()
         self.j, self.lo = 0, 0
-        self.guard = None  # the last row's, from _add_row; need reads it
+        self.guard = self.scale = None  # the last row's, from _add_row
         self.row = np.zeros((K + 1, H))  # j = 0: the empty product, at every m
         self.bits = np.zeros((top_idx - pk_idx + 1, K + 1, (H + 7) // 8), np.uint8)
         self.memo = {}
@@ -182,13 +234,9 @@ class _Window:
 
     def _exact(self, j, o, i):
         """The product at [o, i] of a finished row j, walked from the bits."""
-        bits, memo = self.bits, self.memo
-        path = []
-        while j and (j, o, i) not in memo:
-            took = bits[j, o, i >> 3] >> (7 - (i & 7)) & 1
-            path.append(((j, o, i), self.Pl[j + o - 1] if took else 1))
-            j, o, i = (j - 1, o, i - self._shift(j, o)) if took else (j, o - 1, i)
-        v = memo.get((j, o, i), 1)
+        memo = self.memo
+        path, end = _walk(self.bits, self.Pl, self.K, j, o, i, memo)
+        v = memo.get(end, 1)
         for cell, p in reversed(path):
             v *= p
             memo[cell] = v
@@ -227,7 +275,9 @@ class _Window:
             np.minimum(run[o], cand[o], out=run[o + 1])
         self.row = run[1:]
         diff, taken, near = self.diff[lo:], self.taken[lo:], self.near[lo:]
-        guard = self.guard = arith.rounding_error(2 * j * self.T[K + j - 1], j + 3)
+        size, steps = 2 * j * self.T[K + j - 1], j + 3
+        guard = self.guard = arith.rounding_error(size, steps)
+        self.scale = guard / (size * steps)  # rounding_error is linear in both
         with np.errstate(invalid="ignore"):  # inf - inf: both infeasible
             np.subtract(cand[lo:], run[lo:-1], out=diff)
             np.less(diff, 0, out=taken)  # cand < left, inf included
@@ -254,15 +304,15 @@ class _Window:
         window is exact up to m when P_Rhat > p_k + m or P_Rhat f > m; else
         the column needs the least of p_k + m and floor(m/f) + 1.  For a
         fixed set the need grows with m, so the largest over columns is the
-        largest over the walked segments at their last budgets.
+        largest over the runs of equal sets at their last budgets.
 
         Below the first gap p_{k+1} - p_k only the top set is feasible, so
         den = num and the need is 0; from the gap on, the swap of p_k for
         p_{k+1} is feasible, so den < num.  x is row[K, 0] - row[K, c], a
         difference of two values of the last row, so within its guard.  A
-        test q f > m for q > m reads x > t(q) = -log1p(-m/q), decided beyond
-        that guard plus t's own rounding (arith's docstring); q <= m fails
-        it.  The columns the floats leave open take den from the bits, the
+        test q f > m reads x > t(q) = -log1p(-m/q), which _line_sign
+        decides beyond that guard plus t's own rounding; q <= m fails it.
+        The columns the floats leave open take den from the bits, the
         largest m first, while p_k + m, a bound on every column's need, can
         still exceed the largest found."""
         K, J, Pl = self.K, self.j, self.Pl
@@ -270,19 +320,9 @@ class _Window:
         cols = np.arange((Pl[K] - p_k) // 2, min(self.H - 1, cap // 2) + 1)
         m = np.minimum(2 * cols + 1, cap).astype(float)
         x = self.row[K, 0] - self.row[K, cols]
-        # rounding_error is linear in size and steps, so the row's guard,
-        # rounding_error(2 J T_J, J + 3), scales to t(q)'s own bound
-        scale = self.guard / ((J + 3) * 2 * J * self.T[K + J - 1])
 
         def sign(q, i):  # sign of x - t(q) at columns i; 0 inside the bound
-            out = np.full(len(i), -1)  # q <= m: q f < q <= m
-            s = q > m[i]
-            mi, qi, xi = m[i][s], q[s], x[i][s]
-            t = -np.log1p(-(mi / qi))
-            d = xi - t
-            err = self.guard + scale * 4 * (np.abs(xi) + t + mi / (qi - mi))
-            out[s] = np.where(d > err, 1, np.where(d < -err, -1, 0))
-            return out
+            return _line_sign(x[i], q, m[i], self.guard, self.scale)
 
         need = np.zeros(len(cols), np.int64)
         undecided = []
@@ -319,50 +359,6 @@ class _Window:
             best = max(best, v)
         return best
 
-    def extend(self, rhat_idx):
-        """m -> H(R-K, P_Rhat; m) on [0, M] after appending rows up to
-        R - K = rhat_idx - pk_idx: the breakpoints and an int64 matrix of
-        each segment's ascending primes, one row per segment."""
-        self.grow(rhat_idx)
-        K, J, H, P = self.K, self.j, self.H, self.P[: self.K + self.j]
-        if not self.row[K, 0] < np.inf:
-            raise InvariantViolation("H has no feasible value at m=0")
-
-        # one backward walk over r rebuilds every column's prime set.  A
-        # column at step r with jc primes to take reads row jc at offset
-        # r - jc, that is bits[jc, r - jc] at (jc K + r) nb, and writes r - 1
-        # into slot jc of its row of idx: the last write to a slot is the
-        # step that took that prime, so slots 1..J end holding the indices
-        # of its J primes, ascending.  A column cannot take more: one with
-        # jc = 0 took its last prime at an offset r - 1 <= K, so it reads
-        # row 0's zero bits, and writes only into slot 0, a sink, until it
-        # leaves the walk.  One that ends the walk with jc > 0 took fewer.
-        nb = self.bits.shape[2]
-        flat = self.bits.reshape(-1)
-        idx = np.zeros((H, J + 1), np.int64)
-        out = idx.reshape(-1)
-        ic = np.arange(H)
-        jc = np.full(H, J)
-        slot = ic * (J + 1) + J  # each column's slot jc, as an index of out
-        half = (P - 1) >> 1  # shift(j, o) = half[K + j - 1] - half[j + o - 1]
-        top = half[K - 1 :]
-        for r in range(K + J, 0, -1):
-            took = (flat[(jc * K + r) * nb + (ic >> 3)] >> (7 - (ic & 7))) & 1
-            out[slot] = r - 1
-            ic -= took * (top[jc] - half[r - 1])
-            jc -= took
-            slot -= took
-            if r % 8 == 0:
-                live = jc > 0
-                ic, jc, slot = ic[live], jc[live], slot[live]
-                if not len(jc):
-                    break
-        if (jc > 0).any():
-            raise InvariantViolation("a column of H holds other than %d primes" % J)
-        idx = idx[:, 1:]
-        starts = np.flatnonzero(np.r_[True, (idx[1:] != idx[:-1]).any(axis=1)])
-        return (2 * starts).tolist(), P[idx[starts]]
-
 
 def _keep(cache, key, value, entries):
     """Store value as the newest entry of cache, dropping the oldest past
@@ -374,8 +370,8 @@ def _keep(cache, key, value, entries):
 
 
 class GEngine:
-    """Computes G(p_k, m) exactly, caching in memory the step functions of
-    the last UPTO_ENTRIES primes and the last DELTA1_ENTRIES delta1 values."""
+    """Computes G(p_k, m) exactly, caching in memory the G tables of the
+    last UPTO_ENTRIES primes and the last DELTA1_ENTRIES delta1 values."""
 
     def __init__(self, table):
         self.table = table
@@ -397,48 +393,45 @@ class GEngine:
         return self.table.count_upto(p_k + M)
 
     def _extract(self, entry, m):
-        """G(p_k, m) from a confirmed step-function entry: the window primes
-        above p_k the H set leaves out over the primes at or below p_k it
-        takes."""
-        i = bisect_right(entry.ms, m) - 1
-        frac = entry.fracs.get(i)
+        """G(p_k, m) from a confirmed entry: the window primes above p_k
+        that column m // 2's H set leaves out over the primes at or below
+        p_k it takes."""
+        frac = entry.fracs.get(m // 2)
         if frac is None:
-            p_k = self.table.prime(entry.pk_idx)
-            tops = self.table.primes[entry.pk_idx : entry.rhat_idx].tolist()
-            qs, Qs = _segment_primes(p_k, tops, entry.segment(i), entry.ms[i])
+            qs, Qs = entry.read(m // 2)
             frac = PrimeFraction(tuple((p, -1) for p in qs) + tuple((p, 1) for p in Qs))
-            entry.fracs[i] = frac
+            entry.fracs[m // 2] = frac
         return frac
 
     def _below_line(self, entry):
-        """d -> whether G(p_k, d) < 1 + d/p_k, for the entry's p_k and
+        """d -> whether G(p_k, d) < 1 + d/p_k, for the entry's p_k and even
         0 <= d <= entry.cap.
 
-        On a segment G = num/den, num the product of the tops its H set
-        leaves out and den that of the set's primes at or below p_k, so the
-        test is p_k num < (p_k + d) den, on integers.  num and den are
-        formed, and the segment checked as _extract checks what it reads,
-        once each time the reads enter a segment."""
-        p_k = self.table.prime(entry.pk_idx)
-        tops = self.table.primes[entry.pk_idx : entry.rhat_idx].tolist()
-        seg = num = den = None
+        At column c = d/2, G = e^x with x = row[K, 0] - row[K, c], the log
+        of T, the product of the J tops, over that of the column's set,
+        within the last row's guard.  So the test is x < log1p(d/p_k), that
+        is x < t(q) at q = p_k + d and m = d: _line_sign decides it for
+        every column at once, as need decides its own.  Inside its bound it
+        is p_k T < (p_k + d) times the product of the walked set."""
+        K, Pl = entry.K, entry.Pl
+        p_k, T = Pl[K - 1], math.prod(Pl[K:])
+        if entry.line is None:  # G(p_k, 0) = 1 lies on the line
+            d = np.arange(2, 2 * len(entry.last), 2)
+            entry.line = [1] + _line_sign(entry.last[0] - entry.last[1:], p_k + d, d, entry.guard,
+                                          entry.scale).tolist()
 
         def below(d):
-            nonlocal seg, num, den
-            i = bisect_right(entry.ms, d) - 1
-            if i != seg:
-                qs, Qs = _segment_primes(p_k, tops, entry.segment(i), entry.ms[i])
-                seg, num, den = i, math.prod(Qs), math.prod(qs)
-            return p_k * num < (p_k + d) * den
+            s = entry.line[d // 2]
+            return s < 0 if s else p_k * T < (p_k + d) * math.prod(entry.walk(d // 2))
 
         return below
 
     def _g_upto(self, pk_idx, M):
-        """Confirmed-exact step function of G(p_k, .) on [0, max(M, cap)].
+        """Confirmed-exact G(p_k, .) on [0, max(M, cap)], as an _UptoEntry.
 
         The window starts TRIAL_WIDTH primes above p_k and widens by
         appending rows until its last row's need is 0 or it reaches
-        p_k + cap; then one backward walk rebuilds the final window's sets."""
+        p_k + cap; the entry keeps the final window's rows for reads."""
         entry = self._upto.get(pk_idx)
         if entry is not None and entry.cap >= M:
             return entry
@@ -457,7 +450,7 @@ class GEngine:
             if need == 0:
                 break
             rhat_idx = min(max(t.count_upto(need) + 1, rhat_idx + TRIAL_WIDTH), full_top)
-        entry = _UptoEntry(pk_idx, cap, rhat_idx, window.extend(rhat_idx))
+        entry = _UptoEntry(pk_idx, cap, window)
         _keep(self._upto, pk_idx, entry, UPTO_ENTRIES)
         return entry
 

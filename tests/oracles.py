@@ -30,12 +30,18 @@ mpf Newton root, exact at the slope's own j, and `threshold_champion`
 builds the champion whose run j ends below x_j; `run_ends` reads a
 champion's run ends back.
 
-`h_window_steps` is the reference for `landau.gfunction._Window.extend`: the
-window recursion H(j, P_r; m) over breakpoint lists of linked prime chains,
+`h_window_steps` is the reference for the column reads of a
+`landau.gfunction._UptoEntry`, collapsed into segments: the window
+recursion H(j, P_r; m) over breakpoint lists of linked prime chains,
 compared as exact integers, whose rows `h_window_rows` yields one by one.
+`entry_steps` reads every column of an `_UptoEntry` and collapses the sets
+into segments, the form `h_window_steps` gives.
 `confirm_segments` is the reference for `landau.gfunction._Window.need`: the
 largest prime a truncated window needs, from the exact product of every
 segment of its step function.
+`line_test_signs` checks the float line test of
+`landau.gfunction.GEngine._below_line` against the integers of each
+column's checked read, at every column of the tables delta1 builds.
 `g_small` runs the full, uncertified window recursion, the reference for the
 confirmed window.  `delta1_reference` is the reference for
 `landau.gfunction.GEngine.delta1`: the scan reads G(p, d) as a Fraction at
@@ -69,7 +75,7 @@ from landau.errors import (
     InvariantViolation,
     PrefixGapError,
 )
-from landau.gfunction import _UptoEntry, _Window, g_ceiling, g_floor
+from landau.gfunction import GEngine, _UptoEntry, _Window, g_ceiling, g_floor
 from landau.oracle import _pmax
 from landau.primes import _simple_sieve
 from landau.superchampion import Champion, E2Entry, _solve_x1, newton_from_above
@@ -568,8 +574,8 @@ def g_small(engine, p_k, M):
         raise ValueError("M=%d outside [0, %d]" % (M, pk1 - 3))
     top_idx = max(engine._full_top_idx(pk_idx, M), pk_idx + 1)
     window = _Window(engine.table, pk_idx, engine._low_idx(pk1, M), top_idx, M)
-    steps = window.extend(top_idx)
-    entry = _UptoEntry(pk_idx, M, top_idx, steps)
+    window.grow(top_idx)
+    entry = _UptoEntry(pk_idx, M, window)
     return [engine._extract(entry, m) for m in range(M + 1)]
 
 
@@ -594,6 +600,27 @@ def delta1_reference(engine, p):
         d += 2
         if d > ceiling:
             raise Delta1CeilingError("delta1(%d) exceeded ceiling %d" % (p, ceiling))
+
+
+def line_test_signs(table, primes):
+    """delta1(p) for each prime on a fresh GEngine, and the float line
+    test's sign at every column d/2 > 0 of every G table that built, each
+    with whether G(p_k, d) lies on the line, after asserting at each that
+    _below_line(entry)(d) is the integer test on the column's checked read,
+    p_k num < (p_k + d) den."""
+    values, signs = [], []
+    for p in primes:
+        engine = GEngine(table)
+        values.append(engine.delta1(p))
+        for entry in engine._upto.values():
+            below = engine._below_line(entry)
+            p_k = entry.Pl[entry.K - 1]
+            for d in range(2, entry.cap + 1, 2):
+                qs, Qs = entry.read(d // 2)
+                lhs, rhs = p_k * math.prod(Qs), (p_k + d) * math.prod(qs)
+                assert below(d) == (lhs < rhs), (p, entry.cap, d)
+                signs.append((entry.line[d // 2], lhs == rhs))
+    return values, signs
 
 
 class _Node:
@@ -671,11 +698,27 @@ def h_window_rows(table, pk_idx, lo_idx, rhat_idx, M):
 def h_window_steps(table, pk_idx, lo_idx, rhat_idx, M):
     """H(R-K, P_R; m) on [0, M] for the window primes P_1 < ... < P_R,
     table indices lo_idx..rhat_idx, around p_k = P_K: the breakpoints and
-    each segment's ascending prime tuple, as _Window.extend returns them."""
+    each segment's ascending prime tuple."""
     last = deque(h_window_rows(table, pk_idx, lo_idx, rhat_idx, M), maxlen=1)[0]
     steps = last[rhat_idx - lo_idx + 1]
     assert steps and steps[0][0] == 0, "H has no feasible value at m=0"
     return [m for m, _ in steps], [_node_primes(node) for _, node in steps]
+
+
+def entry_steps(entry):
+    """An entry's breakpoints and its segments' ascending prime tuples, as
+    h_window_steps gives them, from the checked read of every column: a
+    segment starts where the set differs from the column before."""
+    ms, sets = [], []
+    tops = entry.Pl[entry.K :]
+    for c in range(entry.cap // 2 + 1):
+        qs, Qs = entry.read(c)
+        out = set(Qs)
+        chain = tuple(qs + [p for p in tops if p not in out])
+        if not sets or chain != sets[-1]:
+            ms.append(2 * c)
+            sets.append(chain)
+    return ms, sets
 
 
 def confirm_segments(table, pk_idx, steps, rhat_idx, cap):
@@ -692,7 +735,7 @@ def confirm_segments(table, pk_idx, steps, rhat_idx, cap):
         m_hi = min(ms[i + 1] - 1 if i + 1 < len(ms) else cap, cap)
         if ms[i] > cap:
             break
-        den = math.prod(map(int, sets[i]))  # Python ints: a row of extend's matrix
+        den = math.prod(map(int, sets[i]))  # Python ints: an int64 product would wrap
         if num == den:
             # no beneficial swap seen: genuine only while m < first gap
             if m_hi >= pk1 - p_k:

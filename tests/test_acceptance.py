@@ -14,6 +14,7 @@ table cardinality (1360).  That check runs only with LANDAU_EXTENDED=1 and
 is kept as recorded.
 """
 
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -21,16 +22,18 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf
 
+from landau import arith
 from landau.arith import DEFAULT_PRECISION, PrimeFraction, set_precision
 from landau.assemble import Solver
 from landau.benefit import BenefitTables, bound_loop, build_prefix_sets, estimate_B
-from landau.gfunction import GEngine, _Window
+from landau.gfunction import GEngine, _UptoEntry, _Window
 from landau.oracle import g_list_merge_prune
 from landau.primes import PrimeTable
 from landau.superchampion import build_e2_table, find_context
 
 from conftest import EXTENDED, extended
-from oracles import confirm_segments, g_bruteforce, g_small, g_table_dp, members, small_primes
+from oracles import (confirm_segments, entry_steps, g_bruteforce, g_small, g_table_dp,
+                     line_test_signs, members, small_primes)
 
 
 @pytest.fixture(scope="module")
@@ -109,7 +112,7 @@ def test_sandwich_exact_at_goldens(big_solver):
 def test_need_matches_reference_at_goldens(big_solver, monkeypatch):
     # every widening decision of the G windows the 10^12 and 10^15 goldens
     # and their n - 1 evaluate, on a fresh engine, against the reference
-    # over the walked steps: the largest p_k the suite reaches (about
+    # over the steps of every column read: the largest p_k the suite reaches (about
     # 5.5*10^6 and 1.9*10^8), where window logs tie within their guard
     # most often
     table = big_solver.table
@@ -119,7 +122,8 @@ def test_need_matches_reference_at_goldens(big_solver, monkeypatch):
     def checked(self, cap):
         got = need(self, cap)
         rhat_idx = self.pk_idx + self.j
-        want = confirm_segments(table, self.pk_idx, self.extend(rhat_idx), rhat_idx, cap)
+        steps = entry_steps(_UptoEntry(self.pk_idx, cap, self))
+        want = confirm_segments(table, self.pk_idx, steps, rhat_idx, cap)
         assert got == want, (table.prime(self.pk_idx), cap, self.j)
         needs.append(got)
         return got
@@ -169,6 +173,35 @@ def test_jump_check():
         g = res.to_int()
         assert at_m.to_int() == g and below.to_int() < g, n
     print("PASS jump check: g(l(g(n))) = g(n) > g(l(g(n)) - 1) near 1e6, 1e7, 1e9")
+
+
+@extended
+def test_line_test_at_goldens(big_solver, monkeypatch):
+    # the float line test of delta1 and g_large's probe at the primes whose
+    # delta1 the 10^12 and 10^15 goldens and their n - 1 read (one, p_{k+1}
+    # of the 10^15 context; the 10^12 ones read none), on a fresh engine: the
+    # floats decide every column up to cap as the integers do, and leave
+    # open only columns on the line; under an infinite guard every column
+    # settles on the integers, to the same delta1 values
+    primes = set()
+    delta1 = GEngine.delta1
+
+    def recorded(self, p):
+        primes.add(p)
+        return delta1(self, p)
+
+    with monkeypatch.context() as m:
+        m.setattr(GEngine, "delta1", recorded)
+        for n in (10**12, 10**12 - 1, 10**15, 10**15 - 1):
+            big_solver.compute(n)
+    assert primes
+    primes = sorted(primes)
+    values, signs = line_test_signs(big_solver.table, primes)
+    assert all((s == 0) == on_line for s, on_line in signs)
+    monkeypatch.setattr(arith, "rounding_error", lambda size, steps: math.inf)
+    exact_values, exact_signs = line_test_signs(big_solver.table, primes)
+    assert exact_values == values and {s for s, _ in exact_signs} == {0}
+    print("PASS line test: delta1 at %s" % primes)
 
 
 @extended

@@ -1,10 +1,17 @@
 import json
 
+import pytest
 from mpmath import mp, workdps
 
-from landau import cli
+from landau import assemble, cli, gfunction
 from landau.arith import PrimeFraction, parse_factored
-from landau.errors import CapacityError
+from landau.errors import (
+    BoundFailureError,
+    CapacityError,
+    Delta1CeilingError,
+    InvariantViolation,
+    PrefixGapError,
+)
 from landau.primes import PrimeTable
 
 from oracles import prefix_sets_mpf
@@ -231,3 +238,33 @@ def test_compute_short_fixed_sieve_limit_exits_capacity(capsys):
     # --sieve-limit is a hard cap: too short for n, the run refuses
     rc, out, err = run_cli(capsys, "--sieve-limit", "3000", "compute", "1000000")
     assert rc == cli.EXIT_CAPACITY and out == "" and "sieve limit 3000" in err
+
+
+def _raises(error):
+    def planted(*args, **kwargs):
+        raise error("planted")
+    return planted
+
+
+@pytest.mark.parametrize("owner, name, error, code, message", [
+    (assemble, "bound_loop", BoundFailureError, 2, "bound failure: planted"),
+    (assemble, "normalized_candidates", PrefixGapError, 3, "prefix gap violation: planted"),
+    (gfunction.GEngine, "delta1", Delta1CeilingError, 5, "delta1 ceiling: planted"),
+])
+def test_compute_exit_codes_of_the_unproven_inequalities(capsys, monkeypatch, owner, name, error,
+                                                         code, message):
+    # each failure planted where compute meets it: the benefit bound, the
+    # continuation gap of a normalized candidate, and delta1's ceiling, read
+    # by every G evaluation once the large-m cutoff is 0
+    monkeypatch.setattr(owner, name, _raises(error))
+    monkeypatch.setattr(gfunction, "SMALL_M_CUTOFF", 0)
+    rc, out, err = run_cli(capsys, "compute", "1000000")
+    assert (rc, out) == (code, "") and message in err
+
+
+def test_compute_invariant_violation_exits_1(capsys, monkeypatch):
+    # any other package error leaves main as exit 1 with its message, not
+    # as a traceback
+    monkeypatch.setattr(gfunction.GEngine, "g_fraction", _raises(InvariantViolation))
+    rc, out, err = run_cli(capsys, "compute", "1000000")
+    assert (rc, out) == (1, "") and "invariant violation: planted" in err

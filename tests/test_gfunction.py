@@ -1,4 +1,3 @@
-import bisect
 import itertools
 import json
 import math
@@ -12,11 +11,12 @@ from mpmath import mp
 from landau import arith, gfunction
 from landau.errors import InvariantViolation
 from landau.arith import PrimeFraction
-from landau.gfunction import TRIAL_WIDTH, GEngine, _Window, check_fraction
+from landau.gfunction import TRIAL_WIDTH, GEngine, _UptoEntry, _Window, check_fraction
 from landau.primes import PrimeTable, _simple_sieve, auto_limit
 from landau.superchampion import build_e2_table, find_context
 
-from oracles import confirm_segments, delta1_reference, g_small, h_window_rows, h_window_steps
+from oracles import (confirm_segments, delta1_reference, entry_steps, g_small, h_window_rows,
+                     h_window_steps, line_test_signs)
 
 POOL_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "pool.json")
 
@@ -120,10 +120,25 @@ def test_widen_matches_full_window(engine, table1m):
             assert engine.g_fraction(pk, m) == full[m]
 
 
-def _steps(entry):
-    """An entry's breakpoints and its segments' sets, read as tuples through
-    the entry's accessor, as h_window_steps gives them."""
-    return entry.ms, [entry.segment(i) for i in range(len(entry.ms))]
+def _entry(table, pk_idx, lo_idx, rhat_idx, M):
+    """The table of the window over table indices lo_idx..rhat_idx, grown
+    to its last row."""
+    window = _Window(table, pk_idx, lo_idx, rhat_idx, M)
+    window.grow(rhat_idx)
+    return _UptoEntry(pk_idx, M, window)
+
+
+def _counted_walks(monkeypatch):
+    """The columns _UptoEntry.walk is asked for, in order."""
+    walks = []
+    walk = _UptoEntry.walk
+
+    def counted(self, c):
+        walks.append(c)
+        return walk(self, c)
+
+    monkeypatch.setattr(_UptoEntry, "walk", counted)
+    return walks
 
 
 def test_widen_example_uses_narrow_window():
@@ -159,32 +174,27 @@ def test_widening_continues_the_trial_rows(monkeypatch):
     assert entry.cap == 1280 and entry.rhat_idx - pk_idx == 35
     assert len(guards) == 35
     lo_idx = eng._low_idx(t.next_prime(150989), 1280)
-    assert _steps(entry) == h_window_steps(t, pk_idx, lo_idx, pk_idx + 35, 1280)
+    assert entry_steps(entry) == h_window_steps(t, pk_idx, lo_idx, pk_idx + 35, 1280)
 
 
 def test_one_walk_per_table(monkeypatch):
-    # the rows decide the widening from 10 to 35 rows, and the bits are
-    # walked once, for the final window
+    # the rows decide the widening from 10 to 35 rows, and no column is
+    # walked back until it is read
     t = PrimeTable.build(200000)
     eng = GEngine(t)
     pk_idx = t.rank(150989)
-    walks = []
-    extend = _Window.extend
-
-    def counted(self, rhat_idx):
-        walks.append(rhat_idx)
-        return extend(self, rhat_idx)
-
-    monkeypatch.setattr(_Window, "extend", counted)
+    walks = _counted_walks(monkeypatch)
     entry = eng._g_upto(pk_idx, 1200)
-    assert walks == [pk_idx + 35]
+    assert walks == [] and entry.rhat_idx == pk_idx + 35
     lo_idx = eng._low_idx(t.next_prime(150989), 1280)
-    assert _steps(entry) == h_window_steps(t, pk_idx, lo_idx, pk_idx + 35, 1280)
+    assert entry_steps(entry) == h_window_steps(t, pk_idx, lo_idx, pk_idx + 35, 1280)
+    assert walks == list(range(641))
 
 
 def test_extend_refuses_a_column_short_of_its_primes(table1m):
     # the last column's bits of the last row cleared at every offset: that
-    # column never takes its J-th prime and ends the walk still owing it
+    # column never takes its J-th prime and its read runs off the row
+    # still owing it
     eng = GEngine(table1m)
     pk_idx = table1m.rank(7919)
     lo_idx = eng._low_idx(table1m.next_prime(7919), 256)
@@ -192,21 +202,23 @@ def test_extend_refuses_a_column_short_of_its_primes(table1m):
     window.grow(pk_idx + 12)
     c = window.H - 1
     window.bits[12, :, c >> 3] &= np.uint8(~(1 << (7 - (c & 7))) & 0xFF)
+    entry = _UptoEntry(pk_idx, 256, window)
     with pytest.raises(InvariantViolation, match="other than 12 primes"):
-        window.extend(pk_idx + 12)
+        eng._extract(entry, 2 * c)
 
 
-def test_one_g_fraction_makes_one_segment_fraction(table1m):
-    # a fresh engine's table keeps its sets as one int64 matrix, one
-    # ascending row of J primes per segment; one g_fraction reads one
-    # segment of it and caches that segment's fraction alone
+def test_one_g_fraction_makes_one_segment_fraction(table1m, monkeypatch):
+    # a fresh engine's table keeps the final window's J + 1 rows of bits
+    # and K + J primes; one g_fraction walks back the one column it reads
+    # and caches that column's fraction alone
     eng = GEngine(table1m)
-    eng.g_fraction(150989, 1200)
+    walks = _counted_walks(monkeypatch)
+    eng.g_fraction(150989, 1201)
     (entry,) = eng._upto.values()
     J = entry.rhat_idx - entry.pk_idx
-    assert entry.sets.dtype == np.int64 and entry.sets.shape == (len(entry.ms), J)
-    assert len(entry.ms) > 100 and (np.diff(entry.sets, axis=1) > 0).all()
-    assert list(entry.fracs) == [bisect.bisect_right(entry.ms, 1200) - 1]
+    assert entry.bits.shape[0] == J + 1 and len(entry.Pl) == entry.K + J
+    assert walks == [600] and list(entry.fracs) == [600]
+    assert eng.g_fraction(150989, 1200) == eng._extract(entry, 1201) and walks == [600]
 
 
 def _need_cases(table, count):
@@ -236,7 +248,8 @@ def _check_need(table, count, monkeypatch):
 
     for pk_idx, cap, tops, window in _need_cases(table, count):
         for rhat_idx in tops:
-            steps = window.extend(rhat_idx)
+            window.grow(rhat_idx)
+            steps = entry_steps(_UptoEntry(pk_idx, cap, window))
             with monkeypatch.context() as m:
                 m.setattr(_Window, "_exact", counted)
                 got = window.need(cap)
@@ -265,7 +278,8 @@ def test_need_holds_within_the_guard(table1m, monkeypatch):
     rng = np.random.default_rng(61)
     for pk_idx, cap, tops, window in _need_cases(table1m, 10):
         for rhat_idx in tops:
-            steps = window.extend(rhat_idx)
+            window.grow(rhat_idx)
+            steps = entry_steps(_UptoEntry(pk_idx, cap, window))
             row = window.row[window.K]
             kept = row.copy()
             row[1:] += rng.uniform(-0.9, 0.9, len(row) - 1) * window.guard
@@ -285,30 +299,24 @@ def test_band_matches_reference_under_forced_exact(table1m, forced_exact):
     empty = [sum(not row[j + o] for o in range(K + 1))
              for j, row in enumerate(h_window_rows(t, pk_idx, lo_idx, pk_idx + 40, 1200), 1)]
     assert empty[0] == 0 and all(e > 0 for e in empty[1:])
-    got = _Window(t, pk_idx, lo_idx, pk_idx + 40, 1200).extend(pk_idx + 40)
-    _same_on_every_even_m(got, h_window_steps(t, pk_idx, lo_idx, pk_idx + 40, 1200), 1200)
+    entry = _entry(t, pk_idx, lo_idx, pk_idx + 40, 1200)
+    assert entry_steps(entry) == h_window_steps(t, pk_idx, lo_idx, pk_idx + 40, 1200)
 
 
-def test_extract_checks_the_cost_against_the_segment_start(table1m):
-    # segment i's set is optimal from ms[i] on, and costs exactly ms[i]; with
-    # ms[i] lowered by 2 that set no longer fits its first budget
+def test_extract_checks_the_cost_against_the_segment_start(table1m, monkeypatch):
+    # a column whose set differs from the column's before starts a
+    # segment, and its set costs exactly 2c; that set read one column to
+    # the left is one step over that column's budget
     eng = GEngine(table1m)
     entry = eng._g_upto(table1m.rank(150989), 1200)
-    assert [eng._extract(entry, m).ell for m in entry.ms] == entry.ms
-    i = len(entry.ms) // 2
-    entry.ms[i] -= 2
+    ms, _ = entry_steps(entry)
+    assert len(ms) > 100 and [eng._extract(entry, m).ell for m in ms] == ms
+    c = ms[len(ms) // 2] // 2
+    walk = _UptoEntry.walk
+    monkeypatch.setattr(_UptoEntry, "walk", lambda self, i: walk(self, c if i == c - 1 else i))
     entry.fracs.clear()
-    with pytest.raises(InvariantViolation):
-        eng._extract(entry, entry.ms[i])
-
-
-def _same_on_every_even_m(got, want, M):
-    # breakpoints, then the prime set at each even m; got's sets are the
-    # rows of extend's matrix
-    assert got[0] == want[0]
-    for m in range(0, M + 1, 2):
-        i = bisect.bisect_right(got[0], m) - 1
-        assert got[1][i].tolist() == list(want[1][bisect.bisect_right(want[0], m) - 1]), m
+    with pytest.raises(InvariantViolation, match="cost"):
+        eng._extract(entry, 2 * c - 2)
 
 
 @pytest.mark.parametrize("width", [10, 35])
@@ -318,8 +326,8 @@ def test_window_matches_reference_150989(width):
     eng = GEngine(t)
     pk_idx = t.rank(150989)
     lo_idx = eng._low_idx(t.next_prime(150989), 2816)
-    got = _Window(t, pk_idx, lo_idx, pk_idx + width, 2816).extend(pk_idx + width)
-    _same_on_every_even_m(got, h_window_steps(t, pk_idx, lo_idx, pk_idx + width, 2816), 2816)
+    entry = _entry(t, pk_idx, lo_idx, pk_idx + width, 2816)
+    assert entry_steps(entry) == h_window_steps(t, pk_idx, lo_idx, pk_idx + width, 2816)
 
 
 def test_window_matches_reference_at_1e14():
@@ -336,8 +344,8 @@ def test_window_matches_reference_at_1e14():
     pk_idx = t.rank(60041573)
     lo_idx = eng._low_idx(t.next_prime(60041573), 768)
     assert pk_idx - lo_idx + 1 == 40
-    got = _Window(t, pk_idx, lo_idx, pk_idx + 45, 768).extend(pk_idx + 45)
-    _same_on_every_even_m(got, h_window_steps(t, pk_idx, lo_idx, pk_idx + 45, 768), 768)
+    entry = _entry(t, pk_idx, lo_idx, pk_idx + 45, 768)
+    assert entry_steps(entry) == h_window_steps(t, pk_idx, lo_idx, pk_idx + 45, 768)
 
 
 def test_sandwich_invariant(engine, table1m):
@@ -383,7 +391,7 @@ def test_delta1_cache_stays_within_its_cap(table1m):
 
 
 def _upto_entries(eng):
-    return {k: (e.cap, e.rhat_idx) + _steps(e) for k, e in eng._upto.items()}
+    return {k: (e.cap, e.rhat_idx) + entry_steps(e) for k, e in eng._upto.items()}
 
 
 def _delta1_matches_the_reference(table, primes):
@@ -430,30 +438,59 @@ def test_delta1_matches_the_reference_at_the_cold_pool_under_forced_exact(cold_p
     _delta1_matches_the_reference(table, primes[::8])
 
 
-def _swap_top(chain, tops):  # the least prime, a low one, for a top the set takes already
+def test_line_test_decides_as_the_integers(cold_pool_pk1, monkeypatch):
+    # delta1's tables at seeded primes from 10^5 to the cold-1e14 pool's
+    # largest p_{k+1}, and at the pool's own: the floats decide every
+    # column up to cap as the integers do, and leave open only the columns
+    # whose G lies on the line, as a single swap of p_k for the prime
+    # p_k + d does; under an infinite guard every column settles on the
+    # integers, to the same delta1 values (at a third of the primes: the
+    # window rows settle every column too)
+    table, pool = cold_pool_pk1
+    rng = random.Random(67)
+    primes = [table.next_prime(int(10 ** rng.uniform(5, math.log10(pool[-1])))) for _ in range(12)]
+    primes += pool[::2]
+    values, signs = line_test_signs(table, primes)
+    assert len(signs) > 5000 and all((s == 0) == on_line for s, on_line in signs)
+    monkeypatch.setattr(arith, "rounding_error", lambda size, steps: math.inf)
+    exact_values, exact_signs = line_test_signs(table, primes[::3])
+    assert exact_values == values[::3] and {s for s, _ in exact_signs} == {0}
+
+
+def _swap_top(chain, tops, prev):  # the least prime, a low one, for a top the set takes already
     taken = [q for q in chain if q in tops]
     return tuple(sorted(chain[1:] + (taken[0],))) if taken and chain[0] not in tops else None
 
 
+def _previous_column(chain, tops, prev):  # a cheaper set, feasible but not optimal
+    return prev if prev != chain else None
+
+
 @pytest.mark.parametrize("plant, refusal", [
     (_swap_top, "unbalanced"),
-    (lambda chain, tops: (2,) + chain[1:], "bands"),
-    (lambda chain, tops: (3,) + chain[:-1] if chain[-1] in tops else None, "cost"),
+    (lambda chain, tops, prev: (2,) + chain[1:], "bands"),
+    (lambda chain, tops, prev: (3,) + chain[:-1] if chain[-1] in tops else None, "cost"),
+    (_previous_column, "log"),
 ])
-def test_delta1_refuses_a_corrupted_segment(table1m, plant, refusal):
-    # a segment of the cached G table the scan reads, planted with a set
-    # that check_fraction refuses, raises from delta1 and not a value
+def test_delta1_refuses_a_corrupted_segment(table1m, monkeypatch, plant, refusal):
+    # a column of the G table that g_fraction reads, planted with a set
+    # that the read refuses, raises from g_fraction and not a value: three
+    # sets check_fraction refuses, and one that passes it but lies off its
+    # row's float log.  delta1 reads no set outside the float line test's
+    # bound, so the plant sits where a read must walk
     p = 99991
     eng = GEngine(table1m)
-    p_idx = table1m.rank(p)
-    gap = table1m.max_gap_upto(p)
-    entry = eng._g_upto(p_idx, max(gap + (gap & 1), 256))  # the table delta1 reads first
-    tops = set(table1m.primes[p_idx : entry.rhat_idx].tolist())
-    d1 = GEngine(table1m).delta1(p)
-    i = next(i for i, m in enumerate(entry.ms) if 0 < m <= d1 and plant(entry.segment(i), tops))
-    entry.sets[i] = plant(entry.segment(i), tops)
+    entry = eng._g_upto(table1m.rank(p), 256)
+    tops = set(entry.Pl[entry.K :])
+    sets = [tuple(entry.walk(c)) for c in range(entry.cap // 2 + 1)]
+    gap = table1m.next_prime(p) - p
+    c = next(c for c in range((gap + 1) // 2, len(sets)) if plant(sets[c], tops, sets[c - 1]))
+    planted = plant(sets[c], tops, sets[c - 1])
+    walk = _UptoEntry.walk
+    monkeypatch.setattr(_UptoEntry, "walk",
+                        lambda self, i: list(planted) if i == c else walk(self, i))
     with pytest.raises(InvariantViolation, match=refusal):
-        eng.delta1(p)
+        eng.g_fraction(p, 2 * c)
 
 
 def test_g_large_exact_prime_case(engine, table1m):
