@@ -50,7 +50,13 @@ correction's sum of e*log p over its f factors, each term through f + 5
 (log, product, at most f - 1 sums, the sum with the champion's log, the
 difference, the float size), which counts one more step for the champion's
 terms too; check_bounds and the budget checks below.  guarded_sign is the
-comparison these callers make, and guarded_order their sort.
+comparison these callers make, the G window's widening and line tests and
+D(B')'s pair test among them, and guarded_order their sort.  Four sites
+choose an index or a minimum, not a sign, and keep their own code:
+_Window._settle redoes a running minimum on exact products, Bound.fits
+reads one test at both ends of t1's bracket, and _rung and
+superchampion._ratio_indices step an index through mpf tests; estimate_B
+reads its least value in mpf over the floats near the least.
 
 The champion's float log (Champion.approx_log) takes np.log of products of
 W = 32 primes, each slice of LOG_CHUNK primes of a run padded with 1.0 to
@@ -189,13 +195,15 @@ def guarded_sign(d, err, exact_d):
     """Sign of a difference d computed with |error| <= err (err counting the
     difference as a step): d decides beyond err, and exact_d(), the
     difference computed exactly or at the working precision, inside it.
-    For a float array d (err a float or an array) the signs, a float array:
-    exact_d(i) gives the difference at each index i inside the bound."""
+    For a float array d of any shape (err a float or an array) the signs,
+    a float array of that shape: exact_d(i) gives the difference at each
+    flat index i inside the bound."""
     if isinstance(d, np.ndarray):
-        out = np.sign(d)
-        for i in np.flatnonzero(np.abs(d) <= err).tolist():
-            v = exact_d(i)
-            out[i] = (v > 0) - (v < 0)
+        out, near = np.sign(d), np.abs(d) <= err
+        if near.any():  # rare: skip np.flatnonzero's cost on the common empty case
+            for i in np.flatnonzero(near).tolist():
+                v = exact_d(i)
+                out.flat[i] = (v > 0) - (v < 0)
         return out
     if abs(d) <= err:
         d = exact_d()

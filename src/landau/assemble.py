@@ -83,7 +83,7 @@ def normalized_candidates(ctx, bound, d_set, n, tables):
         for i in range(int(top[j]), int(low[j]) - 1, -1):
             w = i - k
             m_suffix = c - (int(cs[i - 1]) - s_k)
-            ben_pi = ben + (tables.up_ben(w) if w >= 0 else tables.down_ben(-w))
+            ben_pi = ben + tables.walk_ben(w)
             # sharpened window: (hi - S_w)*(1 - rho/t1) <= B - ben(N*Pi)
             if not bound.fits(m_suffix, bound.B - ben_pi):
                 continue

@@ -19,10 +19,11 @@ only then makes factor tuples, for the new members that survived; the
 sort's exact key builds a tuple on demand for the rare close run.  The float
 benp(p, gamma) is the exact dell_pp less float(rho)*(gamma*log p), read
 from BenefitTables' table.  A (member, gamma) pair is admitted or refused
-by the float excess ben + benp - B' beyond arith.rounding_error; inside it
-the exact loop's mpf test benp > B' - ben decides, on the mpf ben of that
-member.  In each direction a member's gammas end at the first one refused,
-as in the exact loop.  A layer is sorted by arith.guarded_order:
+by arith.guarded_sign on the float excess ben + benp - B'; inside its
+bound the sign of benp - (B' - ben) in mpf, the exact loop's test
+benp > B' - ben, decides, on the mpf ben of that member.  In each
+direction a member's gammas end at the first one refused, as in the exact
+loop.  A layer is sorted by arith.guarded_order:
 by its float logs, and by the mpf logs where the floats are too close to
 tell (the rule is in arith's docstring).  Domination compares dell exactly
 (every |dell| stays below B' + rho*|log delta|, far from 2^63).  D(B') is
@@ -189,9 +190,8 @@ class BenefitTables:
         first = np.abs(self.columns.gamma) == 1  # gamma = -1, then 1, per prime
         self.first_cost = self.columns.cost[first].reshape(-1, 2).min(axis=1)
         self.first_size = self.columns.size[first].reshape(-1, 2).max(axis=1)
-        self._up = [mpf(0)]    # partial sums of ben(N p_{k+i}), i = 1..
-        self._down = [mpf(0)]  # partial sums of ben(N / p_{k-i}), i = 0..
-        self._up_f = self._down_f = np.zeros(1)  # their float copies
+        self._walk, self._low = [mpf(0)], 0  # walk_ben(w) at index w - _low
+        self._walk_f = np.zeros(1)  # its float copies
         self.dsets = {}
 
     def _benp_table(self):
@@ -266,40 +266,33 @@ class BenefitTables:
         cand.ben + cost bit for bit."""
         return sum((self.benp(p, g) for p, g in factors), mpf(0))
 
-    def up_ben(self, omega):
-        """Sum of ben(N p_{k+i}) for i = 1..omega (primes appended above p_k)."""
-        t, ctx = self.ctx.table, self.ctx
-        while len(self._up) <= omega:
-            i = len(self._up)
+    def walk_ben(self, w):
+        """The sum of ben(N p_{k+i}) for i = 1..w when w >= 0 (primes
+        appended above p_k), of ben(N / p_{k-i}) for i = 0..-w-1 when w < 0
+        (primes peeled off the top), added one prime at a time from 0."""
+        ctx, sums = self.ctx, self._walk
+        t, rv = ctx.table, ctx.rho.value
+        while w - self._low >= len(sums):
+            i = self._low + len(sums)
             p = t.prime(ctx.k + i)
             if i == 1 and not ctx.rho.is_power_event and p == ctx.rho.q:
                 term = mpf(0)  # appending p_{k+1} is the zero-benefit champion step
             else:
-                term = p - ctx.rho.value * log_int(p)
-            self._up.append(self._up[-1] + term)
-        return self._up[omega]
-
-    def down_ben(self, count):
-        """Sum of ben(N / p_{k-i}) for i = 0..count-1 (primes peeled off the top)."""
-        t, ctx = self.ctx.table, self.ctx
-        while len(self._down) <= count:
-            i = len(self._down) - 1
-            p = t.prime(ctx.k - i)
-            self._down.append(self._down[-1] + ctx.rho.value * log_int(p) - p)
-        return self._down[count]
+                term = p - rv * log_int(p)
+            sums.append(sums[-1] + term)
+        while w < self._low:
+            p = t.prime(ctx.k + self._low)
+            sums.insert(0, sums[0] + rv * log_int(p) - p)
+            self._low -= 1
+        return sums[w - self._low]
 
     def walk_ben_f(self, omega):
-        """Float copies of up_ben(w) for w >= 0 and down_ben(-w) for w < 0,
-        over an int array omega."""
-        top, bottom = int(omega.max()), int(-omega.min())
-        if top >= len(self._up_f):
-            self.up_ben(top)
-            self._up_f = np.array([float(v) for v in self._up])
-        if bottom >= len(self._down_f):
-            self.down_ben(bottom)
-            self._down_f = np.array([float(v) for v in self._down])
-        return np.where(omega >= 0, self._up_f[np.maximum(omega, 0)],
-                        self._down_f[np.maximum(-omega, 0)])
+        """Float copies of walk_ben over an int array omega."""
+        self.walk_ben(int(omega.min()))
+        self.walk_ben(int(omega.max()))
+        if len(self._walk_f) != len(self._walk):
+            self._walk_f = np.array([float(v) for v in self._walk])
+        return self._walk_f[omega - self._low]
 
 
 def build_prefix_sets(ctx, b_prime, tables):
@@ -405,20 +398,23 @@ def _admitted(p, gammas, steps, run, nf, factors, b_prime, b_f, tables):
     (run holds their float bens and sizes, nf their factor counts and
     factors(r) member r's factor tuple), of the (gamma, member) pairs the
     exact loop admits: in each direction the gammas before the first whose
-    benp exceeds B' - ben.  The float excess ben + benp - B' decides beyond
-    its rounding bound, the mpf test inside it."""
+    benp exceeds B' - ben.  arith.guarded_sign decides every pair at once:
+    the float excess ben + benp - B' beyond its rounding bound, and inside
+    it benp - (B' - ben) in mpf, whose sign is the exact loop's test, as
+    mpf subtraction keeps the sign."""
     excess = steps[0][:, None] + run[0] - b_f
     err = arith.rounding_error(steps[1][:, None] + run[1] + abs(b_f), nf + 9)
-    ok = excess < -err
-    near = np.abs(excess) <= err
-    starts = [abs(g) == 1 for g in gammas]  # where a direction starts
-    if near.any():
-        for k, i in zip(*np.nonzero(near)):  # gamma by gamma: ok[k-1, i] is final
-            if starts[k] or ok[k - 1, i]:
-                ben = tables.ben_of(factors(i))
-                ok[k, i] = not tables.benp(p, gammas[k]) > b_prime - ben
+    width, room = excess.shape[1], {}  # B' - ben by member, formed once
+
+    def exact(i):
+        k, r = divmod(i, width)
+        if r not in room:
+            room[r] = b_prime - tables.ben_of(factors(r))
+        return tables.benp(p, gammas[k]) - room[r]
+
+    ok = arith.guarded_sign(excess, err, exact) <= 0
     for k in range(1, len(ok)):  # each direction ends at its first refusal
-        if not starts[k]:
+        if abs(gammas[k]) != 1:
             ok[k] &= ok[k - 1]
     return ok
 
@@ -562,9 +558,7 @@ def estimate_B(ctx, d_set, n, tables):
                                d_set.nf[keep] + 10)
     best = None
     for i in np.flatnonzero(value - err <= np.min(value + err)).tolist():
-        w = int(omega[i])
-        v = tables.ben_of(d_set.fac[keep[i]]) \
-            + (tables.up_ben(w) if w >= 0 else tables.down_ben(-w)) + int(slack[i])
+        v = tables.ben_of(d_set.fac[keep[i]]) + tables.walk_ben(int(omega[i])) + int(slack[i])
         if best is None or v < best:
             best, best_i = v, i
     if best >= ctx.B1:

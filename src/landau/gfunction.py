@@ -20,12 +20,11 @@ window's rows are the first rows of the widened one, which appends to them.
 Guard: row j's float comparisons are guarded by T_j, the largest term over
 the primes it reads, which a wider window leaves as it is.  _Window's
 docstring gives the three arguments.  Widening: the last row's floats
-decide how far the window must reach (_Window.need), with exact products
-only at the columns they leave open.  The final window is kept as the
-table, its bits, primes and last row, and a read walks back only the
-column it asks for.  Whether G lies below the line 1 + m/p_k is read off
-the same last row by the float test need makes (_line_sign), on the walked
-set only inside its bound.
+decide how far the window must reach (_Window.need), each test through
+arith.guarded_sign.  The final window is kept as the table, its bits,
+primes and last row, and a read walks back only the column it asks for.
+Whether G lies below the line 1 + m/p_k is read off the same last row by
+the test need makes (_line_excess), on the walked set inside its bound.
 
 For large m the recursion over windows is replaced by a reduction to
 G(p_{k+1}, m') for small m', valid as soon as an even budget delta with
@@ -105,19 +104,18 @@ def _walk(bits, Pl, K, j, o, i, known=()):
     return path, (j, o, i)
 
 
-def _line_sign(x, q, m, guard, scale):
-    """Sign of x - t(q), t(q) = -log1p(-m/q) = log(q/(q - m)), for float
-    arrays x within guard of their exact values, q and m: -1 where q <= m,
-    0 where the floats cannot decide.  t's own rounding is at most 4 steps
-    over |x| + t + m/(q - m) (arith's docstring), at scale per unit."""
-    out = np.full(len(x), -1)
+def _line_excess(x, q, m, guard, scale):
+    """x - t(q), t(q) = -log1p(-m/q), and its bound, for float arrays x
+    within guard of their exact values, q and m: -1.0 and 0.0 where q <= m,
+    as q(1 - e^-x) > m then fails for every x.  t's own rounding is at most
+    4 steps over |x| + t + m/(q - m) (arith's docstring), at scale per unit."""
+    d, err = np.full(len(x), -1.0), np.zeros(len(x))
     s = q > m
     mi, qi, xi = m[s], q[s], x[s]
     t = -np.log1p(-(mi / qi))
-    d = xi - t
-    err = guard + scale * 4 * (np.abs(xi) + t + mi / (qi - mi))
-    out[s] = np.where(d > err, 1, np.where(d < -err, -1, 0))
-    return out
+    d[s] = xi - t
+    err[s] = guard + scale * 4 * (np.abs(xi) + t + mi / (qi - mi))
+    return d, err
 
 
 class _UptoEntry:
@@ -131,7 +129,7 @@ class _UptoEntry:
     guard of row[K, c].  The row holds the same sum, so each lies within
     rounding_error(J T_J, J + 3) of the exact log, and a mis-walked or
     non-optimal set lies further off.  fracs caches, by column, the
-    fractions _extract has read; line the float line test's signs, by
+    fractions _extract has read; line the exact signs of the line test, by
     column (GEngine._below_line)."""
 
     __slots__ = ("pk_idx", "cap", "rhat_idx", "K", "Pl", "bits", "last", "guard", "scale",
@@ -310,54 +308,38 @@ class _Window:
         den = num and the need is 0; from the gap on, the swap of p_k for
         p_{k+1} is feasible, so den < num.  x is row[K, 0] - row[K, c], a
         difference of two values of the last row, so within its guard.  A
-        test q f > m reads x > t(q) = -log1p(-m/q), which _line_sign
-        decides beyond that guard plus t's own rounding; q <= m fails it.
-        The columns the floats leave open take den from the bits, the
-        largest m first, while p_k + m, a bound on every column's need, can
-        still exceed the largest found."""
+        test q f > m reads x > t(q) = -log1p(-m/q), whose sign
+        arith.guarded_sign decides from _line_excess beyond that guard plus
+        t's own rounding, and from the bits' exact q (num - den) - m num
+        inside it; q <= m fails it.  Where the float floor of m/f fails
+        its two-sided check, the need is the exact floor of m num/(num -
+        den), plus one."""
         K, J, Pl = self.K, self.j, self.Pl
         p_k, p_rhat = Pl[K - 1], Pl[K + J - 1]
         cols = np.arange((Pl[K] - p_k) // 2, min(self.H - 1, cap // 2) + 1)
         m = np.minimum(2 * cols + 1, cap).astype(float)
         x = self.row[K, 0] - self.row[K, cols]
+        num = math.prod(Pl[K : K + J])
+        den = lambda i: self._exact(J, K, int(cols[i]))
 
-        def sign(q, i):  # sign of x - t(q) at columns i; 0 inside the bound
-            return _line_sign(x[i], q, m[i], self.guard, self.scale)
+        def sign(q, i):  # sign of x - t(q), that is of q f - m, at columns i
+            d, err = _line_excess(x[i], q, m[i], self.guard, self.scale)
+            return arith.guarded_sign(d, err, lambda r: (
+                int(q[r]) * (num - den(i[r])) - int(m[i[r]]) * num))
 
         need = np.zeros(len(cols), np.int64)
-        undecided = []
         i = np.flatnonzero(p_rhat <= p_k + m)  # elsewhere exact: P_Rhat > p_k + m
-        s = sign(np.full(len(i), float(p_rhat)), i)
-        undecided.append(i[s == 0])
-        i = i[s < 0]  # P_Rhat f <= m
+        i = i[sign(np.full(len(i), float(p_rhat)), i) <= 0]  # P_Rhat f <= m
         s = sign(p_k + m[i], i)
-        undecided.append(i[s == 0])
-        at_bound = i[s < 0]  # (p_k + m) f <= m: the need is p_k + m
+        at_bound = i[s <= 0]  # (p_k + m) f <= m: the need is p_k + m
         need[at_bound] = p_k + m[at_bound]
         i = i[s > 0]  # floor(m/f) + 1, checked at both ends
         N = np.floor(m[i] / -np.expm1(-x[i]))
-        ok = (sign(N, i) < 0) & (sign(N + 1, i) > 0)
+        ok = (sign(N, i) <= 0) & (sign(N + 1, i) > 0)
         need[i[ok]] = N[ok] + 1
-        undecided.append(i[~ok])
-
-        best = int(need.max(initial=0))
-        num = None
-        for i in sorted(np.concatenate(undecided).tolist(), reverse=True):
-            mi = int(m[i])
-            if p_k + mi <= best:
-                break
-            num = num or math.prod(Pl[K : K + J])
-            den = self._exact(J, K, int(cols[i]))
-            if num == den:
-                v = p_k + mi
-            elif p_rhat > p_k + mi or p_rhat * (num - den) > mi * num:
-                v = 0
-            elif (p_k + mi) * (num - den) > mi * num:
-                v = mi * num // (num - den) + 1
-            else:
-                v = p_k + mi
-            best = max(best, v)
-        return best
+        for r in i[~ok].tolist():
+            need[r] = int(m[r]) * num // (num - den(r)) + 1
+        return int(need.max(initial=0))
 
 
 def _keep(cache, key, value, entries):
@@ -410,21 +392,19 @@ class GEngine:
         At column c = d/2, G = e^x with x = row[K, 0] - row[K, c], the log
         of T, the product of the J tops, over that of the column's set,
         within the last row's guard.  So the test is x < log1p(d/p_k), that
-        is x < t(q) at q = p_k + d and m = d: _line_sign decides it for
-        every column at once, as need decides its own.  Inside its bound it
-        is p_k T < (p_k + d) times the product of the walked set."""
-        K, Pl = entry.K, entry.Pl
-        p_k, T = Pl[K - 1], math.prod(Pl[K:])
+        is x < t(q) at q = p_k + d and m = d, whose sign arith.guarded_sign
+        decides for every column at once from _line_excess, as need decides
+        its own, and inside its bound from p_k T - (p_k + d) times the
+        product of the walked set."""
         if entry.line is None:  # G(p_k, 0) = 1 lies on the line
+            K, Pl = entry.K, entry.Pl
+            p_k, T = Pl[K - 1], math.prod(Pl[K:])
             d = np.arange(2, 2 * len(entry.last), 2)
-            entry.line = [1] + _line_sign(entry.last[0] - entry.last[1:], p_k + d, d, entry.guard,
-                                          entry.scale).tolist()
-
-        def below(d):
-            s = entry.line[d // 2]
-            return s < 0 if s else p_k * T < (p_k + d) * math.prod(entry.walk(d // 2))
-
-        return below
+            x, err = _line_excess(entry.last[0] - entry.last[1:], p_k + d, d, entry.guard,
+                                  entry.scale)
+            entry.line = [0.0] + arith.guarded_sign(x, err, lambda i: (
+                p_k * T - (p_k + int(d[i])) * math.prod(entry.walk(i + 1)))).tolist()
+        return lambda d: entry.line[d // 2] < 0
 
     def _g_upto(self, pk_idx, M):
         """Confirmed-exact G(p_k, .) on [0, max(M, cap)], as an _UptoEntry.

@@ -401,7 +401,6 @@ class SuperchampionContext:
     """Everything step 1 pins down for one n: the bracketing champions, and
     the roots x1 and x2 with the bounds every later step reads from them."""
 
-    n: int
     rho: Rho
     N: Champion
     ellN: int
@@ -458,7 +457,6 @@ def find_context(n, table, e2_entries):
             "champion cost mismatch: factorization says %d, chain says %d" % (N.ell, ellN)
         )
     return SuperchampionContext(
-        n=n,
         rho=rho,
         N=N,
         ellN=ellN,

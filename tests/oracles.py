@@ -431,7 +431,7 @@ def estimate_B_mpf(ctx, d_set, n, tables):
         if c >= 0:
             omega = walk_up(cs, k, c)
             s_omega = int(cs[k + omega - 1]) - s_k
-            ben_walk = tables.up_ben(omega)
+            ben_walk = tables.walk_ben(omega)
         else:
             # peel p_k, p_{k-1}, ... until the cost drops below n
             idx = int(np.searchsorted(cs, s_k + c, side="left"))
@@ -440,7 +440,7 @@ def estimate_B_mpf(ctx, d_set, n, tables):
                 continue  # would peel primes below sqrt(x1)
             omega = -count
             s_omega = int(cs[k - count - 1]) - s_k
-            ben_walk = tables.down_ben(count)
+            ben_walk = tables.walk_ben(-count)
         value = cand.ben + ben_walk + (n - (ctx.ellN + cand.dell + s_omega))
         if best is None or value < best:
             best, best_parts = value, (cand, omega)
@@ -531,7 +531,7 @@ def normalized_candidates_loop(ctx, bound, d_set, n, tables):
 
 def _try_candidate(ctx, bound, tables, out, cand, w, s_w, hi, denom):
     t = ctx.table
-    ben_pi = cand.ben + (tables.up_ben(w) if w >= 0 else tables.down_ben(-w))
+    ben_pi = cand.ben + tables.walk_ben(w)
     # sharpened window: S_w >= hi - (B - ben(N*Pi)) / (1 - rho/t1)
     if mpf(s_w) < hi - (bound.B - ben_pi) / denom:
         return
@@ -603,15 +603,16 @@ def delta1_reference(engine, p):
 
 
 def line_test_signs(table, primes):
-    """delta1(p) for each prime on a fresh GEngine, and the float line
-    test's sign at every column d/2 > 0 of every G table that built, each
-    with whether G(p_k, d) lies on the line, after asserting at each that
-    _below_line(entry)(d) is the integer test on the column's checked read,
-    p_k num < (p_k + d) den."""
+    """delta1(p) for each prime on a fresh GEngine, and for each prime the
+    line test's sign at every column d/2 > 0 of every G table that built,
+    each with whether G(p_k, d) lies on the line, after asserting at each
+    that _below_line(entry)(d) is the integer test on the column's checked
+    read, p_k num < (p_k + d) den."""
     values, signs = [], []
     for p in primes:
         engine = GEngine(table)
         values.append(engine.delta1(p))
+        signs.append([])
         for entry in engine._upto.values():
             below = engine._below_line(entry)
             p_k = entry.Pl[entry.K - 1]
@@ -619,8 +620,17 @@ def line_test_signs(table, primes):
                 qs, Qs = entry.read(d // 2)
                 lhs, rhs = p_k * math.prod(Qs), (p_k + d) * math.prod(qs)
                 assert below(d) == (lhs < rhs), (p, entry.cap, d)
-                signs.append((entry.line[d // 2], lhs == rhs))
+                signs[-1].append((entry.line[d // 2], lhs == rhs))
     return values, signs
+
+
+def exact_line_signs(signs, exact_signs):
+    """Whether every sign of exact_signs, made under an infinite guard, is
+    exact: 0 exactly on the line, and equal to the sign of signs, made
+    under the finite guard at the same primes, wherever that one is not 0."""
+    return all(len(a) == len(b) and all((s == 0) == on_line and f in (0, s)
+                                        for (f, _), (s, on_line) in zip(a, b))
+               for a, b in zip(signs, exact_signs, strict=True))
 
 
 class _Node:

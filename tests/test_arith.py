@@ -10,6 +10,7 @@ from landau.arith import (
     PrimeFraction,
     ell_pp,
     guarded_order,
+    guarded_sign,
     log_product,
     parse_factored,
     render_factored,
@@ -89,6 +90,22 @@ def _order(values, err, exact):
         return exact[i]
 
     return guarded_order(np.array(values, dtype=float), err, key).tolist(), read
+
+
+def test_guarded_sign_on_a_2d_array():
+    # exactly the flat indices inside the bound (broadcast along the rows)
+    # go to exact_d, and their exact signs land in place; the floats decide
+    # the rest
+    d = np.array([[0.5, -0.05, 2.0], [0.0, -3.0, 0.08]])
+    exact, read = {1: 2, 3: -1, 5: 0}, []
+
+    def exact_d(i):
+        read.append(i)
+        return exact[i]
+
+    out = guarded_sign(d, np.array([0.1, 0.1, 0.1]), exact_d)
+    assert read == [1, 3, 5]
+    assert out.shape == (2, 3) and out.tolist() == [[1, 1, 1], [-1, -1, 0]]
 
 
 def test_guarded_order():

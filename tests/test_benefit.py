@@ -436,6 +436,48 @@ def test_prefix_sets_exact_fallbacks_match_mpf(ctx1e9, forced_exact):
     assert len(_same_as_mpf_reference(ctx, ctx.rho.value, tables)) == 194
 
 
+def test_near_pairs_after_a_refusal_leave_the_mpf_set(ctx1e9, monkeypatch):
+    # under a wide bound some pairs inside it follow a refusal in their
+    # direction: the pair test decides them in mpf too, and the refusal
+    # before them drops them, so D(B') is still the mpf set
+    monkeypatch.setattr(arith, "rounding_error", lambda size, steps: size * steps * 2.0**-5)
+    after = []
+    admitted = benefit._admitted
+
+    def spy(p, gammas, steps, run, nf, factors, b_prime, b_f, tables):
+        ok = admitted(p, gammas, steps, run, nf, factors, b_prime, b_f, tables)
+        near = np.abs(steps[0][:, None] + run[0] - b_f) <= arith.rounding_error(
+            steps[1][:, None] + run[1] + abs(b_f), nf + 9)
+        after.extend(int((near[k] & ~ok[k - 1]).sum())
+                     for k in range(1, len(ok)) if abs(gammas[k]) != 1)
+        return ok
+
+    monkeypatch.setattr(benefit, "_admitted", spy)
+    ctx = ctx1e9[0]
+    assert len(_same_as_mpf_reference(ctx, ctx.rho.value, BenefitTables(ctx))) == 194
+    assert sum(after) > 0
+
+
+def test_walk_ben_sums_the_walk_prime_by_prime(ctx1e6, ctx1e9):
+    # ben(N p_{k+i}) added going up and ben(N / p_{k-i}) going down, one
+    # prime at a time from 0, bit for bit, whichever end is read first;
+    # the float copies follow the sums as they grow
+    for ctx in (ctx1e6, ctx1e9[0]):
+        t, k, rho = ctx.table, ctx.k, ctx.rho
+        up, down = [mpf(0)], [mpf(0)]
+        for i in range(1, 9):
+            p = t.prime(k + i)
+            up.append(up[-1] + (mpf(0) if rho.j == 1 and p == rho.q else p - rho.value * mp.log(p)))
+            p = t.prime(k - i + 1)
+            down.append(down[-1] + rho.value * mp.log(p) - p)
+        for order in (range(-8, 9), range(8, -9, -1)):
+            tables = BenefitTables(ctx)
+            assert tables.walk_ben_f(np.array([0, 2])).tolist() == [0.0, float(up[2])]
+            want = [up[w] if w >= 0 else down[-w] for w in order]
+            assert [tables.walk_ben(w) for w in order] == want
+            assert tables.walk_ben_f(np.array(order)).tolist() == [float(v) for v in want]
+
+
 def test_small_prime_arrays_match_the_champion(ctx1e6, ctx1e9, table1m):
     # the per-context arrays against the champion read prime by prime: the
     # primes below sqrt(x1), Champion.alpha at each, and the float benp

@@ -15,8 +15,8 @@ from landau.gfunction import TRIAL_WIDTH, GEngine, _UptoEntry, _Window, check_fr
 from landau.primes import PrimeTable, _simple_sieve, auto_limit
 from landau.superchampion import build_e2_table, find_context
 
-from oracles import (confirm_segments, delta1_reference, entry_steps, g_small, h_window_rows,
-                     h_window_steps, line_test_signs)
+from oracles import (confirm_segments, delta1_reference, entry_steps, exact_line_signs, g_small,
+                     h_window_rows, h_window_steps, line_test_signs)
 
 POOL_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "pool.json")
 
@@ -287,6 +287,28 @@ def test_need_holds_within_the_guard(table1m, monkeypatch):
             row[:] = kept
 
 
+@pytest.mark.parametrize("off", [-1, 1])
+def test_need_takes_the_exact_floor(table1m, monkeypatch, off):
+    # a float floor of m/f one too low or one too high fails one end of its
+    # two-sided check at every column that reads it, so need takes the
+    # exact floor there
+    floor, read = np.floor, []
+
+    def planted(a):
+        read.append(len(a))
+        return floor(a) + off
+
+    for pk_idx, cap, tops, window in _need_cases(table1m, 10):
+        for rhat_idx in tops:
+            window.grow(rhat_idx)
+            steps = entry_steps(_UptoEntry(pk_idx, cap, window))
+            with monkeypatch.context() as m:
+                m.setattr(np, "floor", planted)
+                got = window.need(cap)
+            assert got == confirm_segments(table1m, pk_idx, steps, rhat_idx, cap)
+    assert sum(read) > 0
+
+
 def test_band_matches_reference_under_forced_exact(table1m, forced_exact):
     # with an infinite guard every column holding a finite candidate is
     # settled on exact products over the band [lo_j, K]; here the band
@@ -440,21 +462,23 @@ def test_delta1_matches_the_reference_at_the_cold_pool_under_forced_exact(cold_p
 
 def test_line_test_decides_as_the_integers(cold_pool_pk1, monkeypatch):
     # delta1's tables at seeded primes from 10^5 to the cold-1e14 pool's
-    # largest p_{k+1}, and at the pool's own: the floats decide every
-    # column up to cap as the integers do, and leave open only the columns
-    # whose G lies on the line, as a single swap of p_k for the prime
-    # p_k + d does; under an infinite guard every column settles on the
-    # integers, to the same delta1 values (at a third of the primes: the
-    # window rows settle every column too)
+    # largest p_{k+1}, and at the pool's own: every column up to cap is
+    # decided as the integers decide it, with the sign 0 exactly where G
+    # lies on the line, as a single swap of p_k for the prime p_k + d
+    # does; under an infinite guard every column settles on the
+    # integers, to the same delta1 values and exact signs: 0 on the line,
+    # and the finite guard's sign wherever that is not 0 (at a third of the
+    # primes: the window rows settle every column too)
     table, pool = cold_pool_pk1
     rng = random.Random(67)
     primes = [table.next_prime(int(10 ** rng.uniform(5, math.log10(pool[-1])))) for _ in range(12)]
     primes += pool[::2]
     values, signs = line_test_signs(table, primes)
-    assert len(signs) > 5000 and all((s == 0) == on_line for s, on_line in signs)
+    assert sum(map(len, signs)) > 5000
+    assert all((s == 0) == on_line for of_p in signs for s, on_line in of_p)
     monkeypatch.setattr(arith, "rounding_error", lambda size, steps: math.inf)
     exact_values, exact_signs = line_test_signs(table, primes[::3])
-    assert exact_values == values[::3] and {s for s, _ in exact_signs} == {0}
+    assert exact_values == values[::3] and exact_line_signs(signs[::3], exact_signs)
 
 
 def _swap_top(chain, tops, prev):  # the least prime, a low one, for a top the set takes already
