@@ -41,7 +41,8 @@ largest prime a truncated window needs, from the exact product of every
 segment of its step function.
 `line_test_signs` checks the float line test of
 `landau.gfunction.GEngine._below_line` against the integers of each
-column's checked read, at every column of the tables delta1 builds.
+column's checked read, at every column of the tables delta1 builds, and
+records which columns the floats left open.
 `g_small` runs the full, uncertified window recursion, the reference for the
 confirmed window.  `delta1_reference` is the reference for
 `landau.gfunction.GEngine.delta1`: the scan reads G(p, d) as a Fraction at
@@ -75,7 +76,7 @@ from landau.errors import (
     InvariantViolation,
     PrefixGapError,
 )
-from landau.gfunction import GEngine, _UptoEntry, _Window, g_ceiling, g_floor
+from landau.gfunction import GEngine, _line_excess, _UptoEntry, _Window, g_ceiling, g_floor
 from landau.oracle import _pmax
 from landau.primes import _simple_sieve
 from landau.superchampion import Champion, E2Entry, _solve_x1, newton_from_above
@@ -607,30 +608,28 @@ def line_test_signs(table, primes):
     line test's sign at every column d/2 > 0 of every G table that built,
     each with whether G(p_k, d) lies on the line, after asserting at each
     that _below_line(entry)(d) is the integer test on the column's checked
-    read, p_k num < (p_k + d) den."""
-    values, signs = [], []
+    read, p_k num < (p_k + d) den; and, in the same order, whether the
+    float test left each column open, |x| <= err from _line_excess as
+    _below_line computes them."""
+    values, signs, opened = [], [], []
     for p in primes:
         engine = GEngine(table)
         values.append(engine.delta1(p))
         signs.append([])
+        opened.append([])
         for entry in engine._upto.values():
             below = engine._below_line(entry)
             p_k = entry.Pl[entry.K - 1]
+            m = np.arange(2, 2 * len(entry.last), 2)
+            x, err = _line_excess(entry.last[0] - entry.last[1:], p_k + m, m, entry.guard,
+                                  entry.scale)
             for d in range(2, entry.cap + 1, 2):
                 qs, Qs = entry.read(d // 2)
                 lhs, rhs = p_k * math.prod(Qs), (p_k + d) * math.prod(qs)
                 assert below(d) == (lhs < rhs), (p, entry.cap, d)
                 signs[-1].append((entry.line[d // 2], lhs == rhs))
-    return values, signs
-
-
-def exact_line_signs(signs, exact_signs):
-    """Whether every sign of exact_signs, made under an infinite guard, is
-    exact: 0 exactly on the line, and equal to the sign of signs, made
-    under the finite guard at the same primes, wherever that one is not 0."""
-    return all(len(a) == len(b) and all((s == 0) == on_line and f in (0, s)
-                                        for (f, _), (s, on_line) in zip(a, b))
-               for a, b in zip(signs, exact_signs, strict=True))
+                opened[-1].append(bool(abs(x[d // 2 - 1]) <= err[d // 2 - 1]))
+    return values, signs, opened
 
 
 class _Node:

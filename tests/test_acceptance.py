@@ -32,8 +32,8 @@ from landau.primes import PrimeTable
 from landau.superchampion import build_e2_table, find_context
 
 from conftest import EXTENDED, extended
-from oracles import (confirm_segments, entry_steps, exact_line_signs, g_bruteforce, g_small,
-                     g_table_dp, line_test_signs, members, small_primes)
+from oracles import (confirm_segments, entry_steps, g_bruteforce, g_small, g_table_dp,
+                     line_test_signs, members, small_primes)
 
 
 @pytest.fixture(scope="module")
@@ -181,8 +181,9 @@ def test_line_test_at_goldens(big_solver, monkeypatch):
     # delta1 the 10^12 and 10^15 goldens and their n - 1 read (one, p_{k+1}
     # of the 10^15 context; the 10^12 ones read none), on a fresh engine:
     # every column up to cap is decided as the integers decide it, with the
-    # sign 0 exactly on the line; under an infinite guard every column
-    # settles on the integers, to the same delta1 values and signs
+    # sign 0 exactly on the line, and the floats leave a column open exactly
+    # there; under an infinite guard every column is open and settles on
+    # the integers, to the same delta1 values and signs
     primes = set()
     delta1 = GEngine.delta1
 
@@ -196,11 +197,13 @@ def test_line_test_at_goldens(big_solver, monkeypatch):
             big_solver.compute(n)
     assert primes
     primes = sorted(primes)
-    values, signs = line_test_signs(big_solver.table, primes)
+    values, signs, opened = line_test_signs(big_solver.table, primes)
     assert all((s == 0) == on_line for of_p in signs for s, on_line in of_p)
+    assert opened == [[on_line for _, on_line in of_p] for of_p in signs]
     monkeypatch.setattr(arith, "rounding_error", lambda size, steps: math.inf)
-    exact_values, exact_signs = line_test_signs(big_solver.table, primes)
-    assert exact_values == values and exact_line_signs(signs, exact_signs)
+    exact_values, exact_signs, exact_opened = line_test_signs(big_solver.table, primes)
+    assert all(map(all, exact_opened))
+    assert exact_values == values and exact_signs == signs
     print("PASS line test: delta1 at %s" % primes)
 
 

@@ -15,8 +15,8 @@ from landau.gfunction import TRIAL_WIDTH, GEngine, _UptoEntry, _Window, check_fr
 from landau.primes import PrimeTable, _simple_sieve, auto_limit
 from landau.superchampion import build_e2_table, find_context
 
-from oracles import (confirm_segments, delta1_reference, entry_steps, exact_line_signs, g_small,
-                     h_window_rows, h_window_steps, line_test_signs)
+from oracles import (confirm_segments, delta1_reference, entry_steps, g_small, h_window_rows,
+                     h_window_steps, line_test_signs)
 
 POOL_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "pool.json")
 
@@ -465,20 +465,22 @@ def test_line_test_decides_as_the_integers(cold_pool_pk1, monkeypatch):
     # largest p_{k+1}, and at the pool's own: every column up to cap is
     # decided as the integers decide it, with the sign 0 exactly where G
     # lies on the line, as a single swap of p_k for the prime p_k + d
-    # does; under an infinite guard every column settles on the
-    # integers, to the same delta1 values and exact signs: 0 on the line,
-    # and the finite guard's sign wherever that is not 0 (at a third of the
-    # primes: the window rows settle every column too)
+    # does, and the floats leave a column open exactly there; under an
+    # infinite guard every column is open and settles on the integers, to
+    # the same delta1 values and signs (at a third of the primes: the window
+    # rows settle every column too)
     table, pool = cold_pool_pk1
     rng = random.Random(67)
     primes = [table.next_prime(int(10 ** rng.uniform(5, math.log10(pool[-1])))) for _ in range(12)]
     primes += pool[::2]
-    values, signs = line_test_signs(table, primes)
+    values, signs, opened = line_test_signs(table, primes)
     assert sum(map(len, signs)) > 5000
     assert all((s == 0) == on_line for of_p in signs for s, on_line in of_p)
+    assert opened == [[on_line for _, on_line in of_p] for of_p in signs]
     monkeypatch.setattr(arith, "rounding_error", lambda size, steps: math.inf)
-    exact_values, exact_signs = line_test_signs(table, primes[::3])
-    assert exact_values == values[::3] and exact_line_signs(signs[::3], exact_signs)
+    exact_values, exact_signs, exact_opened = line_test_signs(table, primes[::3])
+    assert all(map(all, exact_opened))
+    assert exact_values == values[::3] and exact_signs == signs[::3]
 
 
 def _swap_top(chain, tops, prev):  # the least prime, a low one, for a top the set takes already
