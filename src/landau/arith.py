@@ -44,8 +44,8 @@ float slope p^{j-1}(p - 1)/log p less the float copy of the mpf rho, j + 5
 (p^{j-1} through j - 2 products from p, the product by p - 1, log and
 quotient, the copy of rho, the difference and the mpf test's own rounding)
 of size slope + rho; a champion's log, which check_bounds and the digit budgets
-compare with an mpf bound, k + R + 5 for k primes in R exponent runs, as
-follows; and log g(n) adds the
+compare with an mpf bound, 2^11 + R + 11 for R exponent runs and the
+half-width of an enclosure, as follows; and log g(n) adds the
 correction's sum of e*log p over its f factors, each term through f + 5
 (log, product, at most f - 1 sums, the sum with the champion's log, the
 difference, the float size), which counts one more step for the champion's
@@ -58,24 +58,34 @@ reads one test at both ends of t1's bracket, and _rung and
 superchampion._ratio_indices step an index through mpf tests; estimate_B
 reads its least value in mpf over the floats near the least.
 
-The champion's float log (Champion.approx_log) takes np.log of products of
-W = 32 primes, each slice of LOG_CHUNK primes of a run padded with 1.0 to
-a multiple of W.  Every prime lies below DEFAULT_MAX_LIMIT < 2^31, so a
-product lies below 2^(31 W) = 2^992 and never overflows.  A group of g
-primes, each exact in a float, reaches its product through g - 1
-roundings, so the log of the computed product is off by at most
-(g - 1) u/(1 - u) < 1.45u g log 2, at most 1.45u times the group's sum of
-log p: within the 2u rounding_error charges a step, so one step; a group
-of one prime is exact.  A log p then passes
-through its group's product (one step, none for g = 1), np.log (two), the
-sum of the G groups of its slice (G - 1 additions), the slice's addition to
-its run's total from 0.0 (at most C, the slices of the run), the product by
-the run's exponent, the run's addition to the total from 0.0 (at most R),
-the difference and the float size: G + C + R + 5 steps for g >= 2 and one
-fewer for g = 1.  A run of L >= 2 primes has G + C <= ceil(L/W) +
-ceil(L/LOG_CHUNK) <= L <= k, and a run of one prime has g = 1 and
-G + C = 2 <= k + 1, so rounding_error(v, k + R + 5) bounds the error, v the
-computed log, as it did for one np.log per prime.
+The champion's float log (Champion.approx_log) cuts each run into a head,
+its primes of index below LOG_CHUNK = 2^16 (p <= 821,641), and blocks.  The
+head takes np.log of products of W = 32 primes padded with 1.0, below
+2^(31 W) = 2^992 as every prime lies below DEFAULT_MAX_LIMIT < 2^31; the
+g - 1 roundings of a group of g exact primes move the log of its product by
+at most (g - 1) u/(1 - u) < 1.45u g log 2, one 2u step of its sum of log p.
+A block holds the c primes a <= ... <= b of indices [i, i + floor(i/256)),
+with sum S (a difference of cumulative sums) and S - c a exact in int64.
+log is concave, so it lies above its chord and, by Jensen, below its mean:
+    L = c log a + (S - c a) log1p((b - a)/a)/(b - a) <= sum log p
+      <= c log(S/c) = U
+(the code divides by max(b - a, 1), for c = 1).  v adds (L + U)/2 to the
+heads, and err adds (U - L)/2 to the rounding of the heads, L and U.  A
+term takes at most 7 steps before its run's sum: in a head its product and
+np.log; in L the quotient (b - a)/a, whose rounding log1p scales by
+x/((1 + x) log1p x) <= 1, log1p, the quotient by b - a, the copy of
+S - c a, the product and the sum with c log a; in U the copy of S, the
+quotient by c, log (2u more, as S/c > e) and the product.  Then a run's
+G <= 2^11 columns or B < 1,900 blocks are summed (i grows by a factor of at
+least 1 + 2^-8 - 2^-16, from 2^16 to below pi(DEFAULT_MAX_LIMIT) < 10^8),
+and the bounds' sum or difference, the exponent, at most R sums over runs,
+the heads' sum with the blocks', the caller's difference and the float size
+make 2^11 + R + 11 steps.  Per prime, (U - L)/c, log m less the chord at
+m = S/c, is at most (b - a)^2/(8 a^2) as |log''| <= 1/a^2 on [a, b]; with
+(b - a)/a at most 1.19 * 2^-8 on the 10^15 sieve, the half-width is at most
+2^-18 per blocked prime and unit of exponent (tests/test_superchampion.py
+asserts this cap).  err is 0.35, 3.7 and 11.4 at 10^12, 10^14 and 10^15,
+over 6000 times below the majorant's margins there (3.1e3, 2.7e4, 7.8e4).
 
 Bounds that depend on n alone.  check_bounds forms its bounds in float and
 an mpf one only inside the comparison's guard, the float's error being

@@ -26,7 +26,7 @@ from .arith import _tree_product, log_int, log_product
 from .errors import CapacityError, InvariantViolation
 from .primes import DEFAULT_MAX_LIMIT, sum_root
 
-LOG_CHUNK = 1 << 16  # primes per float buffer of Champion.approx_log
+LOG_CHUNK = 1 << 16  # Champion.approx_log: products below this prime index, blocks past it
 LOG_GROUP = 32       # primes per float product of Champion.approx_log
 # LOG_GROUP primes below DEFAULT_MAX_LIMIT multiply to below 2^1024: no overflow
 assert LOG_GROUP * DEFAULT_MAX_LIMIT.bit_length() < 1024
@@ -198,29 +198,37 @@ class Champion:
 
     def approx_log(self):
         """(v, err): log N as a float with |v - log N| <= err, err counting
-        the steps arith's docstring gives a champion log, with the one
-        difference its caller compares v by.
+        the difference its caller compares v by (arith's docstring).
 
-        Each LOG_CHUNK slice of a run is copied into one float buffer and
-        padded with 1.0 to a multiple of LOG_GROUP; a log is taken of each
-        product of LOG_GROUP primes, its columns."""
+        A run's head, its primes of index below LOG_CHUNK, takes a log of
+        each product of LOG_GROUP primes; its blocks of indices
+        [i, i + i // 256) past the head take the midpoint of an enclosure of
+        their sum of log p from their count, end primes and prime sum, and
+        err takes the half-widths."""
         if self._approx is None:
-            primes = self.table.primes
-            longest = max(hi - lo + 1 for _, lo, hi in self.runs)
-            buf = np.empty(-(-min(longest, LOG_CHUNK) // LOG_GROUP) * LOG_GROUP)
-            v = 0.0
+            primes, cum = self.table.primes, self.table.cumulative
+            heads = bounds = widths = 0.0  # the heads, both block bounds, their gaps
             for j, lo, hi in self.runs:
-                run = 0.0
-                for a in range(lo - 1, hi, LOG_CHUNK):
-                    size = min(LOG_CHUNK, hi - a)
-                    groups = -(-size // LOG_GROUP)
-                    chunk = buf[: groups * LOG_GROUP]
-                    chunk[:size] = primes[a : a + size]
-                    chunk[size:] = 1.0
-                    products = np.multiply.reduce(chunk.reshape(LOG_GROUP, groups), axis=0)
-                    run += float(np.log(products, out=products).sum())
-                v += j * run
-            self._approx = (v, arith.rounding_error(v, self.k + len(self.runs) + 5))
+                cut = min(max(lo - 1, LOG_CHUNK), hi)  # head [lo - 1, cut), blocks [cut, hi)
+                if cut >= lo:
+                    size = cut - lo + 1
+                    chunk = np.empty(-(-size // LOG_GROUP) * LOG_GROUP)
+                    chunk[:size], chunk[size:] = primes[lo - 1 : cut], 1.0
+                    products = np.multiply.reduce(chunk.reshape(LOG_GROUP, -1), axis=0)
+                    heads += j * float(np.log(products, out=products).sum())
+                s = [cut]  # steps of at least 256, so no duplicate starts
+                while s[-1] < hi:
+                    s.append(min(s[-1] + (s[-1] >> 8), hi))
+                if len(s) > 1:
+                    s = np.array(s)
+                    c, a, b = np.diff(s), primes[s[:-1]], primes[s[1:] - 1]
+                    total = cum[s[1:] - 1] - cum[s[:-1] - 1]
+                    chord = (total - c * a) * (np.log1p((b - a) / a) / np.maximum(b - a, 1))
+                    low = float((c * np.log(a) + chord).sum())
+                    high = float((c * np.log(total / c)).sum())
+                    bounds, widths = bounds + j * (low + high), widths + j * (high - low)
+            self._approx = (heads + bounds / 2, widths / 2 + arith.rounding_error(
+                heads + bounds, LOG_CHUNK // LOG_GROUP + len(self.runs) + 11))
         return self._approx
 
     def to_int(self, digit_budget=10**7):

@@ -15,6 +15,7 @@ from landau.gfunction import g_floor
 from landau.oracle import g_list_merge_prune
 from landau.superchampion import Champion
 
+from conftest import extended
 from oracles import mpf_bound, normalized_candidates_loop
 
 
@@ -451,6 +452,29 @@ def test_cold_compute_and_to_int_skip_the_exact_champion_log(monkeypatch):
     # log10_g is computed on access, from the exact log
     assert mp.nstr(res.log10_g, 25) == "1699.395237142470003972748"
     assert spy.calls == 1
+
+
+def _skips_the_exact_champion_log(monkeypatch, ns):
+    # compute's check_bounds and the champion's digit budget decide on the
+    # float log, its blocks' enclosure included, with no exact log
+    spy = _CountingLog(monkeypatch)
+    for n in ns:
+        res = Solver(limit_hint=n).compute(n)
+        with pytest.raises(CapacityError):
+            res.champion.to_int(digit_budget=1000)
+    assert spy.calls == 0
+
+
+def test_compute_and_to_int_skip_the_exact_champion_log_1e12(monkeypatch):
+    _skips_the_exact_champion_log(monkeypatch, [10**12])
+
+
+@extended
+def test_compute_and_to_int_skip_the_exact_champion_log_1e15(monkeypatch):
+    # the 10^15 golden and five n of the cold benchmark pool near 10^14
+    _skips_the_exact_champion_log(monkeypatch, [10**15, 100132841509487, 101286958684663,
+                                                102845161009768, 103613071095758,
+                                                104759925815269])
 
 
 def test_check_bounds_exact_path_same_verdict(forced_exact, monkeypatch):

@@ -448,23 +448,35 @@ def test_runs_match_the_reference_at_event_slopes_1e15():
 def _approx_log_within_its_bound(champion):
     v, err = champion.approx_log()
     assert abs(mpf(v) - champion.log) <= err, (champion, v, err)
+    # and the bound is tight: the rounding of 2^11 + R + 11 steps over at most
+    # twice v, plus 2^-18 per blocked prime and unit of its exponent, the cap
+    # on the chord-Jensen half-width that arith's docstring derives
+    blocked = sum(j * max(0, hi - max(lo - 1, LOG_CHUNK)) for j, lo, hi in champion.runs)
+    cap = arith.rounding_error(2 * v, LOG_CHUNK // LOG_GROUP + len(champion.runs) + 11)
+    assert err <= cap + blocked * 2.0**-18, (champion, err, cap, blocked)
 
 
 def test_approx_log_within_its_bound(tables_by_scale, e2_1e9, e2_1e12, table1m):
-    # the float log from products of LOG_GROUP primes against the mpf log, at
-    # champions of every scale, at a power-event slope, and at runs cut at
-    # every kind of length: shorter than a group, a multiple of it, neither,
-    # and past a LOG_CHUNK boundary with a short group at the end
+    # the float log against the mpf log, at champions of every scale (the
+    # 10^12 one's exponent-1 run crosses the head), at a power-event slope,
+    # and at runs cut at every kind of length: shorter than a group, a
+    # multiple of it, neither, past LOG_CHUNK with a short group at the end
+    # of the head, starting past LOG_CHUNK, and ending in a block of one
+    # prime (blocks [2^16, 2^16 + 256) and [2^16 + 256, 2^16 + 257))
     table12 = tables_by_scale[10**12]
     power = next(c for c in (find_context(n, table1m, e2_1e9) for n in _event_slope_n(e2_1e9))
                  if c.rho.j >= 2)
     champions = [find_context(10**6, table1m, e2_1e9).N, find_context(10**9, table1m, e2_1e9).N,
                  find_context(10**12, table12, e2_1e12).N, power.N]
     assert any(hi - lo + 1 > LOG_CHUNK for c in champions for _, lo, hi in c.runs)
-    for ends in ([5], [LOG_GROUP], [37], [100, 40, 7, 3], [LOG_CHUNK + 2 * LOG_GROUP + 34, 2 * LOG_GROUP + 1]):
+    assert champions[2].runs[-1][1] <= LOG_CHUNK < champions[2].k
+    for ends in ([5], [LOG_GROUP], [37], [100, 40, 7, 3],
+                 [LOG_CHUNK + 2 * LOG_GROUP + 34, 2 * LOG_GROUP + 1],
+                 [LOG_CHUNK + 500, LOG_CHUNK + 3], [LOG_CHUNK + 257]):
         champions.append(Champion(table1m, ends))
     lengths = {hi - lo + 1 for c in champions[4:] for _, lo, hi in c.runs}
     assert {5, 3, LOG_GROUP, 37, 33, 2 * LOG_GROUP + 1, LOG_CHUNK + 33} <= lengths
+    assert champions[-2].runs == [(2, 1, LOG_CHUNK + 3), (1, LOG_CHUNK + 4, LOG_CHUNK + 500)]
     for champion in champions:
         _approx_log_within_its_bound(champion)
 
